@@ -54,12 +54,16 @@ def build_parser() -> argparse.ArgumentParser:
         choices=[f.value for f in FileFormat], dest="fmt",
     )
 
-    p = sub.add_parser("make-toy-benchmark", help="build the desk-scale benchmark")
+    # Unset options are left out so make_toy_benchmark's own defaults apply.
+    p = sub.add_parser(
+        "make-toy-benchmark", help="build the desk-scale benchmark",
+        argument_default=argparse.SUPPRESS,
+    )
     p.add_argument("--out", type=Path, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--source-scenes", type=int, default=20)
-    p.add_argument("--target-scenes", type=int, default=20)
-    p.add_argument("--density", type=float, default=55.0)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--source-scenes", type=int, dest="n_source", metavar="N")
+    p.add_argument("--target-scenes", type=int, dest="n_target", metavar="N")
+    p.add_argument("--density", type=float)
 
     for name, help_text in (
         ("scan", "apply the scan simulation to the source scenes"),
@@ -89,10 +93,8 @@ def main(argv=None) -> int:
             print(manifest)
             return 0
         if args.command == "make-toy-benchmark":
-            config_path = pipeline.make_toy_benchmark(
-                args.out, seed=args.seed, n_source=args.source_scenes,
-                n_target=args.target_scenes, density=args.density,
-            )
+            options = {k: v for k, v in vars(args).items() if k not in ("command", "out")}
+            config_path = pipeline.make_toy_benchmark(args.out, **options)
             print(config_path)
             return 0
 

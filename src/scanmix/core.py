@@ -96,9 +96,6 @@ class ClassTaxonomy:
     def count(self) -> int:
         return len(self.names)
 
-    def index_of(self, name: str) -> int:
-        return self.names.index(name)
-
     def check_labels(self, labels: np.ndarray) -> None:
         """Raise UnknownLabelError if any non-ignore label is out of range."""
         valid = labels != self.ignore_index
@@ -116,11 +113,6 @@ class StructuralClasses:
     floor: int
     ceiling: int
     wall: int
-
-    @property
-    def passable(self) -> tuple[int, int]:
-        # Classes that never block free space in the bird's-eye view.
-        return (self.floor, self.ceiling)
 
 
 @dataclass(frozen=True)

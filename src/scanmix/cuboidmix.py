@@ -276,9 +276,7 @@ class TailCuboidQueue:
         if capacity < 0:
             raise ValueError("capacity must be >= 0")
         self.capacity = capacity
-        self._entries: deque[QueuedCuboid] = deque(maxlen=capacity if capacity > 0 else None)
-        if capacity == 0:
-            self._entries = deque(maxlen=0)
+        self._entries: deque[QueuedCuboid] = deque(maxlen=capacity)
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -319,7 +317,7 @@ class ComposeResult:
     injected_cells: list[int]    # cell-order positions replaced from the queue
 
 
-def _inject_queue_cuboids(mixed: MixedScene, flags, queue, need, rng, cells):
+def _inject_queue_cuboids(mixed: MixedScene, flags, queue, need, rng):
     """Replace uniformly chosen non-tail cells with queue cuboids until
     ``need`` more tail cuboids are present or no candidate remains. Queue
     draws are distinct when the queue is large enough, otherwise repeats
@@ -390,9 +388,7 @@ def compose_mixed_scene(
     injected: list[int] = []
     need = config.min_tail_cuboids - int(flags.sum())
     if need > 0 and len(queue) > 0:
-        mixed, flags, injected = _inject_queue_cuboids(
-            mixed, flags, queue, need, rng, _cells_in_order(mixed.shape)
-        )
+        mixed, flags, injected = _inject_queue_cuboids(mixed, flags, queue, need, rng)
 
     tgt_flags = classify_tail_cuboids(tgt_set, ratios, config.n_tail_classes)
     queue = update_tail_queue(queue, tgt_set, tgt_flags)

@@ -27,9 +27,6 @@ class ConfusionMatrix:
     def total(self) -> int:
         return int(self.counts.sum())
 
-    def merged(self, other: "ConfusionMatrix") -> "ConfusionMatrix":
-        return ConfusionMatrix(self.counts + other.counts, self.taxonomy)
-
 
 def accumulate_confusion(
     matrix: ConfusionMatrix,

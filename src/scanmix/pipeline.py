@@ -8,25 +8,22 @@ run reports the three ablation mIoUs. Everything is reproducible from
 (config, seed); reports and checkpoints are byte-identical across reruns.
 
 The config file is line-oriented ``key=value`` with dotted section
-prefixes (for example ``vss.n_v=4``); see ``DEFAULT_CONFIG_TEXT`` for the
-full key set.
+prefixes (for example ``vss.n_v=4``); ``CONFIG_KEYS`` is the full key set
+and ``DEFAULT_CONFIG_TEXT`` lists every key with its default.
 """
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass, field, replace
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
 
-from .core import (
-    Aabb,
-    AugmentConfig,
-    ClassTaxonomy,
-    RandomStream,
-    StructuralClasses,
-)
+from .core import AugmentConfig, ClassTaxonomy, RandomStream, StructuralClasses
 from .cuboidmix import CuboidMixConfig, TailCuboidQueue, compose_mixed_scene
 from .errors import ConfigError, StageError
 from .io import (
@@ -44,10 +41,11 @@ from .scansim import FovConfig, ScanSimConfig, scan_and_jitter
 from .scenegen import (
     TOY_STRUCTURAL,
     TOY_TAXONOMY,
-    SceneSpec,
     generate_scene,
     make_template,
     template_names,
+    toy_source_spec,
+    toy_target_spec,
 )
 from .segmenter import (
     FeatureConfig,
@@ -61,15 +59,6 @@ from .segmenter import (
     train_pretrain,
     train_selftrain,
 )
-
-_BOOL = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
-
-
-def _parse_bool(s: str) -> bool:
-    try:
-        return _BOOL[s.strip().lower()]
-    except KeyError:
-        raise ConfigError(f"expected a boolean, got {s!r}") from None
 
 
 @dataclass
@@ -90,122 +79,135 @@ class PipelineConfig:
     pretrain: TrainConfig = field(default_factory=TrainConfig)
     selftrain: TrainConfig = field(default_factory=TrainConfig)
 
+    def __post_init__(self):
+        s = self.structural
+        if not all(0 <= i < self.taxonomy.count for i in (s.floor, s.ceiling, s.wall)):
+            raise ValueError("structural classes must be taxonomy class indices")
+
+
+def _finite_float(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"{raw!r} is not finite")
+    return value
+
+
+_BOOL_WORDS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+
+# Value types of the config keys: (parse, format) pairs.
+_INT = (int, str)
+_FLOAT = (_finite_float, repr)
+_STR = (str, str)
+_PATH = (Path, str)
+_BOOL = (lambda s: _BOOL_WORDS[s.lower()], lambda v: str(v).lower())
+_NAMES = (lambda s: tuple(p.strip() for p in s.split(",")), ",".join)
+
+# Every config key: key -> (dotted attribute path into PipelineConfig, type).
+# Parsing, serializing (in this order) and DEFAULT_CONFIG_TEXT all derive
+# from this table.
+CONFIG_KEYS = {
+    "seed": ("seed", _INT),
+    "out_dir": ("out_dir", _PATH),
+    "source_manifest": ("source_manifest", _PATH),
+    "target_manifest": ("target_manifest", _PATH),
+    "taxonomy.name": ("taxonomy.name", _STR),
+    "taxonomy.names": ("taxonomy.names", _NAMES),
+    "taxonomy.ignore": ("taxonomy.ignore_index", _INT),
+    "structural.floor": ("structural.floor", _INT),
+    "structural.ceiling": ("structural.ceiling", _INT),
+    "structural.wall": ("structural.wall", _INT),
+    "vss.n_v": ("scan.n_v", _INT),
+    "vss.alpha_h": ("scan.fov.alpha_h", _FLOAT),
+    "vss.alpha_v": ("scan.fov.alpha_v", _FLOAT),
+    "vss.mode": ("scan.fov.mode", _STR),
+    "vss.d_ref": ("scan.fov.d_ref", _FLOAT),
+    "vss.bev_cell": ("scan.bev_cell", _FLOAT),
+    "vss.clearance": ("scan.clearance", _FLOAT),
+    "vss.theta_bin": ("scan.theta_bin", _FLOAT),
+    "vss.eps_d": ("scan.eps_d", _FLOAT),
+    "vss.delta_p": ("scan.delta_p", _FLOAT),
+    "tacm.nx": ("mix.nx", _INT),
+    "tacm.ny": ("mix.ny", _INT),
+    "tacm.nz": ("mix.nz", _INT),
+    "tacm.delta_phi": ("mix.delta_phi", _FLOAT),
+    "tacm.rho_s": ("mix.rho_s", _FLOAT),
+    "tacm.rho_m": ("mix.rho_m", _FLOAT),
+    "tacm.queue_cap": ("mix.queue_cap", _INT),
+    "tacm.n_tail_classes": ("mix.n_tail_classes", _INT),
+    "tacm.min_tail_cuboids": ("mix.min_tail_cuboids", _INT),
+    "pseudo.mode": ("pseudo.mode", _STR),
+    "pseudo.threshold": ("pseudo.threshold", _FLOAT),
+    "pseudo.fraction": ("pseudo.fraction", _FLOAT),
+    "features.voxel_size": ("features.voxel_size", _FLOAT),
+    "features.radius": ("features.radius", _FLOAT),
+    "augment.rotate": ("augment.rotate", _BOOL),
+    "augment.flip": ("augment.flip", _BOOL),
+    "augment.elastic": ("augment.elastic", _BOOL),
+    "augment.jitter": ("augment.jitter", _BOOL),
+    "augment.shuffle": ("augment.shuffle", _BOOL),
+    "augment.elastic_spacing": ("augment.elastic_spacing", _FLOAT),
+    "augment.elastic_magnitude": ("augment.elastic_magnitude", _FLOAT),
+    "augment.jitter_range": ("augment.jitter_range", _FLOAT),
+    "pretrain.lr": ("pretrain.learning_rate", _FLOAT),
+    "pretrain.iterations": ("pretrain.iterations", _INT),
+    "pretrain.batch": ("pretrain.batch_size", _INT),
+    "pretrain.momentum": ("pretrain.momentum", _FLOAT),
+    "pretrain.lr_decay": ("pretrain.lr_decay_power", _FLOAT),
+    "pretrain.lambda": ("pretrain.source_loss_weight", _FLOAT),
+    "selftrain.lr": ("selftrain.learning_rate", _FLOAT),
+    "selftrain.iterations": ("selftrain.iterations", _INT),
+    "selftrain.batch": ("selftrain.batch_size", _INT),
+    "selftrain.momentum": ("selftrain.momentum", _FLOAT),
+    "selftrain.lr_decay": ("selftrain.lr_decay_power", _FLOAT),
+    "selftrain.regen_every": ("selftrain.regen_every", _INT),
+    "selftrain.lambda": ("selftrain.source_loss_weight", _FLOAT),
+}
+
+
+def _with_overrides(obj, overrides: dict[str, object]):
+    """Copy of the dataclass ``obj`` with dotted-path ``overrides`` applied.
+    Each nested dataclass is rebuilt once, from all of its overrides
+    together, so its checks never see a half-applied state."""
+    fields: dict[str, object] = {}
+    nested: dict[str, dict[str, object]] = {}
+    for path, value in overrides.items():
+        head, _, rest = path.partition(".")
+        if rest:
+            nested.setdefault(head, {})[rest] = value
+        else:
+            fields[head] = value
+    for head, sub in nested.items():
+        fields[head] = _with_overrides(getattr(obj, head), sub)
+    return replace(obj, **fields)
+
 
 def parse_config_text(text: str, base: Path | None = None) -> PipelineConfig:
-    values: dict[str, str] = {}
+    """Parse ``key=value`` lines; keys not given keep their defaults.
+    Relative paths resolve against ``base`` when it is given."""
+    overrides: dict[str, object] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected key=value, got {line!r}")
-        key, val = line.split("=", 1)
-        key = key.strip()
-        if key in values:
+        key, raw = (s.strip() for s in line.split("=", 1))
+        if key not in CONFIG_KEYS:
+            raise ConfigError(f"line {lineno}: unknown config key {key!r}")
+        attr, (parse, _) = CONFIG_KEYS[key]
+        if attr in overrides:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        values[key] = val.strip()
-
-    def pop(key, cast, default):
-        if key not in values:
-            return default
-        raw = values.pop(key)
         try:
-            return cast(raw)
-        except (ValueError, TypeError) as exc:
-            raise ConfigError(f"bad value for {key}: {raw!r} ({exc})") from exc
-
-    def pop_path(key, default):
-        raw = pop(key, str, None)
-        if raw is None:
-            return default
-        p = Path(raw)
-        return (base / p if base is not None and not p.is_absolute() else p)
-
-    names = tuple(pop("taxonomy.names", lambda s: [p.strip() for p in s.split(",")], TOY_TAXONOMY.names))
-    taxonomy = ClassTaxonomy(
-        pop("taxonomy.name", str, TOY_TAXONOMY.name),
-        names,
-        pop("taxonomy.ignore", int, -1),
-    )
-    structural = StructuralClasses(
-        pop("structural.floor", int, 0),
-        pop("structural.ceiling", int, 1),
-        pop("structural.wall", int, 2),
-    )
-    scan = ScanSimConfig(
-        n_v=pop("vss.n_v", int, 4),
-        fov=FovConfig(
-            alpha_h=pop("vss.alpha_h", float, 180.0),
-            alpha_v=pop("vss.alpha_v", float, 90.0),
-            mode=pop("vss.mode", str, "fixed"),
-            d_ref=pop("vss.d_ref", float, 2.0),
-        ),
-        bev_cell=pop("vss.bev_cell", float, 0.25),
-        clearance=pop("vss.clearance", float, 0.1),
-        theta_bin=pop("vss.theta_bin", float, 0.5),
-        eps_d=pop("vss.eps_d", float, 0.05),
-        delta_p=pop("vss.delta_p", float, 0.01),
-    )
-    mix = CuboidMixConfig(
-        nx=pop("tacm.nx", int, 2),
-        ny=pop("tacm.ny", int, 2),
-        nz=pop("tacm.nz", int, 1),
-        delta_phi=pop("tacm.delta_phi", float, 0.1),
-        rho_s=pop("tacm.rho_s", float, 0.5),
-        rho_m=pop("tacm.rho_m", float, 0.5),
-        queue_cap=pop("tacm.queue_cap", int, 256),
-        n_tail_classes=pop("tacm.n_tail_classes", int, 2),
-        min_tail_cuboids=pop("tacm.min_tail_cuboids", int, 2),
-    )
-    pseudo = PseudoLabelConfig(
-        mode=pop("pseudo.mode", str, "global_threshold"),
-        threshold=pop("pseudo.threshold", float, 0.7),
-        fraction=pop("pseudo.fraction", float, 0.3),
-    )
-    features = FeatureConfig(
-        voxel_size=pop("features.voxel_size", float, 0.02),
-        radius=pop("features.radius", float, 0.15),
-    )
-    augment = AugmentConfig(
-        rotate=pop("augment.rotate", _parse_bool, True),
-        flip=pop("augment.flip", _parse_bool, True),
-        elastic=pop("augment.elastic", _parse_bool, True),
-        jitter=pop("augment.jitter", _parse_bool, True),
-        shuffle=pop("augment.shuffle", _parse_bool, True),
-        elastic_spacing=pop("augment.elastic_spacing", float, 0.2),
-        elastic_magnitude=pop("augment.elastic_magnitude", float, 0.05),
-        jitter_range=pop("augment.jitter_range", float, 0.005),
-    )
-
-    def train_section(prefix, defaults: TrainConfig):
-        return TrainConfig(
-            learning_rate=pop(f"{prefix}.lr", float, defaults.learning_rate),
-            iterations=pop(f"{prefix}.iterations", int, defaults.iterations),
-            batch_size=pop(f"{prefix}.batch", int, defaults.batch_size),
-            source_loss_weight=pop(f"{prefix}.lambda", float, defaults.source_loss_weight),
-            momentum=pop(f"{prefix}.momentum", float, defaults.momentum),
-            lr_decay_power=pop(f"{prefix}.lr_decay", float, defaults.lr_decay_power),
-            regen_every=pop(f"{prefix}.regen_every", int, defaults.regen_every),
-        )
-
-    config = PipelineConfig(
-        seed=pop("seed", int, 0),
-        out_dir=pop_path("out_dir", Path("out")),
-        source_manifest=pop_path("source_manifest", Path("source_manifest.txt")),
-        target_manifest=pop_path("target_manifest", Path("target_manifest.txt")),
-        taxonomy=taxonomy,
-        structural=structural,
-        scan=scan,
-        mix=mix,
-        pseudo=pseudo,
-        features=features,
-        augment=augment,
-        pretrain=train_section("pretrain", TrainConfig()),
-        selftrain=train_section("selftrain", TrainConfig()),
-    )
-    if values:
-        raise ConfigError(f"unknown config keys: {sorted(values)}")
-    return config
+            value = parse(raw)
+        except (ValueError, KeyError) as exc:
+            raise ConfigError(f"line {lineno}: bad value for {key}: {raw!r}") from exc
+        if parse is Path and base is not None and not value.is_absolute():
+            value = base / value
+        overrides[attr] = value
+    try:
+        return _with_overrides(PipelineConfig(), overrides)
+    except ValueError as exc:
+        raise ConfigError(f"invalid config: {exc}") from exc
 
 
 def load_config(path) -> PipelineConfig:
@@ -214,66 +216,10 @@ def load_config(path) -> PipelineConfig:
 
 
 def config_text(config: PipelineConfig) -> str:
-    """Serialize in the canonical key order (inverse of parsing)."""
-    c = config
-    lines = [
-        f"seed={c.seed}",
-        f"out_dir={c.out_dir}",
-        f"source_manifest={c.source_manifest}",
-        f"target_manifest={c.target_manifest}",
-        f"taxonomy.name={c.taxonomy.name}",
-        "taxonomy.names=" + ",".join(c.taxonomy.names),
-        f"taxonomy.ignore={c.taxonomy.ignore_index}",
-        f"structural.floor={c.structural.floor}",
-        f"structural.ceiling={c.structural.ceiling}",
-        f"structural.wall={c.structural.wall}",
-        f"vss.n_v={c.scan.n_v}",
-        f"vss.alpha_h={c.scan.fov.alpha_h!r}",
-        f"vss.alpha_v={c.scan.fov.alpha_v!r}",
-        f"vss.mode={c.scan.fov.mode}",
-        f"vss.d_ref={c.scan.fov.d_ref!r}",
-        f"vss.bev_cell={c.scan.bev_cell!r}",
-        f"vss.clearance={c.scan.clearance!r}",
-        f"vss.theta_bin={c.scan.theta_bin!r}",
-        f"vss.eps_d={c.scan.eps_d!r}",
-        f"vss.delta_p={c.scan.delta_p!r}",
-        f"tacm.nx={c.mix.nx}",
-        f"tacm.ny={c.mix.ny}",
-        f"tacm.nz={c.mix.nz}",
-        f"tacm.delta_phi={c.mix.delta_phi!r}",
-        f"tacm.rho_s={c.mix.rho_s!r}",
-        f"tacm.rho_m={c.mix.rho_m!r}",
-        f"tacm.queue_cap={c.mix.queue_cap}",
-        f"tacm.n_tail_classes={c.mix.n_tail_classes}",
-        f"tacm.min_tail_cuboids={c.mix.min_tail_cuboids}",
-        f"pseudo.mode={c.pseudo.mode}",
-        f"pseudo.threshold={c.pseudo.threshold!r}",
-        f"pseudo.fraction={c.pseudo.fraction!r}",
-        f"features.voxel_size={c.features.voxel_size!r}",
-        f"features.radius={c.features.radius!r}",
-        f"augment.rotate={str(c.augment.rotate).lower()}",
-        f"augment.flip={str(c.augment.flip).lower()}",
-        f"augment.elastic={str(c.augment.elastic).lower()}",
-        f"augment.jitter={str(c.augment.jitter).lower()}",
-        f"augment.shuffle={str(c.augment.shuffle).lower()}",
-        f"augment.elastic_spacing={c.augment.elastic_spacing!r}",
-        f"augment.elastic_magnitude={c.augment.elastic_magnitude!r}",
-        f"augment.jitter_range={c.augment.jitter_range!r}",
-        f"pretrain.lr={c.pretrain.learning_rate!r}",
-        f"pretrain.iterations={c.pretrain.iterations}",
-        f"pretrain.batch={c.pretrain.batch_size}",
-        f"pretrain.momentum={c.pretrain.momentum!r}",
-        f"pretrain.lr_decay={c.pretrain.lr_decay_power!r}",
-        f"pretrain.lambda={c.pretrain.source_loss_weight!r}",
-        f"selftrain.lr={c.selftrain.learning_rate!r}",
-        f"selftrain.iterations={c.selftrain.iterations}",
-        f"selftrain.batch={c.selftrain.batch_size}",
-        f"selftrain.momentum={c.selftrain.momentum!r}",
-        f"selftrain.lr_decay={c.selftrain.lr_decay_power!r}",
-        f"selftrain.regen_every={c.selftrain.regen_every}",
-        f"selftrain.lambda={c.selftrain.source_loss_weight!r}",
-    ]
-    return "\n".join(lines) + "\n"
+    """Serialize in the table's key order (inverse of parsing)."""
+    return "".join(
+        f"{key}={fmt(attrgetter(attr)(config))}\n" for key, (attr, (_, fmt)) in CONFIG_KEYS.items()
+    )
 
 
 def save_config(config: PipelineConfig, path) -> None:
@@ -312,20 +258,18 @@ def _write_losses(path, losses: np.ndarray) -> None:
             f.write(f"{float(value)!r}\n")
 
 
-def _load_domains(config: PipelineConfig):
-    src_manifest = load_manifest(config.source_manifest)
-    tgt_manifest = load_manifest(config.target_manifest)
-    source = load_scenes(src_manifest, config.taxonomy)
-    target = load_scenes(tgt_manifest, config.taxonomy)
-    return src_manifest, tgt_manifest, source, target
+def _load_domain(manifest_path, taxonomy: ClassTaxonomy):
+    manifest = load_manifest(manifest_path)
+    return manifest, load_scenes(manifest, taxonomy)
 
 
-def _evaluate(model, scenes, taxonomy, feature_config, threads=1):
-    matrix = ConfusionMatrix.zeros(taxonomy)
-    preds = _map_scenes(lambda s: predict_labels(model, s, feature_config), scenes, threads)
-    for scene, pred in zip(scenes, preds):
-        accumulate_confusion(matrix, pred, scene.labels)
-    return compute_iou(matrix)
+@contextmanager
+def _stage(name: str):
+    """Re-raise any failure inside the block as a StageError tagged ``name``."""
+    try:
+        yield
+    except Exception as exc:
+        raise StageError(name, exc) from exc
 
 
 # --- stages -----------------------------------------------------------------
@@ -334,8 +278,8 @@ def _evaluate(model, scenes, taxonomy, feature_config, threads=1):
 def stage_pretrain(config: PipelineConfig, with_scan_sim: bool = True) -> Path:
     """Train a model on the source scenes; returns the checkpoint path."""
     stage = "pretrain" if with_scan_sim else "source-only"
-    try:
-        _, _, source, _target = _load_domains(config)
+    with _stage(stage):
+        _, source = _load_domain(config.source_manifest, config.taxonomy)
         rng = RandomStream(config.seed).child(
             _TAG_PRETRAIN if with_scan_sim else _TAG_SOURCE_ONLY
         )
@@ -356,17 +300,14 @@ def stage_pretrain(config: PipelineConfig, with_scan_sim: bool = True) -> Path:
         save_checkpoint(result.model, path)
         _write_losses(config.out_dir / f"losses_{stage.replace('-', '_')}.txt", result.losses)
         return path
-    except Exception as exc:
-        raise StageError(stage, exc) from exc
 
 
 def stage_pseudo_label(config: PipelineConfig, threads: int = 1) -> Path:
     """Score target scenes with the pretrained model and write pseudo-label
     files (plus the class-ratio summary); returns the pseudo directory."""
-    try:
+    with _stage("pseudo-label"):
         model = load_checkpoint(config.out_dir / CKPT_SCAN_PRETRAIN, config.taxonomy)
-        tgt_manifest = load_manifest(config.target_manifest)
-        scenes = load_scenes(tgt_manifest, config.taxonomy)
+        tgt_manifest, scenes = _load_domain(config.target_manifest, config.taxonomy)
         pseudo_dir = config.out_dir / "pseudo"
         pseudo_dir.mkdir(parents=True, exist_ok=True)
 
@@ -384,8 +325,6 @@ def stage_pseudo_label(config: PipelineConfig, threads: int = 1) -> Path:
             for name, value in zip(config.taxonomy.names, ratios):
                 f.write(f"{name}\t{float(value)!r}\n")
         return pseudo_dir
-    except Exception as exc:
-        raise StageError("pseudo-label", exc) from exc
 
 
 def _load_pseudo_scenes(config: PipelineConfig):
@@ -401,10 +340,9 @@ def _load_pseudo_scenes(config: PipelineConfig):
 def stage_selftrain(config: PipelineConfig) -> Path:
     """Self-train from the pretrained checkpoint using pseudo-labeled
     target scenes; writes the final checkpoint and three mixed samples."""
-    try:
+    with _stage("selftrain"):
         model = load_checkpoint(config.out_dir / CKPT_SCAN_PRETRAIN, config.taxonomy)
-        src_manifest = load_manifest(config.source_manifest)
-        source = load_scenes(src_manifest, config.taxonomy)
+        _, source = _load_domain(config.source_manifest, config.taxonomy)
         pseudo_scenes = _load_pseudo_scenes(config)
         samples_dir = config.out_dir / "mixed_samples"
         samples_dir.mkdir(parents=True, exist_ok=True)
@@ -431,8 +369,6 @@ def stage_selftrain(config: PipelineConfig) -> Path:
         save_checkpoint(result.model, path)
         _write_losses(config.out_dir / "losses_selftrain.txt", result.losses)
         return path
-    except Exception as exc:
-        raise StageError("selftrain", exc) from exc
 
 
 _EVAL_TAGS = (
@@ -445,31 +381,29 @@ _EVAL_TAGS = (
 def stage_evaluate(config: PipelineConfig, threads: int = 1) -> dict[str, float]:
     """Evaluate whichever checkpoints exist against target ground truth;
     writes one metrics CSV per model and returns tag -> mIoU."""
-    try:
-        tgt_manifest = load_manifest(config.target_manifest)
-        scenes = load_scenes(tgt_manifest, config.taxonomy)
+    with _stage("evaluate"):
+        _, scenes = _load_domain(config.target_manifest, config.taxonomy)
         mious: dict[str, float] = {}
         for ckpt, tag in _EVAL_TAGS:
             path = config.out_dir / ckpt
             if not path.is_file():
                 continue
             model = load_checkpoint(path, config.taxonomy)
-            ious, miou = _evaluate(model, scenes, config.taxonomy, config.features, threads)
+            preds = _map_scenes(lambda s: predict_labels(model, s, config.features), scenes, threads)
+            matrix = ConfusionMatrix.zeros(config.taxonomy)
+            for scene, pred in zip(scenes, preds):
+                accumulate_confusion(matrix, pred, scene.labels)
+            ious, miou = compute_iou(matrix)
             write_iou_csv(config.out_dir / f"metrics_{tag}.csv", config.taxonomy, ious, miou)
             mious[tag] = miou
         return mious
-    except StageError:
-        raise
-    except Exception as exc:
-        raise StageError("evaluate", exc) from exc
 
 
 def stage_scan(config: PipelineConfig) -> Path:
     """Apply the scan simulation once to every source scene; writes the
     scanned clouds and a manifest into out/scanned."""
-    try:
-        src_manifest = load_manifest(config.source_manifest)
-        scenes = load_scenes(src_manifest, config.taxonomy)
+    with _stage("scan"):
+        src_manifest, scenes = _load_domain(config.source_manifest, config.taxonomy)
         out = config.out_dir / "scanned"
         out.mkdir(parents=True, exist_ok=True)
         rng = RandomStream(config.seed).child(_TAG_SCAN)
@@ -480,18 +414,17 @@ def stage_scan(config: PipelineConfig) -> Path:
             entries.append((scene_id, f"{scene_id}.ply"))
         save_manifest(out / "manifest.txt", "source", config.taxonomy.name, entries)
         return out
-    except Exception as exc:
-        raise StageError("scan", exc) from exc
 
 
 def stage_mix(config: PipelineConfig, count: int = 5) -> Path:
     """Compose a few mixed scenes (source ground truth vs target labels or
     pseudo labels when present) into out/mixed for inspection."""
-    try:
-        _, tgt_manifest, source, target = _load_domains(config)
-        pseudo_dir = config.out_dir / "pseudo"
-        if pseudo_dir.is_dir():
+    with _stage("mix"):
+        _, source = _load_domain(config.source_manifest, config.taxonomy)
+        if (config.out_dir / "pseudo").is_dir():
             target = _load_pseudo_scenes(config)
+        else:
+            _, target = _load_domain(config.target_manifest, config.taxonomy)
         out = config.out_dir / "mixed"
         out.mkdir(parents=True, exist_ok=True)
         rng = RandomStream(config.seed).child(_TAG_MIX)
@@ -501,11 +434,8 @@ def stage_mix(config: PipelineConfig, count: int = 5) -> Path:
         for i in range(n):
             src = source[int(rng.integers(0, len(source)))]
             result = compose_mixed_scene(src, target[i], ratios, config.mix, queue, rng)
-            queue = result.queue
             write_point_file(result.mixed.cloud, out / f"mixed_{i:03d}.ply", FileFormat.PLY_BINARY_LE)
         return out
-    except Exception as exc:
-        raise StageError("mix", exc) from exc
 
 
 # --- full run ---------------------------------------------------------------
@@ -552,11 +482,9 @@ def run_pipeline(config: PipelineConfig, threads: int = 1) -> PipelineReport:
     n_source = n_target = 0
     mious: dict[str, float] = {}
     try:
-        try:
+        with _stage("load"):
             src_manifest = load_manifest(config.source_manifest)
             tgt_manifest = load_manifest(config.target_manifest)
-        except Exception as exc:
-            raise StageError("load", exc) from exc
         n_source, n_target = len(src_manifest), len(tgt_manifest)
         stage_pretrain(config, with_scan_sim=False)
         stage_pretrain(config, with_scan_sim=True)
@@ -575,6 +503,22 @@ def run_pipeline(config: PipelineConfig, threads: int = 1) -> PipelineReport:
 # --- scene-set generation and the toy benchmark ------------------------------
 
 
+def _write_scene_set(out_dir: Path, role: str, clouds, taxonomy: ClassTaxonomy, fmt: FileFormat) -> Path:
+    """Write ``clouds`` as ``scenes/scene_NNNN.<ext>`` under ``out_dir``
+    plus a manifest; returns the manifest path."""
+    scene_dir = out_dir / "scenes"
+    scene_dir.mkdir(parents=True, exist_ok=True)
+    ext = "ply" if fmt != FileFormat.XYZL_TEXT else "xyzl"
+    entries = []
+    for i, cloud in enumerate(clouds):
+        name = f"scene_{i:04d}.{ext}"
+        write_point_file(cloud, scene_dir / name, fmt)
+        entries.append((f"scene_{i:04d}", f"scenes/{name}"))
+    manifest_path = out_dir / "manifest.txt"
+    save_manifest(manifest_path, role, taxonomy.name, entries)
+    return manifest_path
+
+
 def generate_scene_set(
     out_dir,
     count: int,
@@ -588,86 +532,15 @@ def generate_scene_set(
     """Generate ``count`` template scenes and a manifest; returns the
     manifest path. Scene i uses template i mod len(templates) and the
     child stream i, so sets are reproducible and extendable."""
-    out_dir = Path(out_dir)
-    scene_dir = out_dir / "scenes"
-    scene_dir.mkdir(parents=True, exist_ok=True)
     templates = templates or template_names()
     root = RandomStream(seed)
-    ext = "ply" if fmt != FileFormat.XYZL_TEXT else "xyzl"
-    entries = []
-    for i in range(count):
+
+    def scene(i):
         rng = root.child(i)
         spec = make_template(templates[i % len(templates)], rng, density=density)
-        cloud = generate_scene(spec, taxonomy, rng)
-        name = f"scene_{i:04d}.{ext}"
-        write_point_file(cloud, scene_dir / name, fmt)
-        entries.append((f"scene_{i:04d}", f"scenes/{name}"))
-    manifest_path = out_dir / "manifest.txt"
-    save_manifest(manifest_path, role, taxonomy.name, entries)
-    return manifest_path
+        return generate_scene(spec, taxonomy, rng)
 
-
-# Scene builders for the toy benchmark. Source rooms keep furniture near
-# the walls; target rooms cluster furniture centrally and carry more tail
-# objects, so the two domains differ in layout statistics as well as in
-# point pattern (the target set is additionally scanned and jittered with
-# a harsher, hidden configuration).
-
-_TABLE, _CHAIR, _LAMP = 3, 4, 5
-
-
-def _bench_box(cx, cy, w, d, h):
-    return Aabb((cx - w / 2, cy - d / 2, 0.0), (cx + w / 2, cy + d / 2, h))
-
-
-def _bench_source_spec(rng: RandomStream, density: float) -> SceneSpec:
-    w = 5.0 + float(rng.uniform(-0.4, 0.4))
-    d = 4.6 + float(rng.uniform(-0.4, 0.4))
-    slots = [
-        (1.3, 0.62), (w - 1.3, 0.62), (1.3, d - 0.62), (w - 1.3, d - 0.62),
-        (0.62, d / 2), (w - 0.62, d / 2),
-    ]
-    order = rng.permutation(len(slots))
-    kinds = [_TABLE, _TABLE, _CHAIR, _CHAIR]
-    if rng.random() < 0.4:
-        kinds.append(_LAMP)
-    furniture = []
-    for slot_idx, cls in zip(order, kinds):
-        sx, sy = slots[int(slot_idx)]
-        cx = sx + float(rng.uniform(-0.12, 0.12))
-        cy = sy + float(rng.uniform(-0.12, 0.12))
-        if cls == _TABLE:
-            furniture.append((_bench_box(cx, cy, 0.9, 0.7, 0.75), cls))
-        elif cls == _CHAIR:
-            furniture.append((_bench_box(cx, cy, 0.5, 0.5, 0.42), cls))
-        else:
-            furniture.append((_bench_box(cx, cy, 0.3, 0.3, 1.8), cls))
-    return SceneSpec(width=w, depth=d, height=2.5, furniture=tuple(furniture), density=density)
-
-
-def _bench_target_spec(rng: RandomStream, density: float) -> SceneSpec:
-    w = 5.0 + float(rng.uniform(-0.4, 0.4))
-    d = 4.6 + float(rng.uniform(-0.4, 0.4))
-    cx0, cy0 = w / 2, d / 2
-    slots = [
-        (cx0 - 1.15, cy0 - 0.95), (cx0 + 1.15, cy0 - 0.95),
-        (cx0 - 1.15, cy0 + 0.95), (cx0 + 1.15, cy0 + 0.95),
-        (cx0, cy0),
-    ]
-    order = rng.permutation(len(slots))
-    kinds = [_TABLE, _TABLE, _CHAIR, _LAMP, _LAMP]
-    furniture = []
-    for slot_idx, cls in zip(order, kinds):
-        sx, sy = slots[int(slot_idx)]
-        cx = sx + float(rng.uniform(-0.1, 0.1))
-        cy = sy + float(rng.uniform(-0.1, 0.1))
-        if cls == _TABLE:
-            furniture.append((_bench_box(cx, cy, 0.9, 0.7, 0.75), cls))
-        elif cls == _CHAIR:
-            furniture.append((_bench_box(cx, cy, 0.5, 0.5, 0.42), cls))
-        else:
-            furniture.append((_bench_box(cx, cy, 0.3, 0.3, 1.8), cls))
-    return SceneSpec(width=w, depth=d, height=2.5, furniture=tuple(furniture), density=density)
+    return _write_scene_set(Path(out_dir), role, map(scene, range(count)), taxonomy, fmt)
 
 
 # Hidden scan configuration used only while constructing the toy target
@@ -689,30 +562,21 @@ def make_toy_benchmark(
     """Build the desk-scale benchmark: clean source scenes, degraded
     target scenes, manifests, and a tuned config. Returns the config path."""
     out_dir = Path(out_dir)
-    src_dir = out_dir / "source" / "scenes"
-    tgt_dir = out_dir / "target" / "scenes"
-    src_dir.mkdir(parents=True, exist_ok=True)
-    tgt_dir.mkdir(parents=True, exist_ok=True)
     root = RandomStream(seed)
 
-    src_entries = []
-    for i in range(n_source):
+    def source_scene(i):
         rng = root.child(i)
-        cloud = generate_scene(_bench_source_spec(rng, density), TOY_TAXONOMY, rng)
-        name = f"scene_{i:04d}.ply"
-        write_point_file(cloud, src_dir / name, FileFormat.PLY_BINARY_LE)
-        src_entries.append((f"scene_{i:04d}", f"scenes/{name}"))
-    save_manifest(out_dir / "source" / "manifest.txt", "source", TOY_TAXONOMY.name, src_entries)
+        return generate_scene(toy_source_spec(rng, density), TOY_TAXONOMY, rng)
 
-    tgt_entries = []
-    for i in range(n_target):
+    def target_scene(i):
         rng = root.child(10_000 + i)
-        clean = generate_scene(_bench_target_spec(rng, density), TOY_TAXONOMY, rng)
-        degraded = scan_and_jitter(clean, _HIDDEN_TARGET_SCAN, TOY_STRUCTURAL, rng)
-        name = f"scene_{i:04d}.ply"
-        write_point_file(degraded, tgt_dir / name, FileFormat.PLY_BINARY_LE)
-        tgt_entries.append((f"scene_{i:04d}", f"scenes/{name}"))
-    save_manifest(out_dir / "target" / "manifest.txt", "target", TOY_TAXONOMY.name, tgt_entries)
+        clean = generate_scene(toy_target_spec(rng, density), TOY_TAXONOMY, rng)
+        return scan_and_jitter(clean, _HIDDEN_TARGET_SCAN, TOY_STRUCTURAL, rng)
+
+    for role, scene, count in (("source", source_scene, n_source), ("target", target_scene, n_target)):
+        _write_scene_set(
+            out_dir / role, role, map(scene, range(count)), TOY_TAXONOMY, FileFormat.PLY_BINARY_LE
+        )
 
     # paths are written relative to the config file so the benchmark
     # directory can be moved or renamed freely

@@ -63,13 +63,14 @@ class ScanSimConfig:
     def __post_init__(self):
         if self.n_v < 1:
             raise ValueError("n_v must be >= 1")
+        if self.bev_cell <= 0:
+            raise ValueError("bev_cell must be positive")
+        if self.clearance < 0:
+            raise ValueError("clearance must be >= 0")
         if self.theta_bin <= 0:
             raise ValueError("theta_bin must be positive")
         if self.eps_d < 0 or self.delta_p < 0:
             raise ValueError("eps_d and delta_p must be >= 0")
-
-
-REASON_FREE, REASON_FURNITURE, REASON_BOUNDARY = 0, 1, 2
 
 
 @dataclass(frozen=True)
@@ -79,7 +80,6 @@ class BevGrid:
     origin: np.ndarray           # (2,) lower corner
     cell_size: float
     blocked: np.ndarray          # (nx, ny) bool
-    reason: np.ndarray           # (nx, ny) int8, REASON_* codes
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -115,22 +115,17 @@ def compute_free_space_bev(
     extent = box.extent[:2]
     shape = np.maximum(np.ceil(extent / config.bev_cell).astype(int), 1)
     blocked = np.zeros(tuple(shape), dtype=bool)
-    reason = np.zeros(tuple(shape), dtype=np.int8)
-
-    # Boundary ring first; blocking points override the recorded reason.
     blocked[0, :] = blocked[-1, :] = True
     blocked[:, 0] = blocked[:, -1] = True
-    reason[blocked] = REASON_BOUNDARY
 
     labels = cloud.labels
     blocking = (labels != structural.floor) & (labels != structural.ceiling)
     if blocking.any():
         cells = _xy_cells(cloud.positions[blocking, :2], origin, config.bev_cell, shape)
         blocked[cells[:, 0], cells[:, 1]] = True
-        reason[cells[:, 0], cells[:, 1]] = REASON_FURNITURE
     if blocked.all():
         raise NoFreeSpaceError("every bird's-eye-view cell is blocked")
-    return BevGrid(origin.copy(), config.bev_cell, blocked, reason)
+    return BevGrid(origin.copy(), config.bev_cell, blocked)
 
 
 @dataclass(frozen=True)

@@ -230,6 +230,21 @@ def _jitter(rng: RandomStream, r: float) -> float:
     return float(rng.uniform(-r, r))
 
 
+# Box sizes (width, depth, height) per furniture class.
+_TEMPLATE_SIZES = {TABLE: (1.2, 0.8, 0.75), CHAIR: (0.45, 0.45, 0.9), LAMP: (0.3, 0.3, 1.5)}
+_TOY_SIZES = {TABLE: (0.9, 0.7, 0.75), CHAIR: (0.5, 0.5, 0.42), LAMP: (0.3, 0.3, 1.8)}
+
+
+def _place_on_slots(rng, slots, kinds, jitter, sizes) -> tuple[tuple[Aabb, int], ...]:
+    """One floor-standing box per (slot, class) pair, its center jittered
+    by up to ``jitter`` in x then y."""
+    furniture = []
+    for (sx, sy), cls in zip(slots, kinds):
+        cx, cy = sx + _jitter(rng, jitter), sy + _jitter(rng, jitter)
+        furniture.append((_box_at(cx, cy, *sizes[cls]), cls))
+    return tuple(furniture)
+
+
 def _empty_room(rng, density):
     w = 4.0 + _jitter(rng, 0.5)
     d = 4.0 + _jitter(rng, 0.5)
@@ -247,16 +262,8 @@ def _cluttered(rng, density):
     w, d = 6.0, 5.0
     slots = [(1.2, 1.2), (3.0, 1.2), (4.8, 1.2), (1.2, 3.8), (3.0, 3.8), (4.8, 3.8)]
     kinds = [TABLE, CHAIR, TABLE, CHAIR, LAMP, CHAIR]
-    furniture = []
-    for (sx, sy), cls in zip(slots, kinds):
-        cx, cy = sx + _jitter(rng, 0.25), sy + _jitter(rng, 0.25)
-        if cls == TABLE:
-            furniture.append((_box_at(cx, cy, 1.2, 0.8, 0.75), cls))
-        elif cls == CHAIR:
-            furniture.append((_box_at(cx, cy, 0.45, 0.45, 0.9), cls))
-        else:
-            furniture.append((_box_at(cx, cy, 0.3, 0.3, 1.5), cls))
-    return SceneSpec(width=w, depth=d, height=2.5, furniture=tuple(furniture), density=density)
+    furniture = _place_on_slots(rng, slots, kinds, 0.25, _TEMPLATE_SIZES)
+    return SceneSpec(width=w, depth=d, height=2.5, furniture=furniture, density=density)
 
 
 def _long_corridor(rng, density):
@@ -274,10 +281,8 @@ def _tail_heavy(rng, density):
         (_box_at(1.4 + _jitter(rng, 0.2), 1.4 + _jitter(rng, 0.2), 1.4, 0.9, 0.75), TABLE),
         (_box_at(3.6 + _jitter(rng, 0.2), 3.6 + _jitter(rng, 0.2), 1.4, 0.9, 0.75), TABLE),
     ]
-    for sx, sy in [(1.2, 3.8), (3.8, 1.2), (2.5, 2.5)]:
-        furniture.append(
-            (_box_at(sx + _jitter(rng, 0.2), sy + _jitter(rng, 0.2), 0.3, 0.3, 1.5), LAMP)
-        )
+    lamps = [(1.2, 3.8), (3.8, 1.2), (2.5, 2.5)]
+    furniture += _place_on_slots(rng, lamps, [LAMP] * 3, 0.2, _TEMPLATE_SIZES)
     return SceneSpec(width=w, depth=d, height=2.5, furniture=tuple(furniture), density=density)
 
 
@@ -316,3 +321,39 @@ def make_template(name: str, rng: RandomStream, density: float = 1250.0) -> Scen
     except KeyError:
         raise ValueError(f"unknown template {name!r}; choices: {sorted(_TEMPLATES)}") from None
     return builder(rng, density)
+
+
+# Toy-benchmark rooms (not in the template library). Source rooms keep
+# furniture near the walls; target rooms cluster it centrally and carry
+# more tail objects, so the two domains differ in layout statistics as
+# well as in point pattern.
+
+
+def toy_source_spec(rng: RandomStream, density: float) -> SceneSpec:
+    w = 5.0 + _jitter(rng, 0.4)
+    d = 4.6 + _jitter(rng, 0.4)
+    slots = [
+        (1.3, 0.62), (w - 1.3, 0.62), (1.3, d - 0.62), (w - 1.3, d - 0.62),
+        (0.62, d / 2), (w - 0.62, d / 2),
+    ]
+    order = rng.permutation(len(slots))
+    kinds = [TABLE, TABLE, CHAIR, CHAIR]
+    if rng.random() < 0.4:
+        kinds.append(LAMP)
+    furniture = _place_on_slots(rng, [slots[i] for i in order], kinds, 0.12, _TOY_SIZES)
+    return SceneSpec(width=w, depth=d, height=2.5, furniture=furniture, density=density)
+
+
+def toy_target_spec(rng: RandomStream, density: float) -> SceneSpec:
+    w = 5.0 + _jitter(rng, 0.4)
+    d = 4.6 + _jitter(rng, 0.4)
+    cx0, cy0 = w / 2, d / 2
+    slots = [
+        (cx0 - 1.15, cy0 - 0.95), (cx0 + 1.15, cy0 - 0.95),
+        (cx0 - 1.15, cy0 + 0.95), (cx0 + 1.15, cy0 + 0.95),
+        (cx0, cy0),
+    ]
+    order = rng.permutation(len(slots))
+    kinds = [TABLE, TABLE, CHAIR, LAMP, LAMP]
+    furniture = _place_on_slots(rng, [slots[i] for i in order], kinds, 0.1, _TOY_SIZES)
+    return SceneSpec(width=w, depth=d, height=2.5, furniture=furniture, density=density)

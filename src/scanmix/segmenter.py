@@ -186,7 +186,6 @@ class TrainConfig:
     momentum: float = 0.0
     lr_decay_power: float = 0.0  # polynomial decay exponent; 0 keeps lr constant
     regen_every: int = 0         # self-training: refresh pseudo labels every N steps (0 = never)
-    seed: int | None = None      # used only when no stream is passed in
 
     def __post_init__(self):
         if self.learning_rate <= 0:
@@ -197,6 +196,8 @@ class TrainConfig:
             raise ValueError("iterations must be >= 0 and batch_size >= 1")
         if self.lr_decay_power < 0:
             raise ValueError("lr_decay_power must be >= 0")
+        if self.regen_every < 0:
+            raise ValueError("regen_every must be >= 0")
 
 
 @dataclass
@@ -237,12 +238,6 @@ def _scene_gradient(model, cloud, features):
     return loss, grad_logits.T @ features, grad_logits.sum(axis=0)
 
 
-def _resolve_rng(rng: RandomStream | None, config: TrainConfig) -> RandomStream:
-    if rng is not None:
-        return rng
-    return RandomStream(config.seed if config.seed is not None else 0)
-
-
 def train_pretrain(
     model: SegmenterModel,
     scenes: Sequence[LabeledPointCloud],
@@ -251,7 +246,7 @@ def train_pretrain(
     augment_config: AugmentConfig,
     feature_config: FeatureConfig,
     train_config: TrainConfig,
-    rng: RandomStream | None = None,
+    rng: RandomStream,
 ) -> TrainResult:
     """Supervised pretraining on source scenes.
 
@@ -262,7 +257,6 @@ def train_pretrain(
     """
     if not scenes:
         raise EmptyInputError("no source scenes")
-    rng = _resolve_rng(rng, train_config)
     if train_config.iterations == 0:
         return TrainResult(model, np.zeros(0))
     opt = _Descent(model, train_config)
@@ -299,7 +293,7 @@ def train_selftrain(
     mix_config: CuboidMixConfig,
     feature_config: FeatureConfig,
     train_config: TrainConfig,
-    rng: RandomStream | None = None,
+    rng: RandomStream,
     on_mixed: Callable[[int, LabeledPointCloud], None] | None = None,
     pseudo_config: PseudoLabelConfig | None = None,
 ) -> TrainResult:
@@ -316,7 +310,6 @@ def train_selftrain(
     """
     if not source_scenes or not target_scenes:
         raise EmptyInputError("self-training needs source and target scenes")
-    rng = _resolve_rng(rng, train_config)
     if train_config.iterations == 0:
         return TrainResult(model, np.zeros(0))
     taxonomy = target_scenes[0].taxonomy
@@ -352,7 +345,6 @@ def train_selftrain(
         src = source_scenes[int(rng.integers(0, len(source_scenes)))]
         src = scan_and_jitter(src, scan_config, structural, rng)
         result = compose_mixed_scene(src, tgt, ratios, mix_config, queue, rng)
-        queue = result.queue
         mixed_cloud = result.mixed.cloud
         if on_mixed is not None:
             on_mixed(it, mixed_cloud)

@@ -1,4 +1,5 @@
 import hashlib
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -19,6 +20,8 @@ from scanmix import (
 from scanmix.cli import main as cli_main
 from scanmix.errors import ConfigError, StageError
 from scanmix.pipeline import (
+    CONFIG_KEYS,
+    DEFAULT_CONFIG_TEXT,
     PipelineConfig,
     config_text,
     parse_config_text,
@@ -74,6 +77,107 @@ class TestConfig:
         (tmp_path / "x.cfg").write_text("source_manifest=rel/manifest.txt\n")
         config = load_config(tmp_path / "x.cfg")
         assert config.source_manifest == tmp_path / "rel/manifest.txt"
+        # path keys the file does not name keep their (relative) defaults
+        assert config.out_dir == Path("out")
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "vss.n_v=0",
+            "tacm.nx=0",
+            "vss.mode=bogus",
+            "pseudo.mode=bogus",
+            "taxonomy.ignore=0",
+            "vss.delta_p=nan",
+            "pretrain.lr=inf",
+            "pretrain.regen_every=5",
+            "vss.bev_cell=0",
+            "selftrain.regen_every=-2",
+            "structural.wall=99",
+            "augment.flip=maybe",
+            "seed=1\nseed=2",
+            "no_equals_sign",
+        ],
+    )
+    def test_invalid_input_raises_config_error(self, line):
+        with pytest.raises(ConfigError):
+            parse_config_text(line + "\n")
+
+    def test_section_built_from_all_its_keys(self):
+        # ignore=5 collides with the six default classes, not with these three
+        config = parse_config_text("taxonomy.ignore=5\ntaxonomy.names=a,b,c\n")
+        assert config.taxonomy.names == ("a", "b", "c")
+        assert config.taxonomy.ignore_index == 5
+
+    def test_every_key_listed_once_in_default_text(self):
+        keys = [line.split("=", 1)[0] for line in DEFAULT_CONFIG_TEXT.splitlines()]
+        assert keys == list(CONFIG_KEYS)
+
+    def test_non_default_values_round_trip(self):
+        config = parse_config_text(NON_DEFAULT_TEXT)
+        assert config_text(config) == NON_DEFAULT_TEXT
+        for line in NON_DEFAULT_TEXT.splitlines():
+            assert line not in DEFAULT_CONFIG_TEXT.splitlines(), line
+
+
+# One line per key, every value different from its default, in table order.
+NON_DEFAULT_TEXT = """\
+seed=11
+out_dir=/tmp/o
+source_manifest=/tmp/s.txt
+target_manifest=/tmp/t.txt
+taxonomy.name=mini
+taxonomy.names=f,c,w,x
+taxonomy.ignore=9
+structural.floor=1
+structural.ceiling=0
+structural.wall=3
+vss.n_v=2
+vss.alpha_h=120.5
+vss.alpha_v=60.25
+vss.mode=perspective
+vss.d_ref=1.5
+vss.bev_cell=0.3
+vss.clearance=0.2
+vss.theta_bin=1.0
+vss.eps_d=0.07
+vss.delta_p=0.03
+tacm.nx=3
+tacm.ny=4
+tacm.nz=2
+tacm.delta_phi=0.05
+tacm.rho_s=0.4
+tacm.rho_m=0.6
+tacm.queue_cap=32
+tacm.n_tail_classes=1
+tacm.min_tail_cuboids=3
+pseudo.mode=per_class_fraction
+pseudo.threshold=0.8
+pseudo.fraction=0.4
+features.voxel_size=0.03
+features.radius=0.25
+augment.rotate=false
+augment.flip=false
+augment.elastic=false
+augment.jitter=false
+augment.shuffle=false
+augment.elastic_spacing=0.3
+augment.elastic_magnitude=0.06
+augment.jitter_range=0.004
+pretrain.lr=0.05
+pretrain.iterations=40
+pretrain.batch=3
+pretrain.momentum=0.9
+pretrain.lr_decay=0.8
+pretrain.lambda=0.25
+selftrain.lr=0.01
+selftrain.iterations=30
+selftrain.batch=4
+selftrain.momentum=0.85
+selftrain.lr_decay=0.7
+selftrain.regen_every=5
+selftrain.lambda=0.75
+"""
 
 
 class TestSceneSet:
@@ -206,8 +310,9 @@ class TestCli:
         config_path = capsys.readouterr().out.strip()
         # shrink the training so the CLI run is fast
         text = Path(config_path).read_text()
-        text = text.replace("pretrain.iterations=220", "pretrain.iterations=4")
-        text = text.replace("selftrain.iterations=160", "selftrain.iterations=2")
+        for key, n in (("pretrain.iterations", 4), ("selftrain.iterations", 2)):
+            text, hits = re.subn(rf"^{re.escape(key)}=\d+$", f"{key}={n}", text, flags=re.M)
+            assert hits == 1, key
         Path(config_path).write_text(text)
         rc = cli_main(["run-all", "--config", config_path])
         out = capsys.readouterr().out
