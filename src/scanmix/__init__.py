@@ -56,9 +56,11 @@ from .scansim import (
     BevGrid,
     CameraPose,
     FovConfig,
+    ScanPlan,
     ScanSimConfig,
     compute_free_space_bev,
     jitter_points,
+    plan_scan,
     sample_camera_poses,
     scan_and_jitter,
     simulate_scan,

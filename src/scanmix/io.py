@@ -36,6 +36,8 @@ from .errors import (
 IGNORE_SENTINEL = 65535
 
 _PLY_DTYPE = np.dtype([("x", "<f4"), ("y", "<f4"), ("z", "<f4"), ("label", "<u2")])
+# fewest whitespace-separated fields of each PLY header keyword the reader indexes
+_PLY_FIELDS = {"format": 2, "element": 3, "property": 3}
 
 
 class FileFormat(str, Enum):
@@ -139,6 +141,8 @@ def _parse_ply_header(path: Path, data: bytes):
         parts = line.split()
         if not parts or line == "end_header" or parts[0] == "comment":
             continue
+        if len(parts) < _PLY_FIELDS.get(parts[0], 0):
+            raise ParseError(path, f"malformed {parts[0]!r} line", line=i)
         if parts[0] == "format":
             if parts[1] == "ascii":
                 fmt = FileFormat.PLY_ASCII
@@ -149,7 +153,12 @@ def _parse_ply_header(path: Path, data: bytes):
         elif parts[0] == "element":
             if parts[1] != "vertex":
                 raise ParseError(path, f"unsupported element {parts[1]!r}", line=i)
-            count = int(parts[2])
+            try:
+                count = int(parts[2])
+            except ValueError:
+                raise ParseError(path, f"bad vertex count {parts[2]!r}", line=i) from None
+            if count < 0:
+                raise ParseError(path, f"negative vertex count {count}", line=i)
         elif parts[0] == "property":
             props.append((parts[1], parts[2]))
     if fmt is None or count is None:
@@ -167,7 +176,7 @@ def _parse_ply_header(path: Path, data: bytes):
     return fmt, count, offset
 
 
-def _read_ply(path: Path, taxonomy: ClassTaxonomy) -> LabeledPointCloud:
+def _read_ply(path: Path) -> tuple[np.ndarray, np.ndarray]:
     try:
         data = Path(path).read_bytes()
     except OSError as exc:
@@ -176,13 +185,13 @@ def _read_ply(path: Path, taxonomy: ClassTaxonomy) -> LabeledPointCloud:
     if fmt is FileFormat.PLY_BINARY_LE:
         payload = data[offset:]
         need = count * _PLY_DTYPE.itemsize
-        if len(payload) < need:
+        if len(payload) != need:
             raise ParseError(
                 path,
                 f"declared {count} vertices but payload holds {len(payload)} bytes",
                 offset=offset,
             )
-        rec = np.frombuffer(payload[:need], dtype=_PLY_DTYPE)
+        rec = np.frombuffer(payload, dtype=_PLY_DTYPE)
         pos = np.stack([rec["x"], rec["y"], rec["z"]], axis=1).astype(np.float64)
         raw = rec["label"]
     else:
@@ -202,14 +211,16 @@ def _read_ply(path: Path, taxonomy: ClassTaxonomy) -> LabeledPointCloud:
                 raw[i] = int(parts[3])
             except ValueError as exc:
                 raise ParseError(path, str(exc), line=header_lines + i + 1) from exc
-    return LabeledPointCloud(pos, _labels_from_disk(raw, taxonomy), taxonomy)
+    return pos, raw
 
 
-def _read_xyzl(path: Path, taxonomy: ClassTaxonomy) -> LabeledPointCloud:
+def _read_xyzl(path: Path) -> tuple[np.ndarray, np.ndarray]:
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise IoError(f"failed to read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(path, f"not a text file: {exc.reason}", offset=exc.start) from None
     rows = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
@@ -228,17 +239,20 @@ def _read_xyzl(path: Path, taxonomy: ClassTaxonomy) -> LabeledPointCloud:
     else:
         pos = np.zeros((0, 3), dtype=np.float64)
         raw = np.zeros(0, dtype=np.int64)
-    return LabeledPointCloud(pos, _labels_from_disk(raw, taxonomy), taxonomy)
+    return pos, raw
 
 
 def read_point_file(path, fmt, taxonomy: ClassTaxonomy) -> LabeledPointCloud:
-    """Parse a point file; the declared and parsed point counts must agree."""
+    """Parse a point file; the declared and parsed point counts must agree
+    and every coordinate must be finite."""
     fmt = _coerce_format(fmt)
     path = Path(path)
-    if fmt is FileFormat.XYZL_TEXT:
-        return _read_xyzl(path, taxonomy)
-    cloud = _read_ply(path, taxonomy)
-    return cloud
+    pos, raw = _read_xyzl(path) if fmt is FileFormat.XYZL_TEXT else _read_ply(path)
+    finite = np.isfinite(pos)
+    if not finite.all():
+        point = int(np.flatnonzero(~finite)[0]) // 3
+        raise ParseError(path, f"point {point} has a non-finite coordinate")
+    return LabeledPointCloud(pos, _labels_from_disk(raw, taxonomy), taxonomy)
 
 
 def detect_format(path) -> FileFormat:

@@ -4,7 +4,8 @@ The simulation places virtual cameras in free space (found on a
 bird's-eye-view occupancy grid), culls each camera's view to its field of
 view, removes occluded points with a spherical depth buffer, unions the
 surviving points over all cameras, and finally jitters coordinates to
-mimic sensing noise. An exact O(n^2) ray-cast oracle is provided to
+mimic sensing noise. Everything that depends only on the scene is a
+ScanPlan, built once and reusable across draws. An exact O(n^2) ray-cast oracle is provided to
 validate the depth-buffer approximation.
 """
 
@@ -163,20 +164,35 @@ def camera_frame(pose: CameraPose) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return f, up, right
 
 
-def sample_camera_poses(
+@dataclass(frozen=True)
+class ScanPlan:
+    """What scanning one scene needs that no draw changes, built once by
+    :func:`plan_scan` and reused by every draw on that scene: the BEV grid,
+    the free cells left after the clearance filter, the wall points a
+    camera may aim at, and the camera height range [z_lo, z_max]."""
+
+    bev: BevGrid
+    free: np.ndarray             # (k, 2) cells a camera may stand on
+    wall_idx: np.ndarray         # indices of wall-labeled points
+    z_lo: float
+    z_max: float
+
+
+def plan_scan(
     cloud: LabeledPointCloud,
-    bev: BevGrid,
     config: ScanSimConfig,
     structural: StructuralClasses,
-    rng: RandomStream,
-) -> list[CameraPose]:
-    """Draw ``n_v`` independent poses.
+    bev: BevGrid | None = None,
+) -> ScanPlan:
+    """Scene-only part of pose sampling. ``bev`` defaults to
+    :func:`compute_free_space_bev` of the cloud.
 
-    x-y is a uniformly chosen free-cell center (cells whose center lies
-    within ``clearance`` of any blocking point are excluded), z is uniform
-    over the top half of the cloud's vertical extent, and the look-at
-    target is a uniformly chosen wall-labeled point.
+    Free cells are those whose center lies farther than ``clearance`` from
+    every blocking point; cameras stand in the top half of the cloud's
+    vertical extent. Raises NoFreeSpaceError or NoWallPointsError.
     """
+    if bev is None:
+        bev = compute_free_space_bev(cloud, config, structural)
     free = bev.free_cells()
     if len(free) == 0:
         raise NoFreeSpaceError("no free cell to place a camera")
@@ -196,11 +212,33 @@ def sample_camera_poses(
     z = cloud.positions[:, 2]
     z_min, z_max = float(z.min()), float(z.max())
     z_lo = z_min + 0.5 * (z_max - z_min)
+    return ScanPlan(bev, free, wall_idx, z_lo, z_max)
 
+
+def sample_camera_poses(
+    cloud: LabeledPointCloud,
+    bev: BevGrid,
+    config: ScanSimConfig,
+    structural: StructuralClasses,
+    rng: RandomStream,
+    plan: ScanPlan | None = None,
+) -> list[CameraPose]:
+    """Draw ``n_v`` independent poses.
+
+    x-y is a uniformly chosen free-cell center, z is uniform over the top
+    half of the cloud's vertical extent, and the look-at target is a
+    uniformly chosen wall-labeled point. ``plan`` must come from
+    :func:`plan_scan` on the same cloud, config and structural classes;
+    without it one is built over ``bev``.
+    """
+    if plan is None:
+        plan = plan_scan(cloud, config, structural, bev)
+    free, wall_idx = plan.free, plan.wall_idx
+    z_lo, z_max = plan.z_lo, plan.z_max
     poses = []
     for _ in range(config.n_v):
         cell = free[int(rng.integers(0, len(free)))]
-        cx, cy = bev.cell_centers(cell[None, :])[0]
+        cx, cy = plan.bev.cell_centers(cell[None, :])[0]
         cz = float(rng.uniform(z_lo, z_max)) if z_max > z_lo else z_max
         v = np.array([cx, cy, cz])
         h = cloud.positions[int(wall_idx[int(rng.integers(0, len(wall_idx)))])]
@@ -216,6 +254,24 @@ def _camera_components(cloud, pose):
     return q @ f, q @ up, q @ right
 
 
+def _angles(qf, qu, qr) -> tuple[np.ndarray, np.ndarray]:
+    """Azimuth and elevation in degrees from camera-frame components."""
+    return np.degrees(np.arctan2(qr, qf)), np.degrees(np.arctan2(qu, np.hypot(qf, qr)))
+
+
+def _fov_mask(qf, qu, qr, fov: FovConfig, angles=None) -> np.ndarray:
+    # ``angles``: _angles(qf, qu, qr) when the caller already has them
+    if fov.mode == "fixed":
+        az, el = angles if angles is not None else _angles(qf, qu, qr)
+        return (np.abs(az) <= fov.alpha_h / 2) & (np.abs(el) <= fov.alpha_v / 2)
+    th = np.tan(np.radians(fov.alpha_h / 2))
+    tv = np.tan(np.radians(fov.alpha_v / 2))
+    ahead = qf > 0
+    if fov.mode == "perspective":
+        return ahead & (np.abs(qr) <= qf * th) & (np.abs(qu) <= qf * tv)
+    return ahead & (np.abs(qr) <= fov.d_ref * th) & (np.abs(qu) <= fov.d_ref * tv)
+
+
 def visible_range_mask(
     cloud: LabeledPointCloud,
     pose: CameraPose,
@@ -228,17 +284,7 @@ def visible_range_mask(
     |up/forward| bounded by tan of the half-angles. parallel: in front of
     the camera inside a slab of half-width d_ref * tan(half-angle).
     """
-    qf, qu, qr = _camera_components(cloud, pose)
-    if fov.mode == "fixed":
-        az = np.degrees(np.arctan2(qr, qf))
-        el = np.degrees(np.arctan2(qu, np.hypot(qf, qr)))
-        return (np.abs(az) <= fov.alpha_h / 2) & (np.abs(el) <= fov.alpha_v / 2)
-    th = np.tan(np.radians(fov.alpha_h / 2))
-    tv = np.tan(np.radians(fov.alpha_v / 2))
-    ahead = qf > 0
-    if fov.mode == "perspective":
-        return ahead & (np.abs(qr) <= qf * th) & (np.abs(qu) <= qf * tv)
-    return ahead & (np.abs(qr) <= fov.d_ref * th) & (np.abs(qu) <= fov.d_ref * tv)
+    return _fov_mask(*_camera_components(cloud, pose), fov)
 
 
 def visible_points(
@@ -253,15 +299,16 @@ def visible_points(
     point survives iff its range is within ``eps_d`` of its bin's minimum.
     """
     fov = fov or config.fov
-    mask = visible_range_mask(cloud, pose, fov)
-    idx = np.flatnonzero(mask)
+    qf, qu, qr = _camera_components(cloud, pose)
+    # the fixed mode's mask needs every point's angles; other modes only the in-FOV ones
+    angles = _angles(qf, qu, qr) if fov.mode == "fixed" else None
+    idx = np.flatnonzero(_fov_mask(qf, qu, qr, fov, angles))
     out = np.zeros(cloud.n, dtype=bool)
     if len(idx) == 0:
         return out
-    qf, qu, qr = _camera_components(cloud.select(idx), pose)
+    qf, qu, qr = qf[idx], qu[idx], qr[idx]
     r = np.sqrt(qf * qf + qu * qu + qr * qr)
-    az = np.degrees(np.arctan2(qr, qf))
-    el = np.degrees(np.arctan2(qu, np.hypot(qf, qr)))
+    az, el = (angles[0][idx], angles[1][idx]) if angles is not None else _angles(qf, qu, qr)
     a_bin = np.floor(az / config.theta_bin).astype(np.int64)
     e_bin = np.floor(el / config.theta_bin).astype(np.int64)
     key = a_bin * (2 ** 20) + e_bin
@@ -327,11 +374,15 @@ def simulate_scan(
     config: ScanSimConfig,
     structural: StructuralClasses,
     rng: RandomStream,
+    plan: ScanPlan | None = None,
 ) -> LabeledPointCloud:
     """Full occlusion simulation: sample poses, keep the union of visible
-    points. Output is a subset of the input with order preserved."""
-    bev = compute_free_space_bev(cloud, config, structural)
-    poses = sample_camera_poses(cloud, bev, config, structural, rng)
+    points. Output is a subset of the input with order preserved. ``plan``
+    (from :func:`plan_scan` on the same scene) is built when not given;
+    reusing one leaves the output unchanged."""
+    if plan is None:
+        plan = plan_scan(cloud, config, structural)
+    poses = sample_camera_poses(cloud, plan.bev, config, structural, rng, plan)
     return cloud.select(visible_union_mask(cloud, poses, config))
 
 
@@ -352,6 +403,8 @@ def scan_and_jitter(
     config: ScanSimConfig,
     structural: StructuralClasses,
     rng: RandomStream,
+    plan: ScanPlan | None = None,
 ) -> LabeledPointCloud:
-    """Occlusion simulation followed by noise jitter (the full augmentation)."""
-    return jitter_points(simulate_scan(cloud, config, structural, rng), config.delta_p, rng)
+    """Occlusion simulation followed by noise jitter (the full augmentation).
+    ``plan`` is passed to :func:`simulate_scan`."""
+    return jitter_points(simulate_scan(cloud, config, structural, rng, plan), config.delta_p, rng)

@@ -34,7 +34,7 @@ from .errors import (
     ParseError,
 )
 from .pseudo import PseudoLabelConfig, class_ratio, generate_pseudo_labels
-from .scansim import ScanSimConfig, scan_and_jitter
+from .scansim import ScanSimConfig, plan_scan, scan_and_jitter
 
 FEATURE_DIM = 7
 
@@ -74,23 +74,20 @@ def extract_features(cloud: LabeledPointCloud, config: FeatureConfig) -> np.ndar
 
     # neighbor statistics via the (i < j) pair list; every point is its own
     # neighbor, so counts start at one and extents at zero
-    tree = cKDTree(pos)
+    # (the unbalanced, non-compact tree finds the same pairs and builds faster;
+    # the counts are integer-valued, so summing them in any order is exact)
+    tree = cKDTree(pos, balanced_tree=False, compact_nodes=False)
     pairs = tree.query_pairs(config.radius, output_type="ndarray")
-    count = np.ones(n)
+    a, b = pairs[:, 0], pairs[:, 1]
+    count = 1.0 + np.bincount(a, minlength=n) + np.bincount(b, minlength=n)
     z_lo = z.copy()
     z_hi = z.copy()
-    planar_num = np.ones(n)
-    if len(pairs):
-        a, b = pairs[:, 0], pairs[:, 1]
-        np.add.at(count, a, 1.0)
-        np.add.at(count, b, 1.0)
-        np.minimum.at(z_lo, a, z[b])
-        np.minimum.at(z_lo, b, z[a])
-        np.maximum.at(z_hi, a, z[b])
-        np.maximum.at(z_hi, b, z[a])
-        near = np.abs(z[a] - z[b]) <= config.voxel_size
-        np.add.at(planar_num, a[near], 1.0)
-        np.add.at(planar_num, b[near], 1.0)
+    np.minimum.at(z_lo, a, z[b])
+    np.minimum.at(z_lo, b, z[a])
+    np.maximum.at(z_hi, a, z[b])
+    np.maximum.at(z_hi, b, z[a])
+    near = np.abs(z[a] - z[b]) <= config.voxel_size
+    planar_num = 1.0 + np.bincount(a[near], minlength=n) + np.bincount(b[near], minlength=n)
     z_ext = z_hi - z_lo
     planar = planar_num / count
 
@@ -159,15 +156,16 @@ def cross_entropy(
     labels = np.asarray(labels)
     if scores.shape[0] != labels.shape[0]:
         raise DimensionError("scores and labels disagree on the point count")
-    valid = np.flatnonzero(labels != ignore_index)
+    keep = labels != ignore_index
+    valid = np.flatnonzero(keep)
     if len(valid) == 0:
         raise NoSupervisionError("every point is ignored")
-    picked = scores[valid, labels[valid]]
+    target = labels[valid]
+    picked = scores[valid, target]
     loss = float(-np.log(np.maximum(picked, 1e-12)).mean())
-    grad = np.zeros_like(scores)
-    grad[valid] = scores[valid]
-    grad[valid, labels[valid]] -= 1.0
-    grad[valid] /= len(valid)
+    grad = np.where(keep[:, None], scores, 0.0)
+    grad[valid, target] -= 1.0
+    grad /= len(valid)
     return loss, grad
 
 
@@ -238,6 +236,20 @@ def _scene_gradient(model, cloud, features):
     return loss, grad_logits.T @ features, grad_logits.sum(axis=0)
 
 
+def _lazy_plans(scenes, scan_config, structural):
+    """``plan_of(i)``: scene i's scan plan, built the first time scene i is
+    drawn, so a scene that cannot be scanned fails at the same draw as it
+    would without plans, and no random draw moves."""
+    plans = [None] * len(scenes)
+
+    def plan_of(i):
+        if plans[i] is None:
+            plans[i] = plan_scan(scenes[i], scan_config, structural)
+        return plans[i]
+
+    return plan_of
+
+
 def train_pretrain(
     model: SegmenterModel,
     scenes: Sequence[LabeledPointCloud],
@@ -261,6 +273,7 @@ def train_pretrain(
         return TrainResult(model, np.zeros(0))
     opt = _Descent(model, train_config)
     losses = np.zeros(train_config.iterations)
+    plan_of = _lazy_plans(scenes, scan_config, structural)
     for it in range(train_config.iterations):
         picks = rng.integers(0, len(scenes), size=train_config.batch_size)
         grad_w = np.zeros_like(opt.model.weights)
@@ -269,7 +282,7 @@ def train_pretrain(
         for si in picks:
             scene = scenes[int(si)]
             if scan_config is not None:
-                scene = scan_and_jitter(scene, scan_config, structural, rng)
+                scene = scan_and_jitter(scene, scan_config, structural, rng, plan_of(int(si)))
             scene = standard_augment(scene, augment_config, rng)
             feats = extract_features(scene, feature_config)
             loss, gw, gb = _scene_gradient(opt.model, scene, feats)
@@ -321,6 +334,7 @@ def train_selftrain(
     lam = train_config.source_loss_weight
     opt = _Descent(model, train_config)
     losses = np.zeros(train_config.iterations)
+    plan_of = _lazy_plans(source_scenes, scan_config, structural)
     for it in range(train_config.iterations):
         if (
             train_config.regen_every > 0
@@ -342,8 +356,8 @@ def train_selftrain(
                 np.concatenate([s.labels for s in target_scenes]), taxonomy
             )
         tgt = target_scenes[int(rng.integers(0, len(target_scenes)))]
-        src = source_scenes[int(rng.integers(0, len(source_scenes)))]
-        src = scan_and_jitter(src, scan_config, structural, rng)
+        si = int(rng.integers(0, len(source_scenes)))
+        src = scan_and_jitter(source_scenes[si], scan_config, structural, rng, plan_of(si))
         result = compose_mixed_scene(src, tgt, ratios, mix_config, queue, rng)
         mixed_cloud = result.mixed.cloud
         if on_mixed is not None:
@@ -382,12 +396,22 @@ def load_checkpoint(path, taxonomy: ClassTaxonomy) -> SegmenterModel:
     end = data.find(b"\n")
     if end < 0:
         raise ParseError(path, "missing checkpoint header")
-    fields = dict(p.split("=", 1) for p in data[:end].decode("ascii").split())
+    try:
+        tokens = data[:end].decode("ascii").split()
+    except UnicodeDecodeError:
+        raise ParseError(path, "checkpoint header is not ascii", line=1) from None
+    if not all("=" in t for t in tokens):
+        raise ParseError(path, "header tokens must be key=value", line=1)
+    fields = dict(t.split("=", 1) for t in tokens)
     try:
         d, c = int(fields["d"]), int(fields["c"])
         name = fields["taxonomy"]
     except KeyError as exc:
         raise ParseError(path, f"header lacks {exc}") from exc
+    except ValueError as exc:
+        raise ParseError(path, f"bad header value: {exc}", line=1) from exc
+    if d != FEATURE_DIM:
+        raise ParseError(path, f"checkpoint has {d} feature columns, features have {FEATURE_DIM}")
     if c != taxonomy.count:
         raise ParseError(path, f"checkpoint has {c} classes, taxonomy {taxonomy.count}")
     if name != taxonomy.name:

@@ -91,6 +91,12 @@ class TestXyzl:
             read_point_file(path, FileFormat.XYZL_TEXT, taxonomy)
         assert err.value.line == 2
 
+    def test_non_text_xyzl_rejected(self, taxonomy, tmp_path):
+        path = tmp_path / "c.xyzl"
+        path.write_bytes(b"0 0 0 1\n\xff\xfe 0 0 1\n")
+        with pytest.raises(ParseError):
+            read_point_file(path, FileFormat.XYZL_TEXT, taxonomy)
+
     def test_out_of_range_label(self, taxonomy, tmp_path):
         path = tmp_path / "bad.xyzl"
         path.write_text("0 0 0 7\n")
@@ -128,6 +134,48 @@ class TestPlyParsing:
         path.write_text("\n".join(text[:-1]) + "\n")  # drop one row
         with pytest.raises(ParseError):
             read_point_file(path, FileFormat.PLY_ASCII, taxonomy)
+
+
+    @pytest.mark.parametrize(
+        "fmt, edit",
+        [
+            (FileFormat.PLY_ASCII, lambda d: d.replace(b"element vertex 3", b"element vertex abc")),
+            (FileFormat.PLY_ASCII, lambda d: d.replace(b"format ascii 1.0", b"format")),
+            (FileFormat.PLY_BINARY_LE, lambda d: d.replace(b"element vertex 3", b"element vertex")),
+            (FileFormat.PLY_BINARY_LE, lambda d: d.replace(b"property ushort label", b"property ushort")),
+            (FileFormat.PLY_BINARY_LE, lambda d: d.replace(b"element vertex 3", b"element vertex -3")),
+            (FileFormat.PLY_BINARY_LE, lambda d: d + bytes(7)),           # trailing bytes
+        ],
+        ids=["count-not-a-number", "bare-format", "bare-element", "bare-property",
+             "negative-count", "trailing-bytes"],
+    )
+    def test_malformed_file_rejected(self, taxonomy, tmp_path, fmt, edit):
+        path = tmp_path / "c.ply"
+        write_point_file(cloud_with_ignores(taxonomy, n=3), path, fmt)
+        data = path.read_bytes()
+        path.write_bytes(edit(data))
+        assert path.read_bytes() != data
+        with pytest.raises(ParseError) as err:
+            read_point_file(path, fmt, taxonomy)
+        assert err.value.path == str(path)
+
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_non_finite_coordinate_rejected(self, taxonomy, tmp_path, fmt):
+        cloud = cloud_with_ignores(taxonomy, n=3)
+        path = tmp_path / "c.dat"
+        if fmt is FileFormat.PLY_BINARY_LE:
+            write_point_file(cloud, path, fmt)
+            data = bytearray(path.read_bytes())
+            data[-14:-10] = np.float32(np.inf).tobytes()        # last point's x
+            path.write_bytes(bytes(data))
+        else:
+            write_point_file(cloud, path, fmt)
+            lines = path.read_text().splitlines()
+            lines[-1] = "nan " + lines[-1].split(" ", 1)[1]
+            path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match="point 2 has a non-finite"):
+            read_point_file(path, fmt, taxonomy)
 
 
 class TestManifest:

@@ -16,6 +16,7 @@ from scanmix import (
     generate_scene,
     jitter_points,
     make_template,
+    plan_scan,
     sample_camera_poses,
     scan_and_jitter,
     simulate_scan,
@@ -25,6 +26,7 @@ from scanmix import (
     visible_union_mask,
 )
 from scanmix.errors import DegeneratePoseError, NoFreeSpaceError, NoWallPointsError
+from scanmix.scansim import camera_frame
 
 
 def empty_room_cloud(size=4.0, cell=0.5):
@@ -360,3 +362,132 @@ class TestJitter:
         d = out.positions
         assert abs(d.mean()) <= 1e-4
         assert d.min() >= -0.01 and d.max() <= 0.01
+
+
+def two_pass_visible_points(cloud, pose, config, fov=None):
+    """Reference: visible_points as it was when the FOV mask and the depth
+    buffer each projected the cloud into the camera frame on their own (the
+    second time over the in-FOV subset only). The one-pass version must
+    match it bit for bit."""
+    fov = fov or config.fov
+
+    def components(c):
+        f, up, right = camera_frame(pose)
+        q = c.positions - pose.position
+        return q @ f, q @ up, q @ right
+
+    qf, qu, qr = components(cloud)
+    if fov.mode == "fixed":
+        az = np.degrees(np.arctan2(qr, qf))
+        el = np.degrees(np.arctan2(qu, np.hypot(qf, qr)))
+        mask = (np.abs(az) <= fov.alpha_h / 2) & (np.abs(el) <= fov.alpha_v / 2)
+    else:
+        th = np.tan(np.radians(fov.alpha_h / 2))
+        tv = np.tan(np.radians(fov.alpha_v / 2))
+        if fov.mode == "perspective":
+            mask = (qf > 0) & (np.abs(qr) <= qf * th) & (np.abs(qu) <= qf * tv)
+        else:
+            mask = (qf > 0) & (np.abs(qr) <= fov.d_ref * th) & (np.abs(qu) <= fov.d_ref * tv)
+    idx = np.flatnonzero(mask)
+    out = np.zeros(cloud.n, dtype=bool)
+    if len(idx) == 0:
+        return out
+    qf, qu, qr = components(cloud.select(idx))
+    r = np.sqrt(qf * qf + qu * qu + qr * qr)
+    az = np.degrees(np.arctan2(qr, qf))
+    el = np.degrees(np.arctan2(qu, np.hypot(qf, qr)))
+    a_bin = np.floor(az / config.theta_bin).astype(np.int64)
+    e_bin = np.floor(el / config.theta_bin).astype(np.int64)
+    key = a_bin * (2 ** 20) + e_bin
+    _, inverse = np.unique(key, return_inverse=True)
+    nearest = np.full(inverse.max() + 1, np.inf)
+    np.minimum.at(nearest, inverse, r)
+    out[idx[r <= nearest[inverse] + config.eps_d]] = True
+    return out
+
+
+def random_poses(gen, lo, hi, k):
+    poses = []
+    while len(poses) < k:
+        v, h = gen.uniform(lo, hi, size=(2, 3))
+        if np.hypot(*(h - v)[:2]) > 1e-3:
+            poses.append(CameraPose(v, h))
+    return poses
+
+
+class TestOneProjectionEquivalence:
+    @pytest.mark.parametrize("mode", ["fixed", "parallel", "perspective"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_random_clouds(self, mode, seed):
+        gen = RandomStream(100 + seed)
+        n = [500, 4_500, 12_000][seed]
+        cloud = LabeledPointCloud(gen.uniform(0, 4, size=(n, 3)), np.zeros(n, dtype=int), TOY_TAXONOMY)
+        config = ScanSimConfig(fov=FovConfig(120.0, 70.0, mode, d_ref=1.5), theta_bin=1.0)
+        for pose in random_poses(gen, 0.0, 4.0, 6):
+            got = visible_points(cloud, pose, config)
+            assert np.array_equal(got, two_pass_visible_points(cloud, pose, config))
+
+    @pytest.mark.parametrize("mode", ["fixed", "parallel", "perspective"])
+    def test_scene_with_duplicate_points(self, mode):
+        base = template_cloud("cluttered", 11, density=40.0)
+        cloud = LabeledPointCloud(
+            np.concatenate([base.positions, base.positions[::3]]),
+            np.concatenate([base.labels, base.labels[::3]]),
+            TOY_TAXONOMY,
+        )
+        config = ScanSimConfig(fov=FovConfig(150.0, 80.0, mode))
+        poses = sample_camera_poses(
+            cloud, compute_free_space_bev(cloud, config, TOY_STRUCTURAL), config, TOY_STRUCTURAL, RandomStream(6)
+        )
+        for pose in poses:
+            got = visible_points(cloud, pose, config)
+            assert np.array_equal(got, two_pass_visible_points(cloud, pose, config))
+
+    @pytest.mark.parametrize("mode", ["fixed", "parallel", "perspective"])
+    def test_single_point(self, mode):
+        pose = CameraPose(np.array([0.0, 0.0, 1.0]), np.array([3.0, 0.5, 1.0]))
+        config = ScanSimConfig(fov=FovConfig(90.0, 60.0, mode))
+        for p in ([2.0, 0.1, 1.1], [-2.0, 0.0, 1.0]):       # in view, behind
+            cloud = LabeledPointCloud(np.array([p]), np.array([0]), TOY_TAXONOMY)
+            got = visible_points(cloud, pose, config)
+            assert np.array_equal(got, two_pass_visible_points(cloud, pose, config))
+
+
+class TestScanPlan:
+    def test_reused_plan_matches_fresh_draws(self):
+        cloud = template_cloud("cluttered", 12, density=50.0)
+        config = ScanSimConfig()
+        plan = plan_scan(cloud, config, TOY_STRUCTURAL)
+        with_plan, fresh = RandomStream(21), RandomStream(21)
+        for _ in range(6):
+            a = scan_and_jitter(cloud, config, TOY_STRUCTURAL, with_plan, plan)
+            b = scan_and_jitter(cloud, config, TOY_STRUCTURAL, fresh)
+            assert np.array_equal(a.positions, b.positions)
+            assert np.array_equal(a.labels, b.labels)
+
+    def test_matches_bev_and_pose_rules(self):
+        cloud = empty_room_cloud()
+        config = ScanSimConfig(bev_cell=0.5, clearance=0.8)
+        plan = plan_scan(cloud, config, TOY_STRUCTURAL)
+        bev = compute_free_space_bev(cloud, config, TOY_STRUCTURAL)
+        assert np.array_equal(plan.bev.blocked, bev.blocked)
+        # the clearance drops the free cells next to the blocked ring
+        assert set(map(tuple, plan.free)) == {(i, j) for i in range(2, 6) for j in range(2, 6)}
+        assert np.array_equal(plan.wall_idx, np.flatnonzero(cloud.labels == 2))
+        z = cloud.positions[:, 2]
+        assert (plan.z_lo, plan.z_max) == (z.min() + 0.5 * (z.max() - z.min()), z.max())
+
+    def test_errors_in_order(self):
+        t = np.arange(0.25, 4.0, 0.5)
+        gx, gy = np.meshgrid(t, t, indexing="ij")
+        grid = np.column_stack([gx.ravel(), gy.ravel(), np.zeros(gx.size)])
+        config = ScanSimConfig(bev_cell=0.5)
+        solid = LabeledPointCloud(grid, np.full(len(grid), 3), TOY_TAXONOMY)
+        floor_only = LabeledPointCloud(grid, np.zeros(len(grid), dtype=int), TOY_TAXONOMY)
+        for cloud, error in ((solid, NoFreeSpaceError), (floor_only, NoWallPointsError)):
+            with pytest.raises(error):
+                plan_scan(cloud, config, TOY_STRUCTURAL)
+            with pytest.raises(error):
+                scan_and_jitter(cloud, config, TOY_STRUCTURAL, RandomStream(0))
+        with pytest.raises(NoFreeSpaceError, match="clearance"):
+            plan_scan(empty_room_cloud(), ScanSimConfig(bev_cell=0.5, clearance=5.0), TOY_STRUCTURAL)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from scanmix import (
     AugmentConfig,
@@ -26,7 +27,7 @@ from scanmix import (
     train_selftrain,
 )
 from scanmix.cuboidmix import compose_mixed_scene
-from scanmix.errors import DimensionError, NoSupervisionError
+from scanmix.errors import DimensionError, NoSupervisionError, ParseError
 from scanmix.pseudo import class_ratio
 from scanmix.segmenter import _scene_gradient
 
@@ -55,6 +56,58 @@ def brute_force_features(cloud, config):
     return out
 
 
+def scatter_features(cloud, config):
+    """Reference: extract_features as it was with a balanced cKDTree and
+    ufunc.at scatters for every neighbour statistic. The current version
+    must match it bit for bit."""
+    pos = cloud.positions
+    n = cloud.n
+    z = pos[:, 2]
+    z_min, z_max = z.min(), z.max()
+    height = z - z_min
+    extent = z_max - z_min
+    norm_height = height / extent if extent > 0 else np.zeros(n)
+    pairs = cKDTree(pos).query_pairs(config.radius, output_type="ndarray")
+    count = np.ones(n)
+    z_lo = z.copy()
+    z_hi = z.copy()
+    planar_num = np.ones(n)
+    if len(pairs):
+        a, b = pairs[:, 0], pairs[:, 1]
+        np.add.at(count, a, 1.0)
+        np.add.at(count, b, 1.0)
+        np.minimum.at(z_lo, a, z[b])
+        np.minimum.at(z_lo, b, z[a])
+        np.maximum.at(z_hi, a, z[b])
+        np.maximum.at(z_hi, b, z[a])
+        near = np.abs(z[a] - z[b]) <= config.voxel_size
+        np.add.at(planar_num, a[near], 1.0)
+        np.add.at(planar_num, b[near], 1.0)
+    x_min, y_min = pos[:, 0].min(), pos[:, 1].min()
+    x_max, y_max = pos[:, 0].max(), pos[:, 1].max()
+    boundary = np.minimum.reduce(
+        [pos[:, 0] - x_min, x_max - pos[:, 0], pos[:, 1] - y_min, y_max - pos[:, 1]]
+    )
+    return np.column_stack(
+        [height, norm_height, count, z_hi - z_lo, boundary, planar_num / count, np.ones(n)]
+    )
+
+
+def masked_cross_entropy(scores, labels, ignore_index=-1):
+    """Reference: cross_entropy as it was, writing the gradient through
+    fancy indexing over the non-ignored rows only."""
+    valid = np.flatnonzero(labels != ignore_index)
+    if len(valid) == 0:
+        raise NoSupervisionError("every point is ignored")
+    picked = scores[valid, labels[valid]]
+    loss = float(-np.log(np.maximum(picked, 1e-12)).mean())
+    grad = np.zeros_like(scores)
+    grad[valid] = scores[valid]
+    grad[valid, labels[valid]] -= 1.0
+    grad[valid] /= len(valid)
+    return loss, grad
+
+
 class TestFeatures:
     def test_single_point_conventions(self, taxonomy):
         cloud = LabeledPointCloud(np.array([[1.0, 2.0, 3.0]]), np.array([0]), taxonomy)
@@ -79,6 +132,34 @@ class TestFeatures:
         got = extract_features(cloud, config)
         want = brute_force_features(cloud, config)
         assert np.allclose(got, want, rtol=0, atol=1e-12)
+
+
+    @pytest.mark.parametrize("n, scale", [(4_500, 3.0), (12_000, 4.0)])
+    def test_bit_exact_on_random_clouds(self, taxonomy, n, scale):
+        cloud = random_cloud(taxonomy, n=n, seed=n, scale=scale)
+        config = FeatureConfig()
+        assert np.array_equal(extract_features(cloud, config), scatter_features(cloud, config))
+
+    def test_bit_exact_on_scanned_scene_with_duplicates(self):
+        clean = make_selftrain_inputs(seed=21)[1][0]
+        scene = scan_and_jitter(clean, ScanSimConfig(), TOY_STRUCTURAL, RandomStream(22))
+        cloud = LabeledPointCloud(
+            np.concatenate([scene.positions, scene.positions[::4]]),
+            np.concatenate([scene.labels, scene.labels[::4]]),
+            scene.taxonomy,
+        )
+        config = FeatureConfig()
+        assert np.array_equal(extract_features(cloud, config), scatter_features(cloud, config))
+
+    def test_bit_exact_without_pairs(self, taxonomy):
+        config = FeatureConfig()
+        single = LabeledPointCloud(np.array([[1.0, 2.0, 3.0]]), np.array([0]), taxonomy)
+        grid = np.stack(np.meshgrid(*[np.arange(4.0)] * 3, indexing="ij"), axis=-1).reshape(-1, 3)
+        sparse = LabeledPointCloud(grid, np.zeros(len(grid), dtype=int), taxonomy)
+        for cloud in (single, sparse):
+            got = extract_features(cloud, config)
+            assert np.array_equal(got, scatter_features(cloud, config))
+            assert (got[:, 2] == 1.0).all()
 
 
 class TestForward:
@@ -132,6 +213,18 @@ class TestCrossEntropy:
     def test_all_ignored_raises(self):
         with pytest.raises(NoSupervisionError):
             cross_entropy(np.full((3, 2), 0.5), np.full(3, -1))
+
+    @pytest.mark.parametrize("ignored_share", [0.0, 0.3, 0.95])
+    def test_bit_exact_with_masked_reference(self, taxonomy, ignored_share):
+        gen = RandomStream(17)
+        model = SegmenterModel(gen.normal(size=(3, 7)), gen.normal(size=3), taxonomy)
+        scores = forward_scores(model, gen.normal(size=(5_000, 7)))
+        labels = gen.integers(0, 3, size=5_000)
+        labels[gen.random(5_000) < ignored_share] = -1
+        loss, grad = cross_entropy(scores, labels)
+        want_loss, want_grad = masked_cross_entropy(scores, labels)
+        assert loss == want_loss
+        assert np.array_equal(grad, want_grad)
 
     def test_gradient_matches_finite_differences(self):
         gen = RandomStream(5)
@@ -312,11 +405,28 @@ class TestCheckpoint:
         first = path.read_bytes().split(b"\n", 1)[0].decode("ascii")
         assert first == "d=7 c=6 taxonomy=toy6"
 
+    @pytest.mark.parametrize(
+        "header, d, c",
+        [
+            (b"d=7 c=6 taxonomy=toy6 extra", 7, 6),       # token without '='
+            (b"d=abc c=6 taxonomy=toy6", 7, 6),
+            ("d=7 c=6 taxonomy=t\u00f6y6".encode("utf-8"), 7, 6),  # not ascii
+            (b"d=3 c=6 taxonomy=toy6", 3, 6),             # payload sized for d=3
+            (b"d=-7 c=6 taxonomy=toy6", 7, 6),
+            (b"d=7 c=-6 taxonomy=toy6", 7, 6),
+            (b"c=6 taxonomy=toy6", 7, 6),
+        ],
+    )
+    def test_malformed_header_rejected(self, tmp_path, header, d, c):
+        path = tmp_path / "model.bin"
+        path.write_bytes(header + b"\n" + bytes((c * d + c) * 8))
+        with pytest.raises(ParseError) as err:
+            load_checkpoint(path, TOY_TAXONOMY)
+        assert err.value.path == str(path)
+
     def test_wrong_taxonomy_rejected(self, tmp_path, taxonomy):
         model = SegmenterModel.zeros(TOY_TAXONOMY)
         path = tmp_path / "model.bin"
         save_checkpoint(model, path)
-        from scanmix.errors import ParseError
-
         with pytest.raises(ParseError):
             load_checkpoint(path, taxonomy)
