@@ -1,8 +1,16 @@
 """Exception types raised across the toolkit."""
 
+import copyreg
+
 
 class ScanmixError(Exception):
     """Base class for all scanmix errors."""
+
+    def __reduce__(self):
+        # Rebuild from the formatted message plus the attributes, without
+        # calling __init__ (whose arguments differ per subclass), so an
+        # error raised in a worker process reaches the parent intact.
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 class EmptyInputError(ScanmixError):

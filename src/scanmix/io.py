@@ -316,7 +316,10 @@ def load_manifest(path) -> DatasetManifest:
         if not resolved.is_file():
             raise MissingFileError(f"{path}:{lineno}: missing file {resolved}")
         entries.append((scene_id, resolved))
-    return DatasetManifest(header["role"], header["taxonomy"], tuple(entries))
+    try:
+        return DatasetManifest(header["role"], header["taxonomy"], tuple(entries))
+    except ValueError as exc:
+        raise ParseError(path, str(exc), line=1) from exc
 
 
 def save_manifest(path, role: str, taxonomy_name: str, entries) -> None:

@@ -3,9 +3,10 @@
 Stages: pretrain on simulated source scenes (with scan-simulation
 augmentation), generate pseudo labels for the unlabeled target scenes,
 self-train on mixed scenes, and evaluate against target ground truth. A
-source-only baseline (no scan simulation) is trained alongside so every
-run reports the three ablation mIoUs. Everything is reproducible from
-(config, seed); reports and checkpoints are byte-identical across reruns.
+source-only baseline (no scan simulation) is trained alongside, in a
+second process, so every run reports the three ablation mIoUs. Everything
+is reproducible from (config, seed); reports and checkpoints are
+byte-identical across reruns.
 
 The config file is line-oriented ``key=value`` with dotted section
 prefixes (for example ``vss.n_v=4``); ``CONFIG_KEYS`` is the full key set
@@ -15,7 +16,8 @@ and ``DEFAULT_CONFIG_TEXT`` lists every key with its default.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from operator import attrgetter
@@ -265,9 +267,12 @@ def _load_domain(manifest_path, taxonomy: ClassTaxonomy):
 
 @contextmanager
 def _stage(name: str):
-    """Re-raise any failure inside the block as a StageError tagged ``name``."""
+    """Re-raise any failure inside the block as a StageError tagged ``name``;
+    a StageError passes through with its own tag."""
     try:
         yield
+    except StageError:
+        raise
     except Exception as exc:
         raise StageError(name, exc) from exc
 
@@ -441,6 +446,30 @@ def stage_mix(config: PipelineConfig, count: int = 5) -> Path:
 # --- full run ---------------------------------------------------------------
 
 
+def _source_only(config: PipelineConfig) -> Path:
+    # The worker's entry point. Being private, it pickles by name even
+    # when the public stage functions are wrapped (by a profiler, say).
+    return stage_pretrain(config, with_scan_sim=False)
+
+
+def _pretrain_both(config: PipelineConfig) -> None:
+    """Run the source-only pretrain in a forked worker process while this
+    process runs the scan pretrain. The two share no state and draw from
+    their own child streams, so the outputs are those of running them in
+    turn; so is the error raised (source-only first). A forked worker
+    inherits the loaded package and never re-imports the caller's
+    ``__main__``."""
+    fork = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(max_workers=1, mp_context=fork) as pool:
+        source_only = pool.submit(_source_only, config)
+        try:
+            stage_pretrain(config, with_scan_sim=True)
+        finally:
+            # a dead worker raises BrokenProcessPool here
+            with _stage("source-only"):
+                source_only.result()
+
+
 @dataclass
 class PipelineReport:
     status: str
@@ -472,7 +501,9 @@ def _write_report(config: PipelineConfig, report: PipelineReport, n_source: int,
 
 
 def run_pipeline(config: PipelineConfig, threads: int = 1) -> PipelineReport:
-    """Execute every stage and write the run report.
+    """Execute every stage and write the run report. The two pretrain
+    stages run side by side in two processes; ``threads`` parallelizes
+    per-scene scoring and evaluation.
 
     On a stage failure the report is still written, with the failed stage
     named and the missing mIoUs marked incomplete, then the tagged error
@@ -486,8 +517,7 @@ def run_pipeline(config: PipelineConfig, threads: int = 1) -> PipelineReport:
             src_manifest = load_manifest(config.source_manifest)
             tgt_manifest = load_manifest(config.target_manifest)
         n_source, n_target = len(src_manifest), len(tgt_manifest)
-        stage_pretrain(config, with_scan_sim=False)
-        stage_pretrain(config, with_scan_sim=True)
+        _pretrain_both(config)
         stage_pseudo_label(config, threads)
         stage_selftrain(config)
         mious = stage_evaluate(config, threads)

@@ -77,6 +77,8 @@ class SceneSpec:
     density: float = 1250.0
 
     def __post_init__(self):
+        if not np.isfinite([self.width, self.depth, self.height, self.density]).all():
+            raise ValueError("room dimensions and density must be finite")
         if min(self.width, self.depth, self.height) <= 0:
             raise ValueError("room dimensions must be positive")
         if self.density <= 0:
@@ -190,14 +192,17 @@ def load_scene_spec(path) -> SceneSpec:
         if "=" not in line:
             raise ParseError(path, "expected key=value", line=lineno)
         key, value = line.split("=", 1)
-        if key == "box":
-            parts = value.split(",")
-            if len(parts) != 7:
-                raise ParseError(path, "box needs 7 comma-separated values", line=lineno)
-            nums = [float(p) for p in parts[:6]]
-            boxes.append((Aabb(nums[:3], nums[3:]), int(parts[6])))
-        else:
-            fields[key] = float(value)
+        try:
+            if key == "box":
+                parts = value.split(",")
+                if len(parts) != 7:
+                    raise ParseError(path, "box needs 7 comma-separated values", line=lineno)
+                nums = [float(p) for p in parts[:6]]
+                boxes.append((Aabb(nums[:3], nums[3:]), int(parts[6])))
+            else:
+                fields[key] = float(value)
+        except ValueError as exc:
+            raise ParseError(path, f"bad {key} value {value!r}: {exc}", line=lineno) from exc
     try:
         return SceneSpec(
             width=fields["width"],
@@ -211,6 +216,8 @@ def load_scene_spec(path) -> SceneSpec:
         )
     except KeyError as exc:
         raise ParseError(path, f"missing required key {exc}") from exc
+    except (ValueError, OverflowError) as exc:
+        raise ParseError(path, str(exc)) from exc
 
 
 # --- template library ------------------------------------------------------

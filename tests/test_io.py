@@ -207,6 +207,14 @@ class TestManifest:
         with pytest.raises(MissingFileError):
             load_manifest(tmp_path / "m.txt")
 
+    def test_unknown_role(self, taxonomy, tmp_path):
+        rows = self.make_files(tmp_path, taxonomy, ["s0"])
+        save_manifest(tmp_path / "m.txt", "foo", taxonomy.name, rows)
+        with pytest.raises(ParseError, match="role") as err:
+            load_manifest(tmp_path / "m.txt")
+        assert err.value.path == str(tmp_path / "m.txt")
+        assert err.value.line == 1
+
     def test_generated_order_matches(self, taxonomy, tmp_path):
         ids = [f"scene_{i:03d}" for i in range(100)]
         rows = self.make_files(tmp_path, taxonomy, ids)

@@ -1,13 +1,19 @@
 import hashlib
+import multiprocessing
+import os
 import re
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import scanmix.pipeline
 from scanmix import (
+    ClassTaxonomy,
     FileFormat,
+    StructuralClasses,
     TOY_TAXONOMY,
     detect_format,
     generate_scene_set,
@@ -16,10 +22,12 @@ from scanmix import (
     make_toy_benchmark,
     read_point_file,
     run_pipeline,
+    write_point_file,
 )
 from scanmix.cli import main as cli_main
-from scanmix.errors import ConfigError, StageError
+from scanmix.errors import ConfigError, NoSupervisionError, NoWallPointsError, StageError
 from scanmix.pipeline import (
+    CKPT_SOURCE_ONLY,
     CONFIG_KEYS,
     DEFAULT_CONFIG_TEXT,
     PipelineConfig,
@@ -205,6 +213,10 @@ def hash_tree(root: Path) -> dict[str, str]:
     return out
 
 
+def _exit_at_once(config):
+    os._exit(3)
+
+
 class TestRunPipeline:
     def test_zero_iteration_run_completes(self, tmp_path):
         config = tiny_benchmark(tmp_path)
@@ -256,6 +268,60 @@ class TestRunPipeline:
         text = (config.out_dir / "report.txt").read_text()
         assert "status=failed" in text
         assert "miou_full=incomplete" in text
+        assert not multiprocessing.active_children()
+
+    def test_matches_stages_run_one_by_one(self, tmp_path):
+        config = tiny_benchmark(tmp_path)
+        report = run_pipeline(config)
+        assert report.complete and not multiprocessing.active_children()
+        whole = hash_tree(config.out_dir)
+        assert whole.pop("report.txt")
+        config.out_dir = tmp_path / "one_by_one"
+        stage_pretrain(config, with_scan_sim=False)
+        stage_pretrain(config, with_scan_sim=True)
+        stage_pseudo_label(config)
+        stage_selftrain(config)
+        assert stage_evaluate(config) == report.mious
+        assert hash_tree(config.out_dir) == whole
+
+    def test_both_pretrains_fail_reports_source_only(self, tmp_path):
+        config = tiny_benchmark(tmp_path)
+        ignore = config.taxonomy.ignore_index
+        for _sid, path in load_manifest(config.source_manifest).entries:
+            cloud = read_point_file(path, detect_format(path), config.taxonomy)
+            write_point_file(cloud.with_labels(np.full(cloud.n, ignore)), path, detect_format(path))
+        with pytest.raises(StageError) as err:
+            run_pipeline(config)
+        # the worker's error arrives with its stage and cause intact
+        assert err.value.stage == "source-only"
+        assert isinstance(err.value.cause, NoSupervisionError)
+        assert "failed_stage=source-only" in (config.out_dir / "report.txt").read_text()
+        assert not multiprocessing.active_children()
+
+    def test_only_scan_pretrain_fails_reports_pretrain(self, tmp_path):
+        config = tiny_benchmark(tmp_path)
+        # a wall class that no scene holds: only scan simulation needs walls
+        names = config.taxonomy.names + ("spare",)
+        config.taxonomy = ClassTaxonomy(config.taxonomy.name, names, config.taxonomy.ignore_index)
+        config.structural = StructuralClasses(floor=0, ceiling=1, wall=len(names) - 1)
+        with pytest.raises(StageError) as err:
+            run_pipeline(config)
+        assert err.value.stage == "pretrain"
+        assert isinstance(err.value.cause, NoWallPointsError)
+        text = (config.out_dir / "report.txt").read_text()
+        assert "failed_stage=pretrain" in text and "miou_full=incomplete" in text
+        assert (config.out_dir / CKPT_SOURCE_ONLY).is_file()
+        assert not multiprocessing.active_children()
+
+    def test_dead_worker_reports_source_only(self, tmp_path, monkeypatch):
+        config = tiny_benchmark(tmp_path)
+        monkeypatch.setattr(scanmix.pipeline, "_source_only", _exit_at_once)
+        with pytest.raises(StageError) as err:
+            run_pipeline(config)
+        assert err.value.stage == "source-only"
+        assert isinstance(err.value.cause, BrokenProcessPool)
+        assert "failed_stage=source-only" in (config.out_dir / "report.txt").read_text()
+        assert not multiprocessing.active_children()
 
     def test_selftrain_before_pseudo_fails_tagged(self, tmp_path):
         config = tiny_benchmark(tmp_path)

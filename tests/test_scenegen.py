@@ -15,7 +15,7 @@ from scanmix import (
     save_scene_spec,
     template_names,
 )
-from scanmix.errors import OverlapError
+from scanmix.errors import OverlapError, ParseError
 
 
 class TestSurfaceSampling:
@@ -147,3 +147,49 @@ class TestTemplatesAndSpecIo:
         for (b1, c1), (b2, c2) in zip(back.furniture, spec.furniture):
             assert c1 == c2
             assert np.array_equal(b1.min, b2.min) and np.array_equal(b1.max, b2.max)
+
+    # line 4 of GOOD_SPEC replaced by a bad one; each must name that line
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "width=abc",
+            "density=",
+            "box=0.5,0.5,zero,1.0,1.0,0.8,3",
+            "box=0.5,0.5,0.0,1.0,1.0,0.8,chair",
+            "box=1.0,1.0,0.0,0.5,0.5,0.8,3",
+            "box=0.5,0.5,0.0,1.0,1.0",
+        ],
+    )
+    def test_bad_spec_line_raises_parse_error(self, tmp_path, line):
+        lines = GOOD_SPEC.splitlines()
+        lines[3] = line
+        (tmp_path / "s.cfg").write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError) as err:
+            load_scene_spec(tmp_path / "s.cfg")
+        assert err.value.path == str(tmp_path / "s.cfg")
+        assert err.value.line == 4
+
+    @pytest.mark.parametrize("line", ["width=nan", "height=inf", "depth=-1", "floor_class=inf"])
+    def test_bad_spec_value_raises_parse_error(self, tmp_path, line):
+        key = line.split("=")[0]
+        lines = [ln for ln in GOOD_SPEC.splitlines() if not ln.startswith(key + "=")]
+        (tmp_path / "s.cfg").write_text("\n".join(lines + [line]) + "\n")
+        with pytest.raises(ParseError) as err:
+            load_scene_spec(tmp_path / "s.cfg")
+        assert err.value.path == str(tmp_path / "s.cfg")
+
+    def test_good_spec_loads(self, tmp_path):
+        (tmp_path / "s.cfg").write_text(GOOD_SPEC)
+        spec = load_scene_spec(tmp_path / "s.cfg")
+        assert (spec.width, spec.depth, spec.height, spec.density) == (4.0, 3.0, 2.5, 50.0)
+        assert [cls for _, cls in spec.furniture] == [3, 4]
+
+
+GOOD_SPEC = """\
+width=4.0
+depth=3.0
+height=2.5
+density=50.0
+box=0.5,0.5,0.0,1.0,1.0,0.8,3
+box=2.0,2.0,0.0,2.5,2.5,0.9,4
+"""
