@@ -104,13 +104,16 @@ class MixedScene:
 def _axis_boundaries(lo: float, hi: float, n: int, delta: float, rng: RandomStream) -> np.ndarray:
     """Equal divisions with uniform perturbations on interior boundaries;
     endpoints are the exact extrema. Redraws (up to 64 times) if a draw
-    breaks strict ordering."""
+    breaks strict ordering. An extent too thin for ``delta`` (a scan that
+    kept one wall patch, say) is perturbed by a quarter cell width instead,
+    which keeps the boundaries ordered and draws as many uniforms; only a
+    zero extent cannot be split."""
     if n == 1:
         return np.array([lo, hi], dtype=np.float64)
+    if not hi > lo:
+        raise DegeneratePartitionError(f"zero extent cannot hold {n} partitions")
     if hi - lo <= 2.0 * delta * (n - 1):
-        raise DegeneratePartitionError(
-            f"extent {hi - lo:.6g} too small for {n} partitions at delta_phi {delta:.6g}"
-        )
+        delta = 0.25 * (hi - lo) / n
     frac = np.arange(1, n) / n
     base = frac * hi + (1.0 - frac) * lo
     for _ in range(64):

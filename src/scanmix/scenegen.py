@@ -177,13 +177,26 @@ def save_scene_spec(spec: SceneSpec, path) -> None:
         raise IoError(f"failed to write {path}: {exc}") from exc
 
 
+# Scalar keys of the text form and their parsers; ``box`` lines repeat.
+# Class ids are integers: ``int("1.5")`` raises instead of truncating.
+_SPEC_KEYS = {
+    "width": float,
+    "depth": float,
+    "height": float,
+    "density": float,
+    "floor_class": int,
+    "ceiling_class": int,
+    "wall_class": int,
+}
+
+
 def load_scene_spec(path) -> SceneSpec:
     path = Path(path)
     try:
         lines = path.read_text().splitlines()
     except OSError as exc:
         raise IoError(f"failed to read {path}: {exc}") from exc
-    fields: dict[str, float] = {}
+    fields: dict[str, float | int] = {}
     boxes = []
     for lineno, line in enumerate(lines, start=1):
         line = line.strip()
@@ -192,6 +205,10 @@ def load_scene_spec(path) -> SceneSpec:
         if "=" not in line:
             raise ParseError(path, "expected key=value", line=lineno)
         key, value = line.split("=", 1)
+        if key != "box" and key not in _SPEC_KEYS:
+            raise ParseError(path, f"unknown key {key!r}", line=lineno)
+        if key in fields:
+            raise ParseError(path, f"duplicate key {key!r}", line=lineno)
         try:
             if key == "box":
                 parts = value.split(",")
@@ -200,7 +217,7 @@ def load_scene_spec(path) -> SceneSpec:
                 nums = [float(p) for p in parts[:6]]
                 boxes.append((Aabb(nums[:3], nums[3:]), int(parts[6])))
             else:
-                fields[key] = float(value)
+                fields[key] = _SPEC_KEYS[key](value)
         except ValueError as exc:
             raise ParseError(path, f"bad {key} value {value!r}: {exc}", line=lineno) from exc
     try:
@@ -209,14 +226,14 @@ def load_scene_spec(path) -> SceneSpec:
             depth=fields["depth"],
             height=fields["height"],
             furniture=tuple(boxes),
-            floor_class=int(fields.get("floor_class", 0)),
-            ceiling_class=int(fields.get("ceiling_class", 1)),
-            wall_class=int(fields.get("wall_class", 2)),
+            floor_class=fields.get("floor_class", 0),
+            ceiling_class=fields.get("ceiling_class", 1),
+            wall_class=fields.get("wall_class", 2),
             density=fields.get("density", 1250.0),
         )
     except KeyError as exc:
         raise ParseError(path, f"missing required key {exc}") from exc
-    except (ValueError, OverflowError) as exc:
+    except ValueError as exc:
         raise ParseError(path, str(exc)) from exc
 
 

@@ -9,6 +9,7 @@ point, not the capacity of the classifier.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
@@ -236,6 +237,14 @@ def _scene_gradient(model, cloud, features):
     return loss, grad_logits.T @ features, grad_logits.sum(axis=0)
 
 
+def _gradients(model, batch):
+    """``_scene_gradient`` of each (cloud, features future) pair, in order.
+    Each waits only for its own features, so a failure surfaces where the
+    sequential loop would meet it."""
+    for cloud, features in batch:
+        yield _scene_gradient(model, cloud, features.result())
+
+
 def _lazy_plans(scenes, scan_config, structural):
     """``plan_of(i)``: scene i's scan plan, built the first time scene i is
     drawn, so a scene that cannot be scanned fails at the same draw as it
@@ -248,6 +257,51 @@ def _lazy_plans(scenes, scan_config, structural):
         return plans[i]
 
     return plan_of
+
+
+def _run_ahead(opt, iterations, feature_config, draw, finish, drain=None):
+    """Run a training loop one iteration ahead.
+
+    ``draw(it, submit)`` takes every random draw of iteration ``it`` in this
+    thread and passes each finished cloud to ``submit``, which starts its
+    features on a helper thread. ``finish(it, batch)`` then computes the
+    gradients of the (cloud, features future) pairs in submission order,
+    checks the loss and steps ``opt``. Iteration t-1 is finished after
+    iteration t is drawn, so the helper computes t's features while this
+    thread steps t-1. Features are pure, and draws and steps keep their
+    order, so the result is that of the plain loop.
+
+    Errors come out in the plain loop's order: when the draw of t fails,
+    t-1 is finished first, then the gradients of the clouds t had already
+    drawn, and only then is the draw's error re-raised. ``drain(it)`` true
+    finishes t-1 before t is drawn, for a draw that reads the model.
+    """
+    pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="scanmix-features")
+    try:
+        pending = None
+        for it in range(iterations):
+            if pending is not None and drain is not None and drain(it):
+                finish(*pending)
+                pending = None
+            batch = []
+
+            def submit(cloud):
+                batch.append((cloud, pool.submit(extract_features, cloud, feature_config)))
+
+            try:
+                draw(it, submit)
+            except Exception:
+                if pending is not None:
+                    finish(*pending)
+                for _ in _gradients(opt.model, batch):
+                    pass
+                raise
+            if pending is not None:
+                finish(*pending)
+            pending = (it, batch)
+        finish(*pending)
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def train_pretrain(
@@ -265,7 +319,9 @@ def train_pretrain(
     Each iteration draws a batch of scenes (uniform with replacement),
     applies the scan simulation plus jitter when ``scan_config`` is given,
     applies the standard augmentations, and takes one descent step on the
-    mean cross-entropy. Zero iterations return the model unchanged.
+    mean cross-entropy. Zero iterations return the model unchanged. The
+    features are computed on a helper thread one iteration ahead of the
+    descent; the result is that of a plain loop.
     """
     if not scenes:
         raise EmptyInputError("no source scenes")
@@ -274,26 +330,30 @@ def train_pretrain(
     opt = _Descent(model, train_config)
     losses = np.zeros(train_config.iterations)
     plan_of = _lazy_plans(scenes, scan_config, structural)
-    for it in range(train_config.iterations):
-        picks = rng.integers(0, len(scenes), size=train_config.batch_size)
-        grad_w = np.zeros_like(opt.model.weights)
-        grad_b = np.zeros_like(opt.model.bias)
-        total = 0.0
-        for si in picks:
+    batch_size = train_config.batch_size
+
+    def draw(it, submit):
+        for si in rng.integers(0, len(scenes), size=batch_size):
             scene = scenes[int(si)]
             if scan_config is not None:
                 scene = scan_and_jitter(scene, scan_config, structural, rng, plan_of(int(si)))
-            scene = standard_augment(scene, augment_config, rng)
-            feats = extract_features(scene, feature_config)
-            loss, gw, gb = _scene_gradient(opt.model, scene, feats)
+            submit(standard_augment(scene, augment_config, rng))
+
+    def finish(it, batch):
+        grad_w = np.zeros_like(opt.model.weights)
+        grad_b = np.zeros_like(opt.model.bias)
+        total = 0.0
+        for loss, gw, gb in _gradients(opt.model, batch):
             grad_w += gw
             grad_b += gb
             total += loss
-        total /= train_config.batch_size
+        total /= batch_size
         if not np.isfinite(total):
             raise DivergenceError(f"non-finite loss at iteration {it}")
         losses[it] = total
-        opt.step(grad_w / train_config.batch_size, grad_b / train_config.batch_size)
+        opt.step(grad_w / batch_size, grad_b / batch_size)
+
+    _run_ahead(opt, train_config.iterations, feature_config, draw, finish)
     return TrainResult(opt.model, losses)
 
 
@@ -316,10 +376,13 @@ def train_selftrain(
     iteration draws one target and one source scene, scan-augments the
     source, composes the mixed scene through the shared tail queue, and
     steps on CE(mixed) + source_loss_weight * CE(augmented source).
+    ``on_mixed(it, cloud)`` sees each mixed scene just before its gradient.
 
     With ``train_config.regen_every > 0`` and a ``pseudo_config``, the
     pseudo labels (and class ratios) are refreshed from the current model
     every that many iterations; the default keeps the initial labels.
+    As in ``train_pretrain``, features run one iteration ahead on a helper
+    thread; a refresh first finishes the pending iteration.
     """
     if not source_scenes or not target_scenes:
         raise EmptyInputError("self-training needs source and target scenes")
@@ -335,13 +398,18 @@ def train_selftrain(
     opt = _Descent(model, train_config)
     losses = np.zeros(train_config.iterations)
     plan_of = _lazy_plans(source_scenes, scan_config, structural)
-    for it in range(train_config.iterations):
-        if (
+
+    def refresh_due(it):
+        return (
             train_config.regen_every > 0
             and pseudo_config is not None
             and it > 0
             and it % train_config.regen_every == 0
-        ):
+        )
+
+    def draw(it, submit):
+        nonlocal target_scenes, ratios
+        if refresh_due(it):
             target_scenes = [
                 t.with_labels(
                     generate_pseudo_labels(
@@ -359,18 +427,20 @@ def train_selftrain(
         si = int(rng.integers(0, len(source_scenes)))
         src = scan_and_jitter(source_scenes[si], scan_config, structural, rng, plan_of(si))
         result = compose_mixed_scene(src, tgt, ratios, mix_config, queue, rng)
-        mixed_cloud = result.mixed.cloud
+        submit(result.mixed.cloud)
+        submit(src)
+
+    def finish(it, batch):
         if on_mixed is not None:
-            on_mixed(it, mixed_cloud)
-        feats_m = extract_features(mixed_cloud, feature_config)
-        loss_m, gw_m, gb_m = _scene_gradient(opt.model, mixed_cloud, feats_m)
-        feats_s = extract_features(src, feature_config)
-        loss_s, gw_s, gb_s = _scene_gradient(opt.model, src, feats_s)
+            on_mixed(it, batch[0][0])
+        (loss_m, gw_m, gb_m), (loss_s, gw_s, gb_s) = _gradients(opt.model, batch)
         total = loss_m + lam * loss_s
         if not np.isfinite(total):
             raise DivergenceError(f"non-finite loss at iteration {it}")
         losses[it] = total
         opt.step(gw_m + lam * gw_s, gb_m + lam * gb_s)
+
+    _run_ahead(opt, train_config.iterations, feature_config, draw, finish, drain=refresh_due)
     return TrainResult(opt.model, losses)
 
 

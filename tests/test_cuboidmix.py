@@ -99,11 +99,41 @@ class TestPartition:
             assert (np.diff(b) > 0).all()
 
     def test_degenerate_extent_raises(self, taxonomy):
-        pos = np.array([[0, 0, 0], [0.1, 1, 1]], dtype=float)  # x extent 0.1
+        pos = np.array([[0, 0, 0], [0, 1, 1]], dtype=float)  # zero x extent
         cloud = LabeledPointCloud(pos, np.zeros(2, dtype=int), taxonomy)
         config = CuboidMixConfig(nx=2, ny=1, nz=1, delta_phi=0.1)
         with pytest.raises(DegeneratePartitionError):
             partition_cuboids(cloud, config, RandomStream(0))
+
+    @pytest.mark.parametrize("depth, ny", [(0.1, 2), (0.04, 2), (0.04, 4), (1e-9, 3)])
+    def test_thin_extent_partitions(self, taxonomy, depth, ny):
+        # too thin for delta_phi=0.1: the perturbation shrinks to a quarter
+        # cell, and the boundaries stay strictly increasing
+        gen = RandomStream(8)
+        pos = np.column_stack([gen.uniform(0, 2, 300), gen.uniform(0, depth, 300), gen.uniform(0, 1, 300)])
+        cloud = LabeledPointCloud(pos, np.zeros(300, dtype=int), taxonomy)
+        config = CuboidMixConfig(nx=2, ny=ny, nz=1, delta_phi=0.1)
+        cset = partition_cuboids(cloud, config, RandomStream(0))
+        lo, hi = pos[:, 1].min(), pos[:, 1].max()
+        assert cset.yb[0] == lo and cset.yb[-1] == hi
+        assert (np.diff(cset.yb) > 0).all()
+        width = (hi - lo) / ny
+        base = lo + np.arange(1, ny) / ny * (hi - lo)
+        assert (np.abs(cset.yb[1:-1] - base) <= 0.25 * width * (1 + 1e-9)).all()
+        seen = np.concatenate([c.members for c in cset.cuboids])
+        assert len(seen) == cloud.n and len(np.unique(seen)) == cloud.n
+
+    def test_thin_extent_draws_as_many_uniforms(self, taxonomy):
+        gen = RandomStream(9)
+        thick = gen.uniform(0, 2, (200, 3))
+        thin = thick * np.array([1.0, 0.02, 1.0])
+        config = CuboidMixConfig(nx=2, ny=3, nz=2, delta_phi=0.1)
+        after = []
+        for pos in (thick, thin):
+            rng = RandomStream(4)
+            partition_cuboids(LabeledPointCloud(pos, np.zeros(200, dtype=int), taxonomy), config, rng)
+            after.append(rng.random())
+        assert after[0] == after[1]
 
 
 class TestPermute:
@@ -353,6 +383,23 @@ class TestCompose:
         injected_pts = sum(len(result.mixed.cuboids[i].members) for i in result.injected_cells)
         assert injected_pts == 20
         assert np.count_nonzero(result.mixed.cloud.labels == 2) == 20
+
+    def test_thin_target_composes(self, taxonomy):
+        # a target scan that kept one wall patch 0.04 m deep, thinner than
+        # 2 * delta_phi, on the toy benchmark's 2x2x1 partition
+        gen = RandomStream(14)
+        src = self.all_class0_cloud(taxonomy, 300, 15)
+        pos = np.column_stack([gen.uniform(0, 2, 109), gen.uniform(0, 0.04, 109), gen.uniform(0, 2, 109)])
+        tgt = LabeledPointCloud(pos, np.full(109, 2, dtype=int), taxonomy)
+        ratios = np.array([0.9, 0.05, 0.05])
+        for seed in range(20):
+            result = compose_mixed_scene(
+                src, tgt, ratios, CuboidMixConfig(), TailCuboidQueue(8), RandomStream(seed)
+            )
+            mixed = result.mixed
+            members = np.concatenate([c.members for c in mixed.cuboids])
+            assert np.array_equal(np.sort(members), np.arange(mixed.cloud.n))
+            assert np.isfinite(mixed.cloud.positions).all()
 
     def test_empty_queue_no_injection_possible(self, taxonomy):
         src = self.all_class0_cloud(taxonomy, 200, 9)

@@ -31,6 +31,7 @@ from scanmix.pipeline import (
     CONFIG_KEYS,
     DEFAULT_CONFIG_TEXT,
     PipelineConfig,
+    _load_domain,
     config_text,
     parse_config_text,
     save_config,
@@ -51,6 +52,15 @@ def tiny_benchmark(tmp_path, seed=0):
     config.pretrain = TrainConfig(learning_rate=0.02, iterations=6, batch_size=1)
     config.selftrain = TrainConfig(learning_rate=0.01, iterations=4, batch_size=1)
     return config
+
+
+def rewrite_iterations(config_path, pretrain, selftrain):
+    """Shrink a toy config's training by rewriting its two iteration lines."""
+    text = Path(config_path).read_text()
+    for key, n in (("pretrain.iterations", pretrain), ("selftrain.iterations", selftrain)):
+        text, hits = re.subn(rf"^{re.escape(key)}=\d+$", f"{key}={n}", text, flags=re.M)
+        assert hits == 1, key
+    Path(config_path).write_text(text)
 
 
 class TestConfig:
@@ -323,6 +333,20 @@ class TestRunPipeline:
         assert "failed_stage=source-only" in (config.out_dir / "report.txt").read_text()
         assert not multiprocessing.active_children()
 
+    def test_toy_seed_with_thin_target_completes(self, tmp_path):
+        # toy seed 3 holds a target scan that kept one wall patch about
+        # 0.04 m deep, thinner than 2 * delta_phi; self-training draws it
+        # within 20 iterations and must partition it
+        config_path = make_toy_benchmark(tmp_path / "bench", seed=3)
+        rewrite_iterations(config_path, 4, 20)
+        config = load_config(config_path)
+        _, targets = _load_domain(config.target_manifest, config.taxonomy)
+        extents = [np.ptp(t.positions[:, :2], axis=0).min() for t in targets]
+        assert min(extents) < 2 * config.mix.delta_phi
+        report = run_pipeline(config)
+        assert report.complete
+        assert "status=complete" in (config.out_dir / "report.txt").read_text()
+
     def test_selftrain_before_pseudo_fails_tagged(self, tmp_path):
         config = tiny_benchmark(tmp_path)
         stage_pretrain(config, with_scan_sim=True)
@@ -375,11 +399,7 @@ class TestCli:
         assert rc == 0
         config_path = capsys.readouterr().out.strip()
         # shrink the training so the CLI run is fast
-        text = Path(config_path).read_text()
-        for key, n in (("pretrain.iterations", 4), ("selftrain.iterations", 2)):
-            text, hits = re.subn(rf"^{re.escape(key)}=\d+$", f"{key}={n}", text, flags=re.M)
-            assert hits == 1, key
-        Path(config_path).write_text(text)
+        rewrite_iterations(config_path, 4, 2)
         rc = cli_main(["run-all", "--config", config_path])
         out = capsys.readouterr().out
         assert rc == 0

@@ -178,6 +178,33 @@ class TestTemplatesAndSpecIo:
             load_scene_spec(tmp_path / "s.cfg")
         assert err.value.path == str(tmp_path / "s.cfg")
 
+    # each added line must be rejected with its own line number (7)
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "colour=7",          # unknown key
+            "Width=4.0",         # keys are case-sensitive
+            "width=5.0",         # duplicate key
+            "density=50.0",      # duplicate key, same value
+            "floor_class=1.5",   # fractional class id
+            "wall_class=2.0",
+            "ceiling_class=1e0",
+        ],
+    )
+    def test_silent_spec_input_rejected(self, tmp_path, line):
+        (tmp_path / "s.cfg").write_text(GOOD_SPEC + line + "\n")
+        with pytest.raises(ParseError) as err:
+            load_scene_spec(tmp_path / "s.cfg")
+        assert err.value.path == str(tmp_path / "s.cfg")
+        assert err.value.line == 7
+
+    def test_class_ids_load_as_ints(self, tmp_path):
+        text = GOOD_SPEC + "floor_class=3\nceiling_class=4\nwall_class=5\n"
+        (tmp_path / "s.cfg").write_text(text)
+        spec = load_scene_spec(tmp_path / "s.cfg")
+        assert (spec.floor_class, spec.ceiling_class, spec.wall_class) == (3, 4, 5)
+        assert all(type(c) is int for c in (spec.floor_class, spec.ceiling_class, spec.wall_class))
+
     def test_good_spec_loads(self, tmp_path):
         (tmp_path / "s.cfg").write_text(GOOD_SPEC)
         spec = load_scene_spec(tmp_path / "s.cfg")

@@ -1,6 +1,10 @@
+import threading
+
 import numpy as np
 import pytest
 from scipy.spatial import cKDTree
+
+import scanmix.segmenter as seg
 
 from scanmix import (
     AugmentConfig,
@@ -15,6 +19,7 @@ from scanmix import (
     TOY_TAXONOMY,
     TailCuboidQueue,
     TrainConfig,
+    TrainResult,
     cross_entropy,
     extract_features,
     forward_scores,
@@ -27,8 +32,8 @@ from scanmix import (
     train_selftrain,
 )
 from scanmix.cuboidmix import compose_mixed_scene
-from scanmix.errors import DimensionError, NoSupervisionError, ParseError
-from scanmix.pseudo import class_ratio
+from scanmix.errors import DimensionError, DivergenceError, NoSupervisionError, ParseError
+from scanmix.pseudo import PseudoLabelConfig, class_ratio
 from scanmix.segmenter import _scene_gradient
 
 from conftest import random_cloud
@@ -386,6 +391,315 @@ class TestSelftrain:
             runs.append(result)
         assert np.isfinite(runs[0].losses).all()
         assert np.array_equal(runs[0].model.weights, runs[1].model.weights)
+
+
+# --- the run-ahead training loops against the plain loops -----------------
+#
+# The references are the loops as they were before features moved to a
+# helper thread: one iteration at a time, features computed where used.
+# They reach the layer functions through the module, so the fault
+# injection below patches both implementations alike.
+
+
+def sequential_pretrain(model, scenes, scan_config, structural, augment_config,
+                        feature_config, train_config, rng):
+    if train_config.iterations == 0:
+        return TrainResult(model, np.zeros(0))
+    opt = seg._Descent(model, train_config)
+    losses = np.zeros(train_config.iterations)
+    plan_of = seg._lazy_plans(scenes, scan_config, structural)
+    for it in range(train_config.iterations):
+        picks = rng.integers(0, len(scenes), size=train_config.batch_size)
+        grad_w = np.zeros_like(opt.model.weights)
+        grad_b = np.zeros_like(opt.model.bias)
+        total = 0.0
+        for si in picks:
+            scene = scenes[int(si)]
+            if scan_config is not None:
+                scene = seg.scan_and_jitter(scene, scan_config, structural, rng, plan_of(int(si)))
+            scene = seg.standard_augment(scene, augment_config, rng)
+            feats = seg.extract_features(scene, feature_config)
+            loss, gw, gb = seg._scene_gradient(opt.model, scene, feats)
+            grad_w += gw
+            grad_b += gb
+            total += loss
+        total /= train_config.batch_size
+        if not np.isfinite(total):
+            raise DivergenceError(f"non-finite loss at iteration {it}")
+        losses[it] = total
+        opt.step(grad_w / train_config.batch_size, grad_b / train_config.batch_size)
+    return TrainResult(opt.model, losses)
+
+
+def sequential_selftrain(model, source_scenes, target_scenes, scan_config, structural,
+                         mix_config, feature_config, train_config, rng,
+                         on_mixed=None, pseudo_config=None):
+    if train_config.iterations == 0:
+        return TrainResult(model, np.zeros(0))
+    taxonomy = target_scenes[0].taxonomy
+    target_scenes = list(target_scenes)
+    ratios = class_ratio(np.concatenate([s.labels for s in target_scenes]), taxonomy)
+    queue = TailCuboidQueue(mix_config.queue_cap)
+    lam = train_config.source_loss_weight
+    opt = seg._Descent(model, train_config)
+    losses = np.zeros(train_config.iterations)
+    plan_of = seg._lazy_plans(source_scenes, scan_config, structural)
+    for it in range(train_config.iterations):
+        if (
+            train_config.regen_every > 0
+            and pseudo_config is not None
+            and it > 0
+            and it % train_config.regen_every == 0
+        ):
+            target_scenes = [
+                t.with_labels(
+                    seg.generate_pseudo_labels(
+                        seg.forward_scores(opt.model, seg.extract_features(t, feature_config)),
+                        pseudo_config,
+                        taxonomy.ignore_index,
+                    )
+                )
+                for t in target_scenes
+            ]
+            ratios = class_ratio(np.concatenate([s.labels for s in target_scenes]), taxonomy)
+        tgt = target_scenes[int(rng.integers(0, len(target_scenes)))]
+        si = int(rng.integers(0, len(source_scenes)))
+        src = seg.scan_and_jitter(source_scenes[si], scan_config, structural, rng, plan_of(si))
+        result = seg.compose_mixed_scene(src, tgt, ratios, mix_config, queue, rng)
+        mixed_cloud = result.mixed.cloud
+        if on_mixed is not None:
+            on_mixed(it, mixed_cloud)
+        feats_m = seg.extract_features(mixed_cloud, feature_config)
+        loss_m, gw_m, gb_m = seg._scene_gradient(opt.model, mixed_cloud, feats_m)
+        feats_s = seg.extract_features(src, feature_config)
+        loss_s, gw_s, gb_s = seg._scene_gradient(opt.model, src, feats_s)
+        total = loss_m + lam * loss_s
+        if not np.isfinite(total):
+            raise DivergenceError(f"non-finite loss at iteration {it}")
+        losses[it] = total
+        opt.step(gw_m + lam * gw_s, gb_m + lam * gb_s)
+    return TrainResult(opt.model, losses)
+
+
+def helper_threads():
+    return [t.name for t in threading.enumerate() if t.name.startswith("scanmix-features")]
+
+
+def pretrain_scenes():
+    rng = RandomStream(31)
+    names = ("one_occluder", "cluttered", "tail_heavy")
+    return [generate_scene(make_template(n, rng, density=25.0), TOY_TAXONOMY, rng) for n in names]
+
+
+def selftrain_scenes():
+    rng = RandomStream(32)
+    source = [generate_scene(make_template(n, rng, density=25.0), TOY_TAXONOMY, rng)
+              for n in ("one_occluder", "cluttered")]
+    target = [generate_scene(make_template(n, rng, density=25.0), TOY_TAXONOMY, rng)
+              for n in ("tail_heavy", "cluttered")]
+    return source, target
+
+
+FEATURES = FeatureConfig(radius=0.3)
+
+
+def run_pretrain(impl, scenes, scan, batch_size, iterations=6, seed=5):
+    config = TrainConfig(learning_rate=0.02, iterations=iterations, batch_size=batch_size)
+    return impl(SegmenterModel.zeros(TOY_TAXONOMY), scenes, scan, TOY_STRUCTURAL,
+                AugmentConfig(), FEATURES, config, RandomStream(seed))
+
+
+def run_selftrain(impl, source, target, regen_every, iterations=6, seed=6, on_mixed=None):
+    config = TrainConfig(learning_rate=0.01, iterations=iterations, regen_every=regen_every)
+    model = SegmenterModel(np.full((6, 7), 0.01), np.zeros(6), TOY_TAXONOMY)
+    return impl(model, source, target, ScanSimConfig(), TOY_STRUCTURAL, CuboidMixConfig(),
+                FEATURES, config, RandomStream(seed), on_mixed=on_mixed,
+                pseudo_config=PseudoLabelConfig(threshold=0.2))
+
+
+class TestRunAheadEquivalence:
+    @pytest.mark.parametrize("scan", [None, ScanSimConfig()], ids=["no-scan", "scan"])
+    @pytest.mark.parametrize("batch_size", [1, 3])
+    def test_pretrain_matches_plain_loop(self, scan, batch_size):
+        scenes = pretrain_scenes()
+        want = run_pretrain(sequential_pretrain, scenes, scan, batch_size)
+        got = run_pretrain(train_pretrain, scenes, scan, batch_size)
+        assert np.array_equal(got.losses, want.losses)
+        assert np.array_equal(got.model.weights, want.model.weights)
+        assert np.array_equal(got.model.bias, want.model.bias)
+        assert not helper_threads()
+
+    @pytest.mark.parametrize("regen_every", [0, 2])
+    def test_selftrain_matches_plain_loop(self, regen_every):
+        source, target = selftrain_scenes()
+        seen = {"plain": [], "ahead": []}
+        runs = {}
+        for key, impl in (("plain", sequential_selftrain), ("ahead", train_selftrain)):
+            log = seen[key]
+            runs[key] = run_selftrain(impl, source, target, regen_every,
+                                      on_mixed=lambda it, cloud, log=log: log.append((it, cloud)))
+        got, want = runs["ahead"], runs["plain"]
+        assert np.array_equal(got.losses, want.losses)
+        assert np.array_equal(got.model.weights, want.model.weights)
+        assert np.array_equal(got.model.bias, want.model.bias)
+        assert [it for it, _ in seen["ahead"]] == list(range(6))
+        assert [it for it, _ in seen["plain"]] == list(range(6))
+        for (_, a), (_, b) in zip(seen["ahead"], seen["plain"]):
+            assert np.array_equal(a.positions, b.positions)
+            assert np.array_equal(a.labels, b.labels)
+        assert not helper_threads()
+
+    def test_regen_refresh_changes_the_run(self):
+        # the refresh must see the stepped model: with it, the run differs
+        # from one that keeps the initial labels
+        source, target = selftrain_scenes()
+        kept = run_selftrain(train_selftrain, source, target, 0)
+        refreshed = run_selftrain(train_selftrain, source, target, 2)
+        assert kept.losses[:2].tolist() == refreshed.losses[:2].tolist()
+        assert not np.array_equal(kept.losses, refreshed.losses)
+
+    def test_features_run_on_the_helper_thread(self, monkeypatch):
+        names = []
+
+        def recording(cloud, config):
+            names.append(threading.current_thread().name)
+            return ORIGINALS["extract_features"](cloud, config)
+
+        monkeypatch.setattr(seg, "extract_features", recording)
+        run_pretrain(train_pretrain, pretrain_scenes(), ScanSimConfig(), 2, iterations=3)
+        assert len(names) == 6
+        assert all(name.startswith("scanmix-features") for name in names)
+        assert not helper_threads()
+
+
+# --- error order -------------------------------------------------------------
+
+PATCHABLE = (
+    "scan_and_jitter",
+    "standard_augment",
+    "compose_mixed_scene",
+    "extract_features",
+    "_scene_gradient",
+    "generate_pseudo_labels",
+)
+ORIGINALS = {name: getattr(seg, name) for name in PATCHABLE}
+
+
+class InjectedFault(Exception):
+    pass
+
+
+def install_faults(monkeypatch, faults):
+    """Patch the segmenter's layer functions so that call k (from 0) of
+    function f fails as ``faults[(f, k)]`` says: "nan" makes that
+    gradient's loss non-finite, "raise" raises InjectedFault naming the
+    call. Each install restarts the counts."""
+    counts = dict.fromkeys(PATCHABLE, 0)
+    lock = threading.Lock()
+
+    def wrap(name):
+        original = ORIGINALS[name]
+
+        def wrapper(*args, **kwargs):
+            with lock:
+                k = counts[name]
+                counts[name] += 1
+            fault = faults.get((name, k))
+            if fault == "raise":
+                raise InjectedFault(f"{name} call {k}")
+            out = original(*args, **kwargs)
+            if fault == "nan":
+                return (float("nan"),) + out[1:]
+            return out
+
+        return wrapper
+
+    for name in PATCHABLE:
+        monkeypatch.setattr(seg, name, wrap(name))
+
+
+def outcome(monkeypatch, faults, call):
+    install_faults(monkeypatch, faults)
+    try:
+        call()
+    except Exception as exc:
+        assert not helper_threads()
+        return type(exc), str(exc)
+    assert not helper_threads()
+    return None
+
+
+class TestRunAheadErrorOrder:
+    @pytest.mark.parametrize(
+        "batch_size, faults, want",
+        [
+            # batch 1: iteration t draws scan call t
+            (1, {("scan_and_jitter", 3): "raise"}, (InjectedFault, "scan_and_jitter call 3")),
+            (1, {("_scene_gradient", 2): "nan", ("scan_and_jitter", 3): "raise"},
+             (DivergenceError, "non-finite loss at iteration 2")),
+            (1, {("extract_features", 2): "raise", ("scan_and_jitter", 3): "raise"},
+             (InjectedFault, "extract_features call 2")),
+            (1, {("_scene_gradient", 4): "nan", ("extract_features", 5): "raise"},
+             (DivergenceError, "non-finite loss at iteration 4")),
+            (1, {("standard_augment", 5): "raise"}, (InjectedFault, "standard_augment call 5")),
+            (1, {("_scene_gradient", 5): "nan"}, (DivergenceError, "non-finite loss at iteration 5")),
+            # batch 3: iteration t draws scan calls 3t, 3t+1, 3t+2
+            (3, {("_scene_gradient", 3): "raise", ("scan_and_jitter", 5): "raise"},
+             (InjectedFault, "_scene_gradient call 3")),
+            (3, {("extract_features", 4): "raise", ("scan_and_jitter", 5): "raise"},
+             (InjectedFault, "extract_features call 4")),
+            (3, {("_scene_gradient", 1): "nan", ("scan_and_jitter", 4): "raise"},
+             (DivergenceError, "non-finite loss at iteration 0")),
+            (3, {("extract_features", 5): "raise", ("scan_and_jitter", 4): "raise"},
+             (InjectedFault, "scan_and_jitter call 4")),
+        ],
+    )
+    def test_pretrain_raises_in_plain_order(self, monkeypatch, batch_size, faults, want):
+        scenes = pretrain_scenes()
+        for impl in (sequential_pretrain, train_pretrain):
+            got = outcome(monkeypatch, faults,
+                          lambda: run_pretrain(impl, scenes, ScanSimConfig(), batch_size))
+            assert got == want, impl.__name__
+
+    @pytest.mark.parametrize(
+        "regen_every, faults, want, mixed_seen",
+        [
+            # iteration t: scan call t, compose call t, features and
+            # gradients 2t (mixed) then 2t+1 (source)
+            (0, {("_scene_gradient", 4): "nan", ("scan_and_jitter", 3): "raise"},
+             (DivergenceError, "non-finite loss at iteration 2"), 3),
+            (0, {("scan_and_jitter", 3): "raise"}, (InjectedFault, "scan_and_jitter call 3"), 3),
+            (0, {("_scene_gradient", 4): "nan"}, (DivergenceError, "non-finite loss at iteration 2"), 3),
+            (0, {("compose_mixed_scene", 2): "raise", ("extract_features", 3): "raise"},
+             (InjectedFault, "extract_features call 3"), 2),
+            (0, {("_scene_gradient", 3): "raise", ("compose_mixed_scene", 2): "raise"},
+             (InjectedFault, "_scene_gradient call 3"), 2),
+            (0, {("on_mixed", 1): "raise", ("scan_and_jitter", 2): "raise"},
+             (InjectedFault, "on_mixed 1"), 2),
+            (0, {("_scene_gradient", 11): "nan"}, (DivergenceError, "non-finite loss at iteration 5"), 6),
+            # the refresh at iteration 2 runs after iteration 1's step
+            (2, {("generate_pseudo_labels", 0): "raise", ("_scene_gradient", 2): "nan"},
+             (DivergenceError, "non-finite loss at iteration 1"), 2),
+            (2, {("generate_pseudo_labels", 1): "raise"},
+             (InjectedFault, "generate_pseudo_labels call 1"), 2),
+        ],
+    )
+    def test_selftrain_raises_in_plain_order(self, monkeypatch, regen_every, faults, want, mixed_seen):
+        source, target = selftrain_scenes()
+        logs = []
+        for impl in (sequential_selftrain, train_selftrain):
+            log = []
+
+            def on_mixed(it, cloud, log=log):
+                log.append(it)
+                if faults.get(("on_mixed", it)) == "raise":
+                    raise InjectedFault(f"on_mixed {it}")
+
+            got = outcome(monkeypatch, faults,
+                          lambda: run_selftrain(impl, source, target, regen_every, on_mixed=on_mixed))
+            assert got == want, impl.__name__
+            logs.append(log)
+        assert logs[0] == logs[1] == list(range(mixed_seen))
 
 
 class TestCheckpoint:
