@@ -229,10 +229,6 @@ class AugmentConfig:
     def none(cls) -> "AugmentConfig":
         return cls(rotate=False, flip=False, elastic=False, jitter=False, shuffle=False)
 
-    @classmethod
-    def rigid_only(cls) -> "AugmentConfig":
-        return cls(elastic=False, jitter=False, shuffle=False)
-
 
 def _elastic_displacement(positions, spacing, magnitude, rng: RandomStream):
     # Coarse smoothed Gaussian noise field, trilinearly interpolated at the

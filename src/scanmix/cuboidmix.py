@@ -147,15 +147,17 @@ def partition_cuboids(
     ix = np.searchsorted(xb[1:-1], pos[:, 0], side="right")
     iy = np.searchsorted(yb[1:-1], pos[:, 1], side="right")
     iz = np.searchsorted(zb[1:-1], pos[:, 2], side="right")
+    # a stable sort by flat cell id (cell order) keeps each cell's members ascending
+    cell_id = (ix * config.ny + iy) * config.nz + iz
+    counts = np.bincount(cell_id, minlength=config.nx * config.ny * config.nz)
+    members = np.split(np.argsort(cell_id, kind="stable"), np.cumsum(counts)[:-1])
 
-    cuboids = []
-    for i in range(config.nx):
-        for j in range(config.ny):
-            for k in range(config.nz):
-                members = np.flatnonzero((ix == i) & (iy == j) & (iz == k))
-                bounds = np.array([xb[i], yb[j], zb[k], xb[i + 1], yb[j + 1], zb[k + 1]])
-                cuboids.append(Cuboid((i, j, k), bounds, members, provenance))
-    return CuboidSet(cloud, xb, yb, zb, cuboids)
+    cset = CuboidSet(cloud, xb, yb, zb, [])
+    cset.cuboids = [
+        Cuboid(cell, cset.grid_cell_bounds(cell), m, provenance)
+        for cell, m in zip(_cells_in_order(config.shape), members)
+    ]
+    return cset
 
 
 def _cells_in_order(shape) -> list[tuple[int, int, int]]:
@@ -185,6 +187,47 @@ def permute_cuboids(cset: CuboidSet, rho_s: float, rng: RandomStream) -> CuboidS
     return CuboidSet(cloud, cset.xb, cset.yb, cset.zb, list(new_cuboids))
 
 
+def _mix(
+    source: CuboidSet, target: CuboidSet, take_source, injected: dict[int, QueuedCuboid]
+) -> MixedScene:
+    """Fill each cell of the target grid with its occupant: the target
+    cuboid, or where ``take_source`` the source cuboid of the same cell
+    translated so its bounds center lands on the target cell's grid center.
+    A queue entry ``injected[c]`` replaces the occupant of cell ``c``,
+    centered where the occupant's bounds were centered."""
+    chunks_p, chunks_l, provs, cuboids = [], [], [], []
+    offset = 0
+    for c, cell in enumerate(_cells_in_order(target.shape)):
+        if take_source[c]:
+            cub, cloud, prov = source.cuboids[c], source.cloud, PROV_SOURCE
+            grid = target.grid_cell_bounds(cell)
+            shift = 0.5 * (grid[:3] + grid[3:]) - cub.center
+            bounds = np.concatenate([cub.bounds[:3] + shift, cub.bounds[3:] + shift])
+        else:
+            cub, cloud, prov = target.cuboids[c], target.cloud, PROV_TARGET
+            bounds = cub.bounds.copy()
+        if c in injected:
+            entry = injected[c]
+            origin = 0.5 * (bounds[:3] + bounds[3:]) - 0.5 * entry.size
+            pts, labs, prov = entry.positions + origin, entry.labels, PROV_QUEUE
+            bounds = np.concatenate([origin, origin + entry.size])
+        else:
+            pts, labs = cloud.positions[cub.members], cloud.labels[cub.members]
+            if take_source[c]:
+                pts = pts + shift
+        chunks_p.append(pts)
+        chunks_l.append(labs)
+        provs.append(prov)
+        members = np.arange(offset, offset + len(pts), dtype=np.int64)
+        cuboids.append(Cuboid(cell, bounds, members, prov))
+        offset += len(pts)
+    cloud = LabeledPointCloud(
+        np.concatenate(chunks_p), np.concatenate(chunks_l), target.cloud.taxonomy
+    )
+    provenance = np.repeat(np.array(provs, dtype=np.int8), [len(p) for p in chunks_p])
+    return MixedScene(cloud, cuboids, target.shape, provenance)
+
+
 def mix_cuboids(
     source: CuboidSet,
     target: CuboidSet,
@@ -197,39 +240,7 @@ def mix_cuboids(
     cell's grid center. Labels travel with their cuboids."""
     if source.shape != target.shape:
         raise ShapeMismatchError(f"partition shapes differ: {source.shape} vs {target.shape}")
-    take_source = rng.random(len(target.cuboids)) < rho_m
-    cells = _cells_in_order(target.shape)
-    chunks_p, chunks_l, chunks_prov = [], [], []
-    cuboids = []
-    offset = 0
-    for pos_idx, cell in enumerate(cells):
-        tgt_bounds = target.grid_cell_bounds(cell)
-        if take_source[pos_idx]:
-            cub = source.cuboids[pos_idx]
-            shift = 0.5 * (tgt_bounds[:3] + tgt_bounds[3:]) - cub.center
-            pts = source.cloud.positions[cub.members] + shift
-            labs = source.cloud.labels[cub.members]
-            bounds = np.concatenate([cub.bounds[:3] + shift, cub.bounds[3:] + shift])
-            prov = PROV_SOURCE
-        else:
-            cub = target.cuboids[pos_idx]
-            pts = target.cloud.positions[cub.members]
-            labs = target.cloud.labels[cub.members]
-            bounds = cub.bounds.copy()
-            prov = PROV_TARGET
-        chunks_p.append(pts)
-        chunks_l.append(labs)
-        chunks_prov.append(np.full(len(pts), prov, dtype=np.int8))
-        cuboids.append(
-            Cuboid(cell, bounds, offset + np.arange(len(pts), dtype=np.int64), prov)
-        )
-        offset += len(pts)
-    cloud = LabeledPointCloud(
-        np.concatenate(chunks_p) if chunks_p else np.zeros((0, 3)),
-        np.concatenate(chunks_l) if chunks_l else np.zeros(0, dtype=np.int64),
-        target.cloud.taxonomy,
-    )
-    return MixedScene(cloud, cuboids, target.shape, np.concatenate(chunks_prov))
+    return _mix(source, target, rng.random(len(target.cuboids)) < rho_m, {})
 
 
 def tail_classes_of(ratios: np.ndarray, n_tail: int) -> np.ndarray:
@@ -294,9 +305,10 @@ class TailCuboidQueue:
         return self._entries[index]
 
 
-def update_tail_queue(queue: TailCuboidQueue, cset, flags: np.ndarray) -> TailCuboidQueue:
+def update_tail_queue(queue: TailCuboidQueue, cset, flags: np.ndarray) -> None:
     """Append deep copies of the flagged cuboids (translated to the
-    canonical frame) in cell order; oldest entries fall out first."""
+    canonical frame) to ``queue`` in cell order; oldest entries fall out
+    first."""
     labels = cset.cloud.labels
     positions = cset.cloud.positions
     for cub, flagged in zip(cset.cuboids, flags):
@@ -309,7 +321,6 @@ def update_tail_queue(queue: TailCuboidQueue, cset, flags: np.ndarray) -> TailCu
                 cub.size.copy(),
             )
         )
-    return queue
 
 
 @dataclass
@@ -318,50 +329,6 @@ class ComposeResult:
     queue: TailCuboidQueue
     tail_flags: np.ndarray       # flags after any queue injection
     injected_cells: list[int]    # cell-order positions replaced from the queue
-
-
-def _inject_queue_cuboids(mixed: MixedScene, flags, queue, need, rng):
-    """Replace uniformly chosen non-tail cells with queue cuboids until
-    ``need`` more tail cuboids are present or no candidate remains. Queue
-    draws are distinct when the queue is large enough, otherwise repeats
-    are allowed."""
-    nontail = np.flatnonzero(~flags)
-    k = min(need, len(nontail))
-    if k <= 0 or len(queue) == 0:
-        return mixed, flags, []
-    chosen = nontail[rng.choice(len(nontail), size=k, replace=False)]
-    picks = rng.choice(len(queue), size=k, replace=len(queue) < k)
-
-    chunks_p, chunks_l, chunks_prov = [], [], []
-    cuboids = []
-    offset = 0
-    flags = flags.copy()
-    replace_with = {int(c): queue.get(int(q)) for c, q in zip(chosen, picks)}
-    for pos_idx, cub in enumerate(mixed.cuboids):
-        if pos_idx in replace_with:
-            entry = replace_with[pos_idx]
-            cell_bounds_center = cub.center  # center of whatever occupied the cell
-            origin = cell_bounds_center - 0.5 * entry.size
-            pts = entry.positions + origin
-            labs = entry.labels
-            bounds = np.concatenate([origin, origin + entry.size])
-            prov = PROV_QUEUE
-            flags[pos_idx] = True
-        else:
-            pts = mixed.cloud.positions[cub.members]
-            labs = mixed.cloud.labels[cub.members]
-            bounds = cub.bounds
-            prov = cub.provenance
-        chunks_p.append(pts)
-        chunks_l.append(labs)
-        chunks_prov.append(np.full(len(pts), prov, dtype=np.int8))
-        cuboids.append(Cuboid(cub.cell, bounds, offset + np.arange(len(pts), dtype=np.int64), prov))
-        offset += len(pts)
-    cloud = LabeledPointCloud(
-        np.concatenate(chunks_p), np.concatenate(chunks_l), mixed.cloud.taxonomy
-    )
-    out = MixedScene(cloud, cuboids, mixed.shape, np.concatenate(chunks_prov))
-    return out, flags, sorted(replace_with)
 
 
 def compose_mixed_scene(
@@ -376,23 +343,32 @@ def compose_mixed_scene(
 
     Partitions both scenes, permutes each with probability ``rho_s``,
     mixes cells with probability ``rho_m``, injects queue cuboids into
-    non-tail cells until ``min_tail_cuboids`` tail cuboids are present
-    (queue permitting), and finally enqueues the target scene's tail
-    cuboids. Draw order: source partition, target partition, source
-    permute, target permute, mix, injection.
+    uniformly chosen non-tail cells until ``min_tail_cuboids`` tail
+    cuboids are present (queue and candidates permitting), builds the
+    mixed scene once, and finally enqueues the target scene's tail
+    cuboids. A mixed cell holds its donor cuboid's labels, so its tail
+    flag is the donor's. Queue draws are distinct when the queue is large
+    enough, otherwise repeats are allowed. Draw order: source partition,
+    target partition, source permute, target permute, mix, injection.
     """
     src_set = partition_cuboids(source, config, rng, provenance=PROV_SOURCE)
     tgt_set = partition_cuboids(target, config, rng, provenance=PROV_TARGET)
     src_set = permute_cuboids(src_set, config.rho_s, rng)
     tgt_set = permute_cuboids(tgt_set, config.rho_s, rng)
-    mixed = mix_cuboids(src_set, tgt_set, config.rho_m, rng)
+    take_source = rng.random(len(tgt_set.cuboids)) < config.rho_m
 
-    flags = classify_tail_cuboids(mixed, ratios, config.n_tail_classes)
-    injected: list[int] = []
-    need = config.min_tail_cuboids - int(flags.sum())
-    if need > 0 and len(queue) > 0:
-        mixed, flags, injected = _inject_queue_cuboids(mixed, flags, queue, need, rng)
+    n_tail = config.n_tail_classes
+    tgt_flags = classify_tail_cuboids(tgt_set, ratios, n_tail)
+    flags = np.where(take_source, classify_tail_cuboids(src_set, ratios, n_tail), tgt_flags)
+    nontail = np.flatnonzero(~flags)
+    k = min(config.min_tail_cuboids - int(flags.sum()), len(nontail))
+    injected: dict[int, QueuedCuboid] = {}
+    if k > 0 and len(queue) > 0:
+        chosen = nontail[rng.choice(len(nontail), size=k, replace=False)]
+        picks = rng.choice(len(queue), size=k, replace=len(queue) < k)
+        injected = {int(c): queue.get(int(q)) for c, q in zip(chosen, picks)}
+        flags[chosen] = True
+    mixed = _mix(src_set, tgt_set, take_source, injected)
 
-    tgt_flags = classify_tail_cuboids(tgt_set, ratios, config.n_tail_classes)
-    queue = update_tail_queue(queue, tgt_set, tgt_flags)
-    return ComposeResult(mixed, queue, flags, injected)
+    update_tail_queue(queue, tgt_set, tgt_flags)
+    return ComposeResult(mixed, queue, flags, sorted(injected))

@@ -214,15 +214,20 @@ def _read_ply(path: Path) -> tuple[np.ndarray, np.ndarray]:
     return pos, raw
 
 
-def _read_xyzl(path: Path) -> tuple[np.ndarray, np.ndarray]:
+def _read_text(path) -> str:
+    """The UTF-8 text of a file; raises IoError when it cannot be read and
+    ParseError at the first byte that is not UTF-8."""
     try:
-        text = Path(path).read_text()
+        return Path(path).read_text()
     except OSError as exc:
         raise IoError(f"failed to read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ParseError(path, f"not a text file: {exc.reason}", offset=exc.start) from None
+
+
+def _read_xyzl(path: Path) -> tuple[np.ndarray, np.ndarray]:
     rows = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
         if not line.strip():
             continue
         parts = line.split()
@@ -289,10 +294,7 @@ def load_manifest(path) -> DatasetManifest:
     """Read a manifest; entries keep file order, paths resolve against the
     manifest's directory. Duplicate ids and missing files are errors."""
     path = Path(path)
-    try:
-        lines = path.read_text().splitlines()
-    except OSError as exc:
-        raise IoError(f"failed to read {path}: {exc}") from exc
+    lines = _read_text(path).splitlines()
     if not lines:
         raise ParseError(path, "empty manifest", line=1)
     header = dict(

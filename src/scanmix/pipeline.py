@@ -30,6 +30,7 @@ from .cuboidmix import CuboidMixConfig, TailCuboidQueue, compose_mixed_scene
 from .errors import ConfigError, StageError
 from .io import (
     FileFormat,
+    _read_text,
     load_manifest,
     load_scenes,
     read_point_file,
@@ -155,10 +156,8 @@ CONFIG_KEYS = {
     "pretrain.batch": ("pretrain.batch_size", _INT),
     "pretrain.momentum": ("pretrain.momentum", _FLOAT),
     "pretrain.lr_decay": ("pretrain.lr_decay_power", _FLOAT),
-    "pretrain.lambda": ("pretrain.source_loss_weight", _FLOAT),
     "selftrain.lr": ("selftrain.learning_rate", _FLOAT),
     "selftrain.iterations": ("selftrain.iterations", _INT),
-    "selftrain.batch": ("selftrain.batch_size", _INT),
     "selftrain.momentum": ("selftrain.momentum", _FLOAT),
     "selftrain.lr_decay": ("selftrain.lr_decay_power", _FLOAT),
     "selftrain.regen_every": ("selftrain.regen_every", _INT),
@@ -214,7 +213,7 @@ def parse_config_text(text: str, base: Path | None = None) -> PipelineConfig:
 
 def load_config(path) -> PipelineConfig:
     path = Path(path)
-    return parse_config_text(path.read_text(), base=path.parent)
+    return parse_config_text(_read_text(path), base=path.parent)
 
 
 def config_text(config: PipelineConfig) -> str:
@@ -624,7 +623,7 @@ def make_toy_benchmark(
             momentum=0.95, lr_decay_power=0.9,
         ),
         selftrain=TrainConfig(
-            learning_rate=0.02, iterations=400, batch_size=1,
+            learning_rate=0.02, iterations=400,
             momentum=0.95, lr_decay_power=0.9, source_loss_weight=0.5,
         ),
     )

@@ -45,9 +45,6 @@ class FovConfig:
         if self.mode not in FOV_MODES:
             raise ValueError(f"mode must be one of {FOV_MODES}")
 
-    def shrunk(self, factor_h: float = 1.0, factor_v: float = 1.0) -> "FovConfig":
-        return FovConfig(self.alpha_h * factor_h, self.alpha_v * factor_v, self.mode, self.d_ref)
-
 
 @dataclass(frozen=True)
 class ScanSimConfig:

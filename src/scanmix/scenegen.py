@@ -21,6 +21,7 @@ from .core import (
     StructuralClasses,
 )
 from .errors import IoError, OverlapError, ParseError
+from .io import _read_text
 
 TOY_TAXONOMY = ClassTaxonomy(
     "toy6", ("floor", "ceiling", "wall", "table", "chair", "lamp"), ignore_index=-1
@@ -192,10 +193,7 @@ _SPEC_KEYS = {
 
 def load_scene_spec(path) -> SceneSpec:
     path = Path(path)
-    try:
-        lines = path.read_text().splitlines()
-    except OSError as exc:
-        raise IoError(f"failed to read {path}: {exc}") from exc
+    lines = _read_text(path).splitlines()
     fields: dict[str, float | int] = {}
     boxes = []
     for lineno, line in enumerate(lines, start=1):

@@ -180,7 +180,7 @@ class TrainConfig:
 
     learning_rate: float = 0.02
     iterations: int = 200
-    batch_size: int = 2          # scenes per step
+    batch_size: int = 2          # pretraining: scenes per step
     source_loss_weight: float = 0.5   # trade-off on the source term in self-training
     momentum: float = 0.0
     lr_decay_power: float = 0.0  # polynomial decay exponent; 0 keeps lr constant

@@ -120,7 +120,9 @@ class TestCriterion2ScanInvariants:
             # FOV nesting
             pose = poses[0]
             wide = visible_range_mask(cloud, pose, config.fov)
-            narrow = visible_range_mask(cloud, pose, config.fov.shrunk(0.6, 0.7))
+            fov = config.fov
+            narrow_fov = FovConfig(fov.alpha_h * 0.6, fov.alpha_v * 0.7, fov.mode, fov.d_ref)
+            narrow = visible_range_mask(cloud, pose, narrow_fov)
             assert not (narrow & ~wide).any()
 
             # jitter displacement bound and zero-jitter identity

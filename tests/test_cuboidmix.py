@@ -15,7 +15,16 @@ from scanmix import (
     compose_mixed_scene,
     update_tail_queue,
 )
-from scanmix.cuboidmix import PROV_QUEUE, PROV_SOURCE, PROV_TARGET, QueuedCuboid
+from scanmix.cuboidmix import (
+    PROV_QUEUE,
+    PROV_SOURCE,
+    PROV_TARGET,
+    Cuboid,
+    CuboidSet,
+    MixedScene,
+    QueuedCuboid,
+    _axis_boundaries,
+)
 from scanmix.errors import DegeneratePartitionError, ShapeMismatchError
 
 from conftest import random_cloud
@@ -420,3 +429,167 @@ class TestCompose:
         queue = TailCuboidQueue(16)
         result = compose_mixed_scene(src, tgt, ratios, CuboidMixConfig(), queue, RandomStream(14))
         assert len(result.queue) > 0
+
+
+# --- the two-pass mixer the one-pass compose replaced, kept as a reference ---
+
+def flatnonzero_partition(cloud, config, rng, provenance):
+    """Reference partition: one flatnonzero per cell."""
+    pos = cloud.positions
+    lo, hi = pos.min(axis=0), pos.max(axis=0)
+    xb = _axis_boundaries(lo[0], hi[0], config.nx, config.delta_phi, rng)
+    yb = _axis_boundaries(lo[1], hi[1], config.ny, config.delta_phi, rng)
+    zb = _axis_boundaries(lo[2], hi[2], config.nz, config.delta_phi, rng)
+    ix = np.searchsorted(xb[1:-1], pos[:, 0], side="right")
+    iy = np.searchsorted(yb[1:-1], pos[:, 1], side="right")
+    iz = np.searchsorted(zb[1:-1], pos[:, 2], side="right")
+    cuboids = []
+    for i in range(config.nx):
+        for j in range(config.ny):
+            for k in range(config.nz):
+                members = np.flatnonzero((ix == i) & (iy == j) & (iz == k))
+                bounds = np.array([xb[i], yb[j], zb[k], xb[i + 1], yb[j + 1], zb[k + 1]])
+                cuboids.append(Cuboid((i, j, k), bounds, members, provenance))
+    return CuboidSet(cloud, xb, yb, zb, cuboids)
+
+
+def _build(cells, parts, taxonomy, shape):
+    """Concatenate (points, labels, bounds, provenance) chunks in cell order."""
+    cuboids, offset = [], 0
+    for cell, (pts, _, bounds, prov) in zip(cells, parts):
+        cuboids.append(Cuboid(cell, bounds, offset + np.arange(len(pts), dtype=np.int64), prov))
+        offset += len(pts)
+    cloud = LabeledPointCloud(
+        np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts]), taxonomy
+    )
+    prov = np.concatenate([np.full(len(p[0]), p[3], dtype=np.int8) for p in parts])
+    return MixedScene(cloud, cuboids, shape, prov)
+
+
+def two_pass_mix(source, target, rho_m, rng):
+    take_source = rng.random(len(target.cuboids)) < rho_m
+    cells = [c.cell for c in target.cuboids]
+    parts = []
+    for c, cell in enumerate(cells):
+        grid = target.grid_cell_bounds(cell)
+        if take_source[c]:
+            cub = source.cuboids[c]
+            shift = 0.5 * (grid[:3] + grid[3:]) - cub.center
+            parts.append((source.cloud.positions[cub.members] + shift, source.cloud.labels[cub.members],
+                          np.concatenate([cub.bounds[:3] + shift, cub.bounds[3:] + shift]), PROV_SOURCE))
+        else:
+            cub = target.cuboids[c]
+            parts.append((target.cloud.positions[cub.members], target.cloud.labels[cub.members],
+                          cub.bounds.copy(), PROV_TARGET))
+    return _build(cells, parts, target.cloud.taxonomy, target.shape)
+
+
+def two_pass_inject(mixed, flags, queue, need, rng):
+    nontail = np.flatnonzero(~flags)
+    k = min(need, len(nontail))
+    if k <= 0 or len(queue) == 0:
+        return mixed, flags, []
+    chosen = nontail[rng.choice(len(nontail), size=k, replace=False)]
+    picks = rng.choice(len(queue), size=k, replace=len(queue) < k)
+    replace_with = {int(c): queue.get(int(q)) for c, q in zip(chosen, picks)}
+    flags = flags.copy()
+    parts = []
+    for c, cub in enumerate(mixed.cuboids):
+        if c in replace_with:
+            entry = replace_with[c]
+            origin = cub.center - 0.5 * entry.size
+            parts.append((entry.positions + origin, entry.labels,
+                          np.concatenate([origin, origin + entry.size]), PROV_QUEUE))
+            flags[c] = True
+        else:
+            parts.append((mixed.cloud.positions[cub.members], mixed.cloud.labels[cub.members],
+                          cub.bounds, cub.provenance))
+    out = _build([c.cell for c in mixed.cuboids], parts, mixed.cloud.taxonomy, mixed.shape)
+    return out, flags, sorted(replace_with)
+
+
+def two_pass_compose(source, target, ratios, config, queue, rng):
+    """Mix, classify the mixed scene, then rebuild it if the queue injects."""
+    src_set = flatnonzero_partition(source, config, rng, PROV_SOURCE)
+    tgt_set = flatnonzero_partition(target, config, rng, PROV_TARGET)
+    src_set = permute_cuboids(src_set, config.rho_s, rng)
+    tgt_set = permute_cuboids(tgt_set, config.rho_s, rng)
+    mixed = two_pass_mix(src_set, tgt_set, config.rho_m, rng)
+    flags = classify_tail_cuboids(mixed, ratios, config.n_tail_classes)
+    injected = []
+    need = config.min_tail_cuboids - int(flags.sum())
+    if need > 0 and len(queue) > 0:
+        mixed, flags, injected = two_pass_inject(mixed, flags, queue, need, rng)
+    update_tail_queue(queue, tgt_set, classify_tail_cuboids(tgt_set, ratios, config.n_tail_classes))
+    return mixed, flags, injected
+
+
+def mixing_cloud(taxonomy, gen, thin=False):
+    """A room-sized cloud whose class mix varies by scene, with a few ignore
+    labels; ``thin`` squeezes one horizontal axis to a wall patch."""
+    n = int(gen.integers(40, 260))
+    pos = gen.uniform(0.0, 3.0, (n, 3))
+    if thin:
+        pos[:, int(gen.integers(0, 2))] *= gen.choice([0.02, 1e-3, 1e-6])
+    labels = gen.choice(taxonomy.count, size=n, p=gen.dirichlet(np.ones(taxonomy.count)))
+    labels[gen.random(n) < 0.05] = taxonomy.ignore_index
+    return LabeledPointCloud(pos, labels, taxonomy)
+
+
+class TestOnePassEquivalence:
+    def test_matches_two_pass_mixer(self, taxonomy):
+        gen = np.random.default_rng(2024)
+        injected_cells = thin_targets = 0
+        for _ in range(200):
+            nx, ny, nz = int(gen.integers(1, 5)), int(gen.integers(1, 5)), int(gen.integers(1, 3))
+            config = CuboidMixConfig(
+                nx=nx, ny=ny, nz=nz, delta_phi=float(gen.uniform(0.0, 0.2)),
+                rho_s=float(gen.random()), rho_m=float(gen.random()),
+                queue_cap=int(gen.integers(0, 20)), n_tail_classes=int(gen.integers(0, 4)),
+                min_tail_cuboids=int(gen.integers(0, nx * ny * nz + 1)),
+            )
+            ratios = gen.dirichlet(np.ones(taxonomy.count))
+            ours, theirs = TailCuboidQueue(config.queue_cap), TailCuboidQueue(config.queue_cap)
+            seed = int(gen.integers(0, 2**31))
+            rng_ours, rng_theirs = RandomStream(seed), RandomStream(seed)
+            for _ in range(4):
+                thin = bool(gen.random() < 0.25)
+                thin_targets += thin
+                source, target = mixing_cloud(taxonomy, gen), mixing_cloud(taxonomy, gen, thin)
+                got = compose_mixed_scene(source, target, ratios, config, ours, rng_ours)
+                mixed, flags, injected = two_pass_compose(source, target, ratios, config, theirs, rng_theirs)
+                assert got.queue is ours
+                assert np.array_equal(got.mixed.cloud.positions, mixed.cloud.positions)
+                assert np.array_equal(got.mixed.cloud.labels, mixed.cloud.labels)
+                assert got.mixed.point_provenance.dtype == np.int8
+                assert np.array_equal(got.mixed.point_provenance, mixed.point_provenance)
+                assert len(got.mixed.cuboids) == len(mixed.cuboids)
+                for a, b in zip(got.mixed.cuboids, mixed.cuboids):
+                    assert a.cell == b.cell and a.provenance == b.provenance
+                    assert np.array_equal(a.bounds, b.bounds)
+                    assert np.array_equal(a.members, b.members)
+                assert np.array_equal(got.tail_flags, flags)
+                assert got.injected_cells == injected
+                injected_cells += len(injected)
+                assert len(ours) == len(theirs)
+                for a, b in zip(ours.entries(), theirs.entries()):
+                    assert np.array_equal(a.positions, b.positions)
+                    assert np.array_equal(a.labels, b.labels)
+                    assert np.array_equal(a.size, b.size)
+                assert rng_ours.random() == rng_theirs.random()
+        # the fixed draws inject 225 cells and build 208 thin targets
+        assert injected_cells >= 200 and thin_targets >= 150
+
+    @pytest.mark.parametrize("shape", [(1, 1, 1), (2, 3, 1), (4, 4, 2), (3, 1, 2)])
+    def test_partition_members_match_flatnonzero(self, taxonomy, shape):
+        gen = np.random.default_rng(sum(shape))
+        for seed in range(10):
+            cloud = mixing_cloud(taxonomy, gen, thin=seed % 3 == 0)
+            config = CuboidMixConfig(nx=shape[0], ny=shape[1], nz=shape[2], min_tail_cuboids=1)
+            got = partition_cuboids(cloud, config, RandomStream(seed), PROV_TARGET)
+            want = flatnonzero_partition(cloud, config, RandomStream(seed), PROV_TARGET)
+            for a, b in zip(got.cuboids, want.cuboids, strict=True):
+                assert a.cell == b.cell and a.provenance == b.provenance
+                assert a.members.dtype == b.members.dtype
+                assert np.array_equal(a.members, b.members)
+                assert np.array_equal(a.bounds, b.bounds)

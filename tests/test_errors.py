@@ -4,7 +4,8 @@ import pickle
 import pytest
 
 from scanmix import errors
-from scanmix.errors import ParseError, ScanmixError, StageError, UnknownLabelError
+import scanmix
+from scanmix.errors import IoError, ParseError, ScanmixError, StageError, UnknownLabelError
 
 SUBCLASSES = [
     cls for _, cls in inspect.getmembers(errors, inspect.isclass)
@@ -43,3 +44,32 @@ def test_attributes_survive():
     stage = pickle.loads(pickle.dumps(EXAMPLES[StageError]()))
     assert stage.stage == "source-only"
     assert (stage.cause.path, stage.cause.line) == ("m.txt", 1)
+
+
+# The text readers at the trust boundary: a file that cannot be read is an
+# IoError naming the path, bytes that are not UTF-8 a ParseError at the
+# first bad byte.
+READERS = {
+    "config": scanmix.load_config,
+    "manifest": scanmix.load_manifest,
+    "scene_spec": scanmix.load_scene_spec,
+}
+
+
+@pytest.mark.parametrize("reader", READERS)
+@pytest.mark.parametrize("what", ["missing", "directory"])
+def test_unreadable_text_file_raises_io_error(tmp_path, reader, what):
+    path = tmp_path / "input.txt"
+    if what == "directory":
+        path.mkdir()
+    with pytest.raises(IoError, match=str(path)):
+        READERS[reader](path)
+
+
+@pytest.mark.parametrize("reader", READERS)
+def test_non_utf8_text_file_raises_parse_error(tmp_path, reader):
+    path = tmp_path / "input.txt"
+    path.write_bytes(b"seed=1\n\xff\xfe=2\n")
+    with pytest.raises(ParseError) as info:
+        READERS[reader](path)
+    assert (info.value.path, info.value.offset) == (str(path), 7)

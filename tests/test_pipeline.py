@@ -109,6 +109,8 @@ class TestConfig:
             "vss.delta_p=nan",
             "pretrain.lr=inf",
             "pretrain.regen_every=5",
+            "pretrain.lambda=0.5",
+            "selftrain.batch=1",
             "vss.bev_cell=0",
             "selftrain.regen_every=-2",
             "structural.wall=99",
@@ -187,10 +189,8 @@ pretrain.iterations=40
 pretrain.batch=3
 pretrain.momentum=0.9
 pretrain.lr_decay=0.8
-pretrain.lambda=0.25
 selftrain.lr=0.01
 selftrain.iterations=30
-selftrain.batch=4
 selftrain.momentum=0.85
 selftrain.lr_decay=0.7
 selftrain.regen_every=5
@@ -420,6 +420,20 @@ class TestCli:
         rc = cli_main(["pretrain", "--config", str(tmp_path / "bad.cfg")])
         assert rc != 0
         assert "[pretrain]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("what", ["missing", "directory", "not_utf8"])
+    def test_unreadable_config_one_line_on_stderr(self, tmp_path, capsys, what):
+        path = tmp_path / "nope.cfg"
+        if what == "directory":
+            path.mkdir()
+        elif what == "not_utf8":
+            path.write_bytes(b"seed=\xff\n")
+        rc = cli_main(["run-all", "--config", str(path)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("[run-all] ") and str(path) in lines[0]
 
     def test_seed_and_out_overrides(self, tmp_path):
         config = tiny_benchmark(tmp_path)

@@ -26,7 +26,7 @@ from scanmix import (
     visible_union_mask,
 )
 from scanmix.errors import DegeneratePoseError, NoFreeSpaceError, NoWallPointsError
-from scanmix.scansim import camera_frame
+from scanmix.scansim import _angles, _camera_components, camera_frame
 
 
 def empty_room_cloud(size=4.0, cell=0.5):
@@ -426,6 +426,24 @@ class TestOneProjectionEquivalence:
         for pose in random_poses(gen, 0.0, 4.0, 6):
             got = visible_points(cloud, pose, config)
             assert np.array_equal(got, two_pass_visible_points(cloud, pose, config))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_projected_values(self, seed):
+        # the masks above only see the projection through comparisons; the
+        # camera-frame components and angles themselves must match too
+        gen = RandomStream(200 + seed)
+        n = [500, 4_500, 12_000][seed]
+        cloud = LabeledPointCloud(gen.uniform(0, 4, size=(n, 3)), np.zeros(n, dtype=int), TOY_TAXONOMY)
+        for pose in random_poses(gen, 0.0, 4.0, 6):
+            f, up, right = camera_frame(pose)
+            q = cloud.positions - pose.position
+            want = (q @ f, q @ up, q @ right)
+            got = _camera_components(cloud, pose)
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b)
+            az, el = _angles(*got)
+            assert np.array_equal(az, np.degrees(np.arctan2(want[2], want[0])))
+            assert np.array_equal(el, np.degrees(np.arctan2(want[1], np.hypot(want[0], want[2]))))
 
     @pytest.mark.parametrize("mode", ["fixed", "parallel", "perspective"])
     def test_scene_with_duplicate_points(self, mode):
