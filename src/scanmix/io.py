@@ -38,6 +38,7 @@ IGNORE_SENTINEL = 65535
 _PLY_DTYPE = np.dtype([("x", "<f4"), ("y", "<f4"), ("z", "<f4"), ("label", "<u2")])
 # fewest whitespace-separated fields of each PLY header keyword the reader indexes
 _PLY_FIELDS = {"format": 2, "element": 3, "property": 3}
+_INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
 
 
 class FileFormat(str, Enum):
@@ -46,13 +47,47 @@ class FileFormat(str, Enum):
     XYZL_TEXT = "xyzl_text"
 
 
-def _coerce_format(fmt) -> FileFormat:
-    if isinstance(fmt, FileFormat):
-        return fmt
+# Every file access in the package goes through the four functions below, so
+# a failed one is always an IoError naming the path. ValueError covers paths
+# the OS cannot take (a NUL byte).
+
+
+def _read_bytes(path, limit: int = -1) -> bytes:
+    """The file's bytes (at most ``limit`` of them when given)."""
     try:
-        return FileFormat(str(fmt))
-    except ValueError:
-        raise ValueError(f"unsupported file format {fmt!r}") from None
+        with open(path, "rb") as f:
+            return f.read(limit)
+    except (OSError, ValueError) as exc:
+        raise IoError(f"failed to read {path}: {exc}") from exc
+
+
+def _read_text(path) -> str:
+    """The file's text, decoded as strict UTF-8; raises ParseError at the
+    first byte that is not UTF-8."""
+    try:
+        return _read_bytes(path).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(path, f"not a text file: {exc.reason}", offset=exc.start) from None
+
+
+def _write_file(path, data: bytes | str) -> None:
+    """Create or replace the file with ``data`` (text is written as UTF-8,
+    newlines untranslated)."""
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    try:
+        with open(path, "wb") as f:
+            f.write(data)
+    except (OSError, ValueError) as exc:
+        raise IoError(f"failed to write {path}: {exc}") from exc
+
+
+def _make_dir(path) -> None:
+    """Create the directory and its missing parents, if not there yet."""
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except (OSError, ValueError) as exc:
+        raise IoError(f"failed to create directory {path}: {exc}") from exc
 
 
 def _labels_to_disk(cloud: LabeledPointCloud) -> np.ndarray:
@@ -89,32 +124,22 @@ def _ply_header(fmt: FileFormat, count: int) -> str:
 def write_point_file(cloud: LabeledPointCloud, path, fmt) -> None:
     """Write a cloud so that :func:`read_point_file` restores it exactly
     (binary positions are stored as float32; ascii with six decimals)."""
-    fmt = _coerce_format(fmt)
-    path = Path(path)
+    fmt = FileFormat(fmt)
     labels = _labels_to_disk(cloud)
     pos = cloud.positions
-    try:
-        if fmt is FileFormat.PLY_BINARY_LE:
-            rec = np.empty(cloud.n, dtype=_PLY_DTYPE)
-            rec["x"], rec["y"], rec["z"] = pos[:, 0], pos[:, 1], pos[:, 2]
-            rec["label"] = labels.astype(np.uint16)
-            with open(path, "wb") as f:
-                f.write(_ply_header(fmt, cloud.n).encode("ascii"))
-                f.write(rec.tobytes())
-        else:
-            lines = [
-                "%.6f %.6f %.6f %d" % (pos[i, 0], pos[i, 1], pos[i, 2], labels[i])
-                for i in range(cloud.n)
-            ]
-            body = "\n".join(lines)
-            if lines:
-                body += "\n"
-            with open(path, "w", newline="\n") as f:
-                if fmt is FileFormat.PLY_ASCII:
-                    f.write(_ply_header(fmt, cloud.n))
-                f.write(body)
-    except OSError as exc:
-        raise IoError(f"failed to write {path}: {exc}") from exc
+    if fmt is FileFormat.PLY_BINARY_LE:
+        rec = np.empty(cloud.n, dtype=_PLY_DTYPE)
+        rec["x"], rec["y"], rec["z"] = pos[:, 0], pos[:, 1], pos[:, 2]
+        rec["label"] = labels.astype(np.uint16)
+        data = _ply_header(fmt, cloud.n).encode("ascii") + rec.tobytes()
+    else:
+        data = "".join(
+            "%.6f %.6f %.6f %d\n" % (pos[i, 0], pos[i, 1], pos[i, 2], labels[i])
+            for i in range(cloud.n)
+        )
+        if fmt is FileFormat.PLY_ASCII:
+            data = _ply_header(fmt, cloud.n) + data
+    _write_file(path, data)
 
 
 def _parse_ply_header(path: Path, data: bytes):
@@ -176,11 +201,29 @@ def _parse_ply_header(path: Path, data: bytes):
     return fmt, count, offset
 
 
+def _parse_rows(path, lines, first_line: int) -> tuple[np.ndarray, np.ndarray]:
+    """Positions and raw labels of ``x y z label`` rows; ``first_line`` is the
+    file line number of ``lines[0]``. Blank lines are skipped."""
+    positions, labels = [], []
+    for lineno, line in enumerate(lines, start=first_line):
+        parts = line.split()
+        if not parts:
+            continue
+        try:
+            if len(parts) != 4:
+                raise ValueError(f"expected 4 fields, got {len(parts)}")
+            positions.append((float(parts[0]), float(parts[1]), float(parts[2])))
+            label = int(parts[3])
+            if not _INT64_MIN <= label <= _INT64_MAX:
+                raise ValueError(f"label {label} does not fit a 64-bit integer")
+            labels.append(label)
+        except ValueError as exc:
+            raise ParseError(path, str(exc), line=lineno) from None
+    return np.array(positions, dtype=np.float64).reshape(-1, 3), np.array(labels, dtype=np.int64)
+
+
 def _read_ply(path: Path) -> tuple[np.ndarray, np.ndarray]:
-    try:
-        data = Path(path).read_bytes()
-    except OSError as exc:
-        raise IoError(f"failed to read {path}: {exc}") from exc
+    data = _read_bytes(path)
     fmt, count, offset = _parse_ply_header(path, data)
     if fmt is FileFormat.PLY_BINARY_LE:
         payload = data[offset:]
@@ -196,63 +239,21 @@ def _read_ply(path: Path) -> tuple[np.ndarray, np.ndarray]:
         raw = rec["label"]
     else:
         text = data[offset:].decode("ascii", errors="replace")
-        rows = [ln for ln in text.splitlines() if ln.strip()]
-        if len(rows) != count:
-            raise ParseError(path, f"declared {count} vertices, found {len(rows)} rows")
-        pos = np.zeros((count, 3), dtype=np.float64)
-        raw = np.zeros(count, dtype=np.int64)
-        header_lines = data[:offset].count(b"\n")
-        for i, row in enumerate(rows):
-            parts = row.split()
-            if len(parts) != 4:
-                raise ParseError(path, f"expected 4 fields, got {len(parts)}", line=header_lines + i + 1)
-            try:
-                pos[i] = [float(parts[0]), float(parts[1]), float(parts[2])]
-                raw[i] = int(parts[3])
-            except ValueError as exc:
-                raise ParseError(path, str(exc), line=header_lines + i + 1) from exc
-    return pos, raw
-
-
-def _read_text(path) -> str:
-    """The UTF-8 text of a file; raises IoError when it cannot be read and
-    ParseError at the first byte that is not UTF-8."""
-    try:
-        return Path(path).read_text()
-    except OSError as exc:
-        raise IoError(f"failed to read {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise ParseError(path, f"not a text file: {exc.reason}", offset=exc.start) from None
-
-
-def _read_xyzl(path: Path) -> tuple[np.ndarray, np.ndarray]:
-    rows = []
-    for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
-        if not line.strip():
-            continue
-        parts = line.split()
-        if len(parts) != 4:
-            raise ParseError(path, f"expected 4 fields, got {len(parts)}", line=lineno)
-        try:
-            rows.append((float(parts[0]), float(parts[1]), float(parts[2]), int(parts[3])))
-        except ValueError as exc:
-            raise ParseError(path, str(exc), line=lineno) from exc
-    if rows:
-        arr = np.asarray(rows, dtype=np.float64)
-        pos = arr[:, :3]
-        raw = arr[:, 3].astype(np.int64)
-    else:
-        pos = np.zeros((0, 3), dtype=np.float64)
-        raw = np.zeros(0, dtype=np.int64)
+        pos, raw = _parse_rows(path, text.splitlines(), data[:offset].count(b"\n") + 1)
+        if len(raw) != count:
+            raise ParseError(path, f"declared {count} vertices, found {len(raw)} rows")
     return pos, raw
 
 
 def read_point_file(path, fmt, taxonomy: ClassTaxonomy) -> LabeledPointCloud:
     """Parse a point file; the declared and parsed point counts must agree
     and every coordinate must be finite."""
-    fmt = _coerce_format(fmt)
+    fmt = FileFormat(fmt)
     path = Path(path)
-    pos, raw = _read_xyzl(path) if fmt is FileFormat.XYZL_TEXT else _read_ply(path)
+    if fmt is FileFormat.XYZL_TEXT:
+        pos, raw = _parse_rows(path, _read_text(path).splitlines(), 1)
+    else:
+        pos, raw = _read_ply(path)
     finite = np.isfinite(pos)
     if not finite.all():
         point = int(np.flatnonzero(~finite)[0]) // 3
@@ -265,8 +266,7 @@ def detect_format(path) -> FileFormat:
     path = Path(path)
     if path.suffix.lower() != ".ply":
         return FileFormat.XYZL_TEXT
-    with open(path, "rb") as f:
-        head = f.read(256)
+    head = _read_bytes(path, 256)
     return (
         FileFormat.PLY_ASCII
         if b"format ascii" in head
@@ -314,8 +314,12 @@ def load_manifest(path) -> DatasetManifest:
         if scene_id in seen:
             raise DuplicateSceneError(f"{path}:{lineno}: duplicate scene id {scene_id!r}")
         seen.add(scene_id)
-        resolved = (base / rel).resolve()
-        if not resolved.is_file():
+        try:
+            resolved = (base / rel).resolve()
+            found = resolved.is_file()
+        except (OSError, ValueError) as exc:
+            raise ParseError(path, f"bad scene path: {exc}", line=lineno) from None
+        if not found:
             raise MissingFileError(f"{path}:{lineno}: missing file {resolved}")
         entries.append((scene_id, resolved))
     try:
@@ -327,15 +331,10 @@ def load_manifest(path) -> DatasetManifest:
 def save_manifest(path, role: str, taxonomy_name: str, entries) -> None:
     """Write a manifest; ``entries`` holds (scene_id, path relative to the
     manifest's directory)."""
-    path = Path(path)
     lines = [f"role={role} taxonomy={taxonomy_name}"]
     for scene_id, rel in entries:
         lines.append(f"{scene_id}\t{os.fspath(rel)}")
-    try:
-        with open(path, "w", newline="\n") as f:
-            f.write("\n".join(lines) + "\n")
-    except OSError as exc:
-        raise IoError(f"failed to write {path}: {exc}") from exc
+    _write_file(path, "\n".join(lines) + "\n")
 
 
 def load_scenes(manifest: DatasetManifest, taxonomy: ClassTaxonomy) -> list[LabeledPointCloud]:

@@ -7,7 +7,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ClassTaxonomy
-from .errors import DimensionError, IoError, NoEvaluatedClassesError, UnknownLabelError
+from .errors import DimensionError, NoEvaluatedClassesError, UnknownLabelError
+from .io import _write_file
 
 
 @dataclass
@@ -73,8 +74,4 @@ def write_iou_csv(path, taxonomy: ClassTaxonomy, ious: np.ndarray, miou: float) 
     for name, value in zip(taxonomy.names, ious):
         lines.append(f"{name},{value!r}" if np.isfinite(value) else f"{name},nan")
     lines.append(f"mIoU,{miou!r}")
-    try:
-        with open(path, "w", newline="\n") as f:
-            f.write("\n".join(lines) + "\n")
-    except OSError as exc:
-        raise IoError(f"failed to write {path}: {exc}") from exc
+    _write_file(path, "\n".join(lines) + "\n")

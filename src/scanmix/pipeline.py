@@ -30,7 +30,9 @@ from .cuboidmix import CuboidMixConfig, TailCuboidQueue, compose_mixed_scene
 from .errors import ConfigError, StageError
 from .io import (
     FileFormat,
+    _make_dir,
     _read_text,
+    _write_file,
     load_manifest,
     load_scenes,
     read_point_file,
@@ -224,8 +226,7 @@ def config_text(config: PipelineConfig) -> str:
 
 
 def save_config(config: PipelineConfig, path) -> None:
-    with open(path, "w", newline="\n") as f:
-        f.write(config_text(config))
+    _write_file(path, config_text(config))
 
 
 DEFAULT_CONFIG_TEXT = config_text(PipelineConfig())
@@ -254,9 +255,7 @@ def _map_scenes(fn, items, threads: int):
 
 
 def _write_losses(path, losses: np.ndarray) -> None:
-    with open(path, "w", newline="\n") as f:
-        for value in losses:
-            f.write(f"{float(value)!r}\n")
+    _write_file(path, "".join(f"{float(value)!r}\n" for value in losses))
 
 
 def _load_domain(manifest_path, taxonomy: ClassTaxonomy):
@@ -298,7 +297,7 @@ def stage_pretrain(config: PipelineConfig, with_scan_sim: bool = True) -> Path:
             config.pretrain,
             rng,
         )
-        config.out_dir.mkdir(parents=True, exist_ok=True)
+        _make_dir(config.out_dir)
         name = CKPT_SCAN_PRETRAIN if with_scan_sim else CKPT_SOURCE_ONLY
         path = config.out_dir / name
         save_checkpoint(result.model, path)
@@ -313,7 +312,7 @@ def stage_pseudo_label(config: PipelineConfig, threads: int = 1) -> Path:
         model = load_checkpoint(config.out_dir / CKPT_SCAN_PRETRAIN, config.taxonomy)
         tgt_manifest, scenes = _load_domain(config.target_manifest, config.taxonomy)
         pseudo_dir = config.out_dir / "pseudo"
-        pseudo_dir.mkdir(parents=True, exist_ok=True)
+        _make_dir(pseudo_dir)
 
         def label_one(scene):
             scores = forward_scores(model, extract_features(scene, config.features))
@@ -325,9 +324,8 @@ def stage_pseudo_label(config: PipelineConfig, threads: int = 1) -> Path:
                 scene.with_labels(lab), pseudo_dir / f"{scene_id}.ply", FileFormat.PLY_BINARY_LE
             )
         ratios = class_ratio(np.concatenate(labels), config.taxonomy)
-        with open(pseudo_dir / "ratios.txt", "w", newline="\n") as f:
-            for name, value in zip(config.taxonomy.names, ratios):
-                f.write(f"{name}\t{float(value)!r}\n")
+        rows = (f"{name}\t{float(value)!r}\n" for name, value in zip(config.taxonomy.names, ratios))
+        _write_file(pseudo_dir / "ratios.txt", "".join(rows))
         return pseudo_dir
 
 
@@ -349,7 +347,7 @@ def stage_selftrain(config: PipelineConfig) -> Path:
         _, source = _load_domain(config.source_manifest, config.taxonomy)
         pseudo_scenes = _load_pseudo_scenes(config)
         samples_dir = config.out_dir / "mixed_samples"
-        samples_dir.mkdir(parents=True, exist_ok=True)
+        _make_dir(samples_dir)
 
         def save_sample(it, cloud):
             if it < 3:
@@ -409,7 +407,7 @@ def stage_scan(config: PipelineConfig) -> Path:
     with _stage("scan"):
         src_manifest, scenes = _load_domain(config.source_manifest, config.taxonomy)
         out = config.out_dir / "scanned"
-        out.mkdir(parents=True, exist_ok=True)
+        _make_dir(out)
         rng = RandomStream(config.seed).child(_TAG_SCAN)
         entries = []
         for i, ((scene_id, _), scene) in enumerate(zip(src_manifest.entries, scenes)):
@@ -430,7 +428,7 @@ def stage_mix(config: PipelineConfig, count: int = 5) -> Path:
         else:
             _, target = _load_domain(config.target_manifest, config.taxonomy)
         out = config.out_dir / "mixed"
-        out.mkdir(parents=True, exist_ok=True)
+        _make_dir(out)
         rng = RandomStream(config.seed).child(_TAG_MIX)
         ratios = class_ratio(np.concatenate([s.labels for s in target]), config.taxonomy)
         queue = TailCuboidQueue(config.mix.queue_cap)
@@ -495,8 +493,7 @@ def _write_report(config: PipelineConfig, report: PipelineReport, n_source: int,
             lines.append(f"miou_{tag}={report.mious[tag]!r}")
         else:
             lines.append(f"miou_{tag}=incomplete")
-    with open(config.out_dir / "report.txt", "w", newline="\n") as f:
-        f.write("\n".join(lines) + "\n")
+    _write_file(config.out_dir / "report.txt", "\n".join(lines) + "\n")
 
 
 def run_pipeline(config: PipelineConfig, threads: int = 1) -> PipelineReport:
@@ -508,7 +505,7 @@ def run_pipeline(config: PipelineConfig, threads: int = 1) -> PipelineReport:
     named and the missing mIoUs marked incomplete, then the tagged error
     is re-raised.
     """
-    config.out_dir.mkdir(parents=True, exist_ok=True)
+    _make_dir(config.out_dir)
     n_source = n_target = 0
     mious: dict[str, float] = {}
     try:
@@ -536,7 +533,7 @@ def _write_scene_set(out_dir: Path, role: str, clouds, taxonomy: ClassTaxonomy, 
     """Write ``clouds`` as ``scenes/scene_NNNN.<ext>`` under ``out_dir``
     plus a manifest; returns the manifest path."""
     scene_dir = out_dir / "scenes"
-    scene_dir.mkdir(parents=True, exist_ok=True)
+    _make_dir(scene_dir)
     ext = "ply" if fmt != FileFormat.XYZL_TEXT else "xyzl"
     entries = []
     for i, cloud in enumerate(clouds):

@@ -20,8 +20,8 @@ from .core import (
     RandomStream,
     StructuralClasses,
 )
-from .errors import IoError, OverlapError, ParseError
-from .io import _read_text
+from .errors import OverlapError, ParseError
+from .io import _read_text, _write_file
 
 TOY_TAXONOMY = ClassTaxonomy(
     "toy6", ("floor", "ceiling", "wall", "table", "chair", "lamp"), ignore_index=-1
@@ -171,11 +171,7 @@ def save_scene_spec(spec: SceneSpec, path) -> None:
     for box, cls in spec.furniture:
         vals = ",".join(repr(float(v)) for v in (*box.min, *box.max))
         lines.append(f"box={vals},{cls}")
-    try:
-        with open(path, "w", newline="\n") as f:
-            f.write("\n".join(lines) + "\n")
-    except OSError as exc:
-        raise IoError(f"failed to write {path}: {exc}") from exc
+    _write_file(path, "\n".join(lines) + "\n")
 
 
 # Scalar keys of the text form and their parsers; ``box`` lines repeat.

@@ -30,10 +30,10 @@ from .errors import (
     DimensionError,
     DivergenceError,
     EmptyInputError,
-    IoError,
     NoSupervisionError,
     ParseError,
 )
+from .io import _read_bytes, _write_file
 from .pseudo import PseudoLabelConfig, class_ratio, generate_pseudo_labels
 from .scansim import ScanSimConfig, plan_scan, scan_and_jitter
 
@@ -448,21 +448,17 @@ def save_checkpoint(model: SegmenterModel, path) -> None:
     """One ascii header line (d, c, taxonomy name) followed by row-major
     little-endian float64 weights, then the bias."""
     c, d = model.weights.shape
-    try:
-        with open(path, "wb") as f:
-            f.write(f"d={d} c={c} taxonomy={model.taxonomy.name}\n".encode("ascii"))
-            f.write(model.weights.astype("<f8").tobytes(order="C"))
-            f.write(model.bias.astype("<f8").tobytes())
-    except OSError as exc:
-        raise IoError(f"failed to write {path}: {exc}") from exc
+    _write_file(
+        path,
+        f"d={d} c={c} taxonomy={model.taxonomy.name}\n".encode("ascii")
+        + model.weights.astype("<f8").tobytes(order="C")
+        + model.bias.astype("<f8").tobytes(),
+    )
 
 
 def load_checkpoint(path, taxonomy: ClassTaxonomy) -> SegmenterModel:
     path = Path(path)
-    try:
-        data = path.read_bytes()
-    except OSError as exc:
-        raise IoError(f"failed to read {path}: {exc}") from exc
+    data = _read_bytes(path)
     end = data.find(b"\n")
     if end < 0:
         raise ParseError(path, "missing checkpoint header")
@@ -492,4 +488,7 @@ def load_checkpoint(path, taxonomy: ClassTaxonomy) -> SegmenterModel:
         raise ParseError(path, f"expected {need} payload bytes, found {len(payload)}")
     weights = np.frombuffer(payload[: c * d * 8], dtype="<f8").reshape(c, d)
     bias = np.frombuffer(payload[c * d * 8 :], dtype="<f8")
-    return SegmenterModel(weights.copy(), bias.copy(), taxonomy)
+    try:
+        return SegmenterModel(weights.copy(), bias.copy(), taxonomy)
+    except ValueError as exc:
+        raise ParseError(path, str(exc), offset=end + 1) from None

@@ -1,6 +1,7 @@
 import inspect
 import pickle
 
+import numpy as np
 import pytest
 
 from scanmix import errors
@@ -73,3 +74,30 @@ def test_non_utf8_text_file_raises_parse_error(tmp_path, reader):
     with pytest.raises(ParseError) as info:
         READERS[reader](path)
     assert (info.value.path, info.value.offset) == (str(path), 7)
+
+
+# Every writer: a path that cannot be created is an IoError naming the path.
+_TAX = scanmix.TOY_TAXONOMY
+_CLOUD = scanmix.LabeledPointCloud(np.zeros((2, 3)), np.array([0, 1]), _TAX)
+WRITERS = {
+    **{
+        f"point_file_{fmt.value}": (lambda p, fmt=fmt: scanmix.write_point_file(_CLOUD, p, fmt))
+        for fmt in scanmix.FileFormat
+    },
+    "manifest": lambda p: scanmix.save_manifest(p, "source", "toy6", [("s0", "s0.ply")]),
+    "scene_spec": lambda p: scanmix.save_scene_spec(
+        scanmix.make_template("empty_room", scanmix.RandomStream(0)), p
+    ),
+    "iou_csv": lambda p: scanmix.write_iou_csv(p, _TAX, np.full(_TAX.count, 0.5), 0.5),
+    "checkpoint": lambda p: scanmix.save_checkpoint(scanmix.SegmenterModel.zeros(_TAX), p),
+    "config": lambda p: scanmix.save_config(scanmix.PipelineConfig(), p),
+}
+
+
+@pytest.mark.parametrize("writer", WRITERS)
+def test_writer_under_regular_file_raises_io_error(tmp_path, writer):
+    blocker = tmp_path / "file"
+    blocker.write_text("x")
+    path = blocker / "out.dat"
+    with pytest.raises(IoError, match=str(path)):
+        WRITERS[writer](path)

@@ -1,3 +1,7 @@
+import ast
+import builtins
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -14,6 +18,7 @@ from scanmix import (
 )
 from scanmix.errors import (
     DuplicateSceneError,
+    IoError,
     MissingFileError,
     ParseError,
     UnknownLabelError,
@@ -69,6 +74,11 @@ class TestRoundTrip:
             write_point_file(cloud, tmp_path / name, fmt)
             assert detect_format(tmp_path / name) is fmt
 
+    def test_detect_format_missing_ply(self, tmp_path):
+        path = tmp_path / "missing.ply"
+        with pytest.raises(IoError, match="missing.ply"):
+            detect_format(path)
+
 
 class TestXyzl:
     def test_single_line(self, taxonomy, tmp_path):
@@ -103,6 +113,13 @@ class TestXyzl:
         with pytest.raises(UnknownLabelError):
             read_point_file(path, FileFormat.XYZL_TEXT, taxonomy)
 
+    def test_label_beyond_int64(self, taxonomy, tmp_path):
+        path = tmp_path / "big.xyzl"
+        path.write_text("0 0 0 1\n0 0 0 99999999999999999999\n")
+        with pytest.raises(ParseError) as err:
+            read_point_file(path, FileFormat.XYZL_TEXT, taxonomy)
+        assert (err.value.path, err.value.line) == (str(path), 2)
+
     def test_ignore_sentinel_maps_back(self, taxonomy, tmp_path):
         path = tmp_path / "ig.xyzl"
         path.write_text("0 0 0 65535\n")
@@ -135,6 +152,30 @@ class TestPlyParsing:
         with pytest.raises(ParseError):
             read_point_file(path, FileFormat.PLY_ASCII, taxonomy)
 
+
+    # the ascii header is 8 lines, so body row k sits on file line 8 + k
+    def test_bad_row_after_blank_lines_names_its_line(self, taxonomy, tmp_path):
+        cloud = cloud_with_ignores(taxonomy, n=3)
+        path = tmp_path / "c.ply"
+        write_point_file(cloud, path, FileFormat.PLY_ASCII)
+        lines = path.read_text().splitlines()
+        lines[-1] = "0 0 x 1"
+        lines[9:9] = ["", ""]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError) as err:
+            read_point_file(path, FileFormat.PLY_ASCII, taxonomy)
+        assert err.value.line == 13
+
+    def test_label_beyond_int64(self, taxonomy, tmp_path):
+        cloud = cloud_with_ignores(taxonomy, n=2)
+        path = tmp_path / "c.ply"
+        write_point_file(cloud, path, FileFormat.PLY_ASCII)
+        lines = path.read_text().splitlines()
+        lines[-1] = "0 0 0 99999999999999999999"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError) as err:
+            read_point_file(path, FileFormat.PLY_ASCII, taxonomy)
+        assert (err.value.path, err.value.line) == (str(path), 10)
 
     @pytest.mark.parametrize(
         "fmt, edit",
@@ -215,9 +256,68 @@ class TestManifest:
         assert err.value.path == str(tmp_path / "m.txt")
         assert err.value.line == 1
 
+    @pytest.mark.parametrize("rel", ["a\0b.ply", "a" * 5000 + ".ply"], ids=["nul-byte", "name-too-long"])
+    def test_unusable_entry_path(self, taxonomy, tmp_path, rel):
+        rows = self.make_files(tmp_path, taxonomy, ["s0"])
+        save_manifest(tmp_path / "m.txt", "source", taxonomy.name, rows + [("s1", rel)])
+        with pytest.raises(ParseError) as err:
+            load_manifest(tmp_path / "m.txt")
+        assert (err.value.path, err.value.line) == (str(tmp_path / "m.txt"), 3)
+
     def test_generated_order_matches(self, taxonomy, tmp_path):
         ids = [f"scene_{i:03d}" for i in range(100)]
         rows = self.make_files(tmp_path, taxonomy, ids)
         save_manifest(tmp_path / "m.txt", "target", taxonomy.name, rows)
         manifest = load_manifest(tmp_path / "m.txt")
         assert [sid for sid, _ in manifest.entries] == ids
+
+
+# Calls that touch the file system, and the exceptions a failed access
+# raises: outside io.py the package reaches files only through io's helpers,
+# so a failed access always surfaces as an IoError naming the path.
+_FILE_METHODS = {"open", "read_bytes", "read_text", "mkdir", "makedirs", "write", "write_bytes", "write_text"}
+_OS_ERRORS = {
+    name for name, obj in vars(builtins).items()
+    if isinstance(obj, type) and issubclass(obj, OSError)
+}
+
+
+def _file_access(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            if isinstance(func, ast.Name) and func.id == "open":
+                yield node.lineno, "open()"
+            elif isinstance(func, ast.Attribute) and func.attr in _FILE_METHODS:
+                yield node.lineno, f".{func.attr}()"
+        elif isinstance(node, ast.ExceptHandler) and node.type is not None:
+            caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            for exc in caught:
+                if isinstance(exc, ast.Name) and exc.id in _OS_ERRORS:
+                    yield node.lineno, f"except {exc.id}"
+
+
+def test_only_io_touches_files():
+    package = Path(__file__).resolve().parents[1] / "src" / "scanmix"
+    found = [
+        f"{path.name}:{lineno}: {what}"
+        for path in sorted(package.glob("*.py"))
+        if path.name != "io.py"
+        for lineno, what in _file_access(ast.parse(path.read_text(), str(path)))
+    ]
+    assert found == []
+
+
+def test_file_access_guard_bites():
+    code = """
+def f(p):
+    try:
+        p.mkdir()
+        open(p).read()
+    except (ValueError, FileNotFoundError):
+        pass
+    p.write_text("x")
+"""
+    assert sorted(_file_access(ast.parse(code))) == [
+        (4, ".mkdir()"), (5, "open()"), (6, "except FileNotFoundError"), (8, ".write_text()"),
+    ]

@@ -435,6 +435,28 @@ class TestCli:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("[run-all] ") and str(path) in lines[0]
 
+    # an output directory that cannot be created: one stderr line, exit 1
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run-all", "--config", "{cfg}", "--out", "{file}"],
+            ["make-toy-benchmark", "--out", "{file}/x"],
+            ["gen-scenes", "--out", "{file}/y", "--count", "1", "--density", "5"],
+        ],
+        ids=["run-all", "make-toy-benchmark", "gen-scenes"],
+    )
+    def test_uncreatable_out_one_line_on_stderr(self, tmp_path, capsys, argv):
+        (tmp_path / "c.cfg").write_text("")
+        (tmp_path / "file").write_text("x")
+        argv = [a.format(cfg=tmp_path / "c.cfg", file=tmp_path / "file") for a in argv]
+        rc = cli_main(argv)
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"[{argv[0]}] ")
+        assert str(tmp_path / "file") in lines[0]
+
     def test_seed_and_out_overrides(self, tmp_path):
         config = tiny_benchmark(tmp_path)
         save_config(config, tmp_path / "c.cfg")

@@ -738,6 +738,15 @@ class TestCheckpoint:
             load_checkpoint(path, TOY_TAXONOMY)
         assert err.value.path == str(path)
 
+    def test_non_finite_payload_rejected(self, tmp_path):
+        path = tmp_path / "model.bin"
+        save_checkpoint(SegmenterModel.zeros(TOY_TAXONOMY), path)
+        header, payload = path.read_bytes().split(b"\n", 1)
+        path.write_bytes(header + b"\n" + b"\xff" * len(payload))
+        with pytest.raises(ParseError, match="finite") as err:
+            load_checkpoint(path, TOY_TAXONOMY)
+        assert err.value.path == str(path)
+
     def test_wrong_taxonomy_rejected(self, tmp_path, taxonomy):
         model = SegmenterModel.zeros(TOY_TAXONOMY)
         path = tmp_path / "model.bin"
