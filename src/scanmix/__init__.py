@@ -91,6 +91,7 @@ from .segmenter import (
     forward_scores,
     load_checkpoint,
     predict_labels,
+    pseudo_label,
     save_checkpoint,
     train_pretrain,
     train_selftrain,

@@ -47,9 +47,20 @@ class FileFormat(str, Enum):
     XYZL_TEXT = "xyzl_text"
 
 
-# Every file access in the package goes through the four functions below, so
+# Every file access in the package goes through the five functions below, so
 # a failed one is always an IoError naming the path. ValueError covers paths
 # the OS cannot take (a NUL byte).
+
+
+def _exists(path) -> bool:
+    """Whether anything is at ``path``; False only when nothing is."""
+    try:
+        os.stat(path)
+        return True
+    except FileNotFoundError:
+        return False
+    except (OSError, ValueError) as exc:
+        raise IoError(f"failed to probe {path}: {exc}") from exc
 
 
 def _read_bytes(path, limit: int = -1) -> bytes:

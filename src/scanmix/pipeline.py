@@ -30,6 +30,7 @@ from .cuboidmix import CuboidMixConfig, TailCuboidQueue, compose_mixed_scene
 from .errors import ConfigError, StageError
 from .io import (
     FileFormat,
+    _exists,
     _make_dir,
     _read_text,
     _write_file,
@@ -41,7 +42,7 @@ from .io import (
     write_point_file,
 )
 from .metrics import ConfusionMatrix, accumulate_confusion, compute_iou, write_iou_csv
-from .pseudo import PseudoLabelConfig, class_ratio, generate_pseudo_labels
+from .pseudo import PseudoLabelConfig, class_ratio
 from .scansim import FovConfig, ScanSimConfig, scan_and_jitter
 from .scenegen import (
     TOY_STRUCTURAL,
@@ -56,10 +57,9 @@ from .segmenter import (
     FeatureConfig,
     SegmenterModel,
     TrainConfig,
-    extract_features,
-    forward_scores,
     load_checkpoint,
     predict_labels,
+    pseudo_label,
     save_checkpoint,
     train_pretrain,
     train_selftrain,
@@ -313,12 +313,9 @@ def stage_pseudo_label(config: PipelineConfig, threads: int = 1) -> Path:
         tgt_manifest, scenes = _load_domain(config.target_manifest, config.taxonomy)
         pseudo_dir = config.out_dir / "pseudo"
         _make_dir(pseudo_dir)
-
-        def label_one(scene):
-            scores = forward_scores(model, extract_features(scene, config.features))
-            return generate_pseudo_labels(scores, config.pseudo, config.taxonomy.ignore_index)
-
-        labels = _map_scenes(label_one, scenes, threads)
+        labels = _map_scenes(
+            lambda s: pseudo_label(model, s, config.features, config.pseudo), scenes, threads
+        )
         for (scene_id, _path), scene, lab in zip(tgt_manifest.entries, scenes, labels):
             write_point_file(
                 scene.with_labels(lab), pseudo_dir / f"{scene_id}.ply", FileFormat.PLY_BINARY_LE
@@ -388,7 +385,7 @@ def stage_evaluate(config: PipelineConfig, threads: int = 1) -> dict[str, float]
         mious: dict[str, float] = {}
         for ckpt, tag in _EVAL_TAGS:
             path = config.out_dir / ckpt
-            if not path.is_file():
+            if not _exists(path):
                 continue
             model = load_checkpoint(path, config.taxonomy)
             preds = _map_scenes(lambda s: predict_labels(model, s, config.features), scenes, threads)
@@ -423,7 +420,7 @@ def stage_mix(config: PipelineConfig, count: int = 5) -> Path:
     pseudo labels when present) into out/mixed for inspection."""
     with _stage("mix"):
         _, source = _load_domain(config.source_manifest, config.taxonomy)
-        if (config.out_dir / "pseudo").is_dir():
+        if _exists(config.out_dir / "pseudo"):
             target = _load_pseudo_scenes(config)
         else:
             _, target = _load_domain(config.target_manifest, config.taxonomy)
@@ -488,7 +485,7 @@ def _write_report(config: PipelineConfig, report: PipelineReport, n_source: int,
     ]
     if report.failed_stage is not None:
         lines.append(f"failed_stage={report.failed_stage}")
-    for tag in ("source_only", "scan_only", "full"):
+    for _, tag in _EVAL_TAGS:
         if tag in report.mious:
             lines.append(f"miou_{tag}={report.mious[tag]!r}")
         else:

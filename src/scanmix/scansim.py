@@ -288,18 +288,16 @@ def visible_points(
     cloud: LabeledPointCloud,
     pose: CameraPose,
     config: ScanSimConfig,
-    fov: FovConfig | None = None,
 ) -> np.ndarray:
     """Spherical depth buffer over the in-FOV points.
 
     Points are binned by (azimuth, elevation) at ``theta_bin`` degrees; a
     point survives iff its range is within ``eps_d`` of its bin's minimum.
     """
-    fov = fov or config.fov
     qf, qu, qr = _camera_components(cloud, pose)
     # the fixed mode's mask needs every point's angles; other modes only the in-FOV ones
-    angles = _angles(qf, qu, qr) if fov.mode == "fixed" else None
-    idx = np.flatnonzero(_fov_mask(qf, qu, qr, fov, angles))
+    angles = _angles(qf, qu, qr) if config.fov.mode == "fixed" else None
+    idx = np.flatnonzero(_fov_mask(qf, qu, qr, config.fov, angles))
     out = np.zeros(cloud.n, dtype=bool)
     if len(idx) == 0:
         return out

@@ -174,6 +174,14 @@ def predict_labels(model: SegmenterModel, cloud: LabeledPointCloud, config: Feat
     return forward_scores(model, extract_features(cloud, config)).argmax(axis=1)
 
 
+def pseudo_label(model: SegmenterModel, cloud: LabeledPointCloud, feature_config: FeatureConfig,
+                 pseudo_config: PseudoLabelConfig) -> np.ndarray:
+    """``model``'s predictions for ``cloud`` where they pass the confidence
+    filter of ``pseudo_config``, the ignore index elsewhere."""
+    scores = forward_scores(model, extract_features(cloud, feature_config))
+    return generate_pseudo_labels(scores, pseudo_config, cloud.taxonomy.ignore_index)
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     """Gradient-descent settings shared by both training stages."""
@@ -191,6 +199,8 @@ class TrainConfig:
             raise ValueError("learning_rate must be positive")
         if self.source_loss_weight < 0:
             raise ValueError("source_loss_weight must be >= 0")
+        if self.momentum < 0:
+            raise ValueError("momentum must be >= 0")
         if self.iterations < 0 or self.batch_size < 1:
             raise ValueError("iterations must be >= 0 and batch_size >= 1")
         if self.lr_decay_power < 0:
@@ -206,7 +216,10 @@ class TrainResult:
 
 
 class _Descent:
-    """Gradient step with optional momentum and polynomial lr decay."""
+    """Gradient step with momentum and polynomial lr decay. Momentum 0 and
+    decay 0 give the plain step bit for bit: ``x ** 0.0 == 1.0``, and the
+    sign of a zero in the velocity moves no weight but a -0.0 one, which
+    descent never makes from a model that holds none."""
 
     def __init__(self, model: SegmenterModel, config: TrainConfig):
         self.model = model.copy()
@@ -219,16 +232,12 @@ class _Descent:
         self.vel_b = np.zeros_like(self.model.bias)
 
     def step(self, grad_w, grad_b):
-        lr = self.base_lr
-        if self.decay > 0:
-            lr *= (1.0 - self.t / self.total) ** self.decay
+        lr = self.base_lr * (1.0 - self.t / self.total) ** self.decay
         self.t += 1
-        if self.momentum > 0:
-            self.vel_w = self.momentum * self.vel_w + grad_w
-            self.vel_b = self.momentum * self.vel_b + grad_b
-            grad_w, grad_b = self.vel_w, self.vel_b
-        self.model.weights -= lr * grad_w
-        self.model.bias -= lr * grad_b
+        self.vel_w = self.momentum * self.vel_w + grad_w
+        self.vel_b = self.momentum * self.vel_b + grad_b
+        self.model.weights -= lr * self.vel_w
+        self.model.bias -= lr * self.vel_b
 
 
 def _scene_gradient(model, cloud, features):
@@ -259,27 +268,48 @@ def _lazy_plans(scenes, scan_config, structural):
     return plan_of
 
 
-def _run_ahead(opt, iterations, feature_config, draw, finish, drain=None):
-    """Run a training loop one iteration ahead.
+def _train(model, train_config, feature_config, weights, norm, draw, drain=None, on_batch=None):
+    """Descend on (sum of weights[i] * CE_i) / norm, one iteration ahead.
 
-    ``draw(it, submit)`` takes every random draw of iteration ``it`` in this
-    thread and passes each finished cloud to ``submit``, which starts its
-    features on a helper thread. ``finish(it, batch)`` then computes the
-    gradients of the (cloud, features future) pairs in submission order,
-    checks the loss and steps ``opt``. Iteration t-1 is finished after
-    iteration t is drawn, so the helper computes t's features while this
-    thread steps t-1. Features are pure, and draws and steps keep their
-    order, so the result is that of the plain loop.
+    ``draw(it, submit, model)`` takes every random draw of iteration ``it``
+    in this thread and passes each finished cloud to ``submit``, which
+    starts its features on a helper thread; CE_i is the i-th submitted
+    cloud's cross-entropy, summed in that order. ``on_batch(it, clouds)``
+    sees the clouds just before their gradients. Iteration t-1 is stepped
+    after iteration t is drawn, so the helper computes t's features while
+    this thread steps t-1. Features are pure, and draws and steps keep
+    their order, so the result is that of the plain loop.
 
     Errors come out in the plain loop's order: when the draw of t fails,
-    t-1 is finished first, then the gradients of the clouds t had already
+    t-1 is stepped first, then the gradients of the clouds t had already
     drawn, and only then is the draw's error re-raised. ``drain(it)`` true
-    finishes t-1 before t is drawn, for a draw that reads the model.
+    steps t-1 before t is drawn, for a draw that reads the model.
     """
+    if train_config.iterations == 0:
+        return TrainResult(model, np.zeros(0))
+    opt = _Descent(model, train_config)
+    losses = np.zeros(train_config.iterations)
+
+    def finish(it, batch):
+        if on_batch is not None:
+            on_batch(it, [cloud for cloud, _ in batch])
+        grad_w = np.zeros_like(opt.model.weights)
+        grad_b = np.zeros_like(opt.model.bias)
+        total = 0.0
+        for weight, (loss, gw, gb) in zip(weights, _gradients(opt.model, batch)):
+            grad_w += weight * gw
+            grad_b += weight * gb
+            total += weight * loss
+        total /= norm
+        if not np.isfinite(total):
+            raise DivergenceError(f"non-finite loss at iteration {it}")
+        losses[it] = total
+        opt.step(grad_w / norm, grad_b / norm)
+
     pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="scanmix-features")
     try:
         pending = None
-        for it in range(iterations):
+        for it in range(train_config.iterations):
             if pending is not None and drain is not None and drain(it):
                 finish(*pending)
                 pending = None
@@ -289,7 +319,7 @@ def _run_ahead(opt, iterations, feature_config, draw, finish, drain=None):
                 batch.append((cloud, pool.submit(extract_features, cloud, feature_config)))
 
             try:
-                draw(it, submit)
+                draw(it, submit, opt.model)
             except Exception:
                 if pending is not None:
                     finish(*pending)
@@ -302,6 +332,7 @@ def _run_ahead(opt, iterations, feature_config, draw, finish, drain=None):
         finish(*pending)
     finally:
         pool.shutdown(cancel_futures=True)
+    return TrainResult(opt.model, losses)
 
 
 def train_pretrain(
@@ -325,36 +356,17 @@ def train_pretrain(
     """
     if not scenes:
         raise EmptyInputError("no source scenes")
-    if train_config.iterations == 0:
-        return TrainResult(model, np.zeros(0))
-    opt = _Descent(model, train_config)
-    losses = np.zeros(train_config.iterations)
     plan_of = _lazy_plans(scenes, scan_config, structural)
     batch_size = train_config.batch_size
 
-    def draw(it, submit):
+    def draw(it, submit, model):
         for si in rng.integers(0, len(scenes), size=batch_size):
             scene = scenes[int(si)]
             if scan_config is not None:
                 scene = scan_and_jitter(scene, scan_config, structural, rng, plan_of(int(si)))
             submit(standard_augment(scene, augment_config, rng))
 
-    def finish(it, batch):
-        grad_w = np.zeros_like(opt.model.weights)
-        grad_b = np.zeros_like(opt.model.bias)
-        total = 0.0
-        for loss, gw, gb in _gradients(opt.model, batch):
-            grad_w += gw
-            grad_b += gb
-            total += loss
-        total /= batch_size
-        if not np.isfinite(total):
-            raise DivergenceError(f"non-finite loss at iteration {it}")
-        losses[it] = total
-        opt.step(grad_w / batch_size, grad_b / batch_size)
-
-    _run_ahead(opt, train_config.iterations, feature_config, draw, finish)
-    return TrainResult(opt.model, losses)
+    return _train(model, train_config, feature_config, [1.0] * batch_size, batch_size, draw)
 
 
 def train_selftrain(
@@ -386,17 +398,12 @@ def train_selftrain(
     """
     if not source_scenes or not target_scenes:
         raise EmptyInputError("self-training needs source and target scenes")
-    if train_config.iterations == 0:
-        return TrainResult(model, np.zeros(0))
     taxonomy = target_scenes[0].taxonomy
     target_scenes = list(target_scenes)
     ratios = class_ratio(
         np.concatenate([s.labels for s in target_scenes]), taxonomy
     )
     queue = TailCuboidQueue(mix_config.queue_cap)
-    lam = train_config.source_loss_weight
-    opt = _Descent(model, train_config)
-    losses = np.zeros(train_config.iterations)
     plan_of = _lazy_plans(source_scenes, scan_config, structural)
 
     def refresh_due(it):
@@ -407,17 +414,11 @@ def train_selftrain(
             and it % train_config.regen_every == 0
         )
 
-    def draw(it, submit):
+    def draw(it, submit, model):
         nonlocal target_scenes, ratios
         if refresh_due(it):
             target_scenes = [
-                t.with_labels(
-                    generate_pseudo_labels(
-                        forward_scores(opt.model, extract_features(t, feature_config)),
-                        pseudo_config,
-                        taxonomy.ignore_index,
-                    )
-                )
+                t.with_labels(pseudo_label(model, t, feature_config, pseudo_config))
                 for t in target_scenes
             ]
             ratios = class_ratio(
@@ -430,18 +431,9 @@ def train_selftrain(
         submit(result.mixed.cloud)
         submit(src)
 
-    def finish(it, batch):
-        if on_mixed is not None:
-            on_mixed(it, batch[0][0])
-        (loss_m, gw_m, gb_m), (loss_s, gw_s, gb_s) = _gradients(opt.model, batch)
-        total = loss_m + lam * loss_s
-        if not np.isfinite(total):
-            raise DivergenceError(f"non-finite loss at iteration {it}")
-        losses[it] = total
-        opt.step(gw_m + lam * gw_s, gb_m + lam * gb_s)
-
-    _run_ahead(opt, train_config.iterations, feature_config, draw, finish, drain=refresh_due)
-    return TrainResult(opt.model, losses)
+    on_batch = None if on_mixed is None else lambda it, clouds: on_mixed(it, clouds[0])
+    weights = [1.0, train_config.source_loss_weight]
+    return _train(model, train_config, feature_config, weights, 1, draw, refresh_due, on_batch)
 
 
 def save_checkpoint(model: SegmenterModel, path) -> None:

@@ -275,7 +275,10 @@ class TestManifest:
 # Calls that touch the file system, and the exceptions a failed access
 # raises: outside io.py the package reaches files only through io's helpers,
 # so a failed access always surfaces as an IoError naming the path.
-_FILE_METHODS = {"open", "read_bytes", "read_text", "mkdir", "makedirs", "write", "write_bytes", "write_text"}
+_FILE_METHODS = {
+    "open", "read_bytes", "read_text", "mkdir", "makedirs", "write", "write_bytes", "write_text",
+    "is_file", "is_dir", "exists",
+}
 _OS_ERRORS = {
     name for name, obj in vars(builtins).items()
     if isinstance(obj, type) and issubclass(obj, OSError)
@@ -299,10 +302,11 @@ def _file_access(tree):
 
 def test_only_io_touches_files():
     package = Path(__file__).resolve().parents[1] / "src" / "scanmix"
+    modules = [path for path in sorted(package.glob("*.py")) if path.name != "io.py"]
+    assert len(modules) > 5, package
     found = [
         f"{path.name}:{lineno}: {what}"
-        for path in sorted(package.glob("*.py"))
-        if path.name != "io.py"
+        for path in modules
         for lineno, what in _file_access(ast.parse(path.read_text(), str(path)))
     ]
     assert found == []
@@ -317,7 +321,9 @@ def f(p):
     except (ValueError, FileNotFoundError):
         pass
     p.write_text("x")
+    return p.is_file() or p.is_dir() or p.exists()
 """
     assert sorted(_file_access(ast.parse(code))) == [
         (4, ".mkdir()"), (5, "open()"), (6, "except FileNotFoundError"), (8, ".write_text()"),
+        (9, ".exists()"), (9, ".is_dir()"), (9, ".is_file()"),
     ]

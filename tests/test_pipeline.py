@@ -25,7 +25,7 @@ from scanmix import (
     write_point_file,
 )
 from scanmix.cli import main as cli_main
-from scanmix.errors import ConfigError, NoSupervisionError, NoWallPointsError, StageError
+from scanmix.errors import ConfigError, IoError, NoSupervisionError, NoWallPointsError, StageError
 from scanmix.pipeline import (
     CKPT_SOURCE_ONLY,
     CONFIG_KEYS,
@@ -113,6 +113,7 @@ class TestConfig:
             "selftrain.batch=1",
             "vss.bev_cell=0",
             "selftrain.regen_every=-2",
+            "pretrain.momentum=-0.5",
             "structural.wall=99",
             "augment.flip=maybe",
             "seed=1\nseed=2",
@@ -376,6 +377,17 @@ class TestAuxStages:
         config = tiny_benchmark(tmp_path)
         config.out_dir.mkdir(parents=True, exist_ok=True)
         assert stage_evaluate(config) == {}
+
+    @pytest.mark.parametrize("stage", [stage_evaluate, stage_mix], ids=["evaluate", "mix"])
+    def test_failed_probe_is_io_error(self, tmp_path, stage):
+        # a name too long for the file system fails the probe with
+        # ENAMETOOLONG, which is not a missing path
+        config = tiny_benchmark(tmp_path)
+        config.out_dir = tmp_path / ("o" * 300)
+        with pytest.raises(StageError) as err:
+            stage(config)
+        assert isinstance(err.value.cause, IoError)
+        assert str(config.out_dir) in str(err.value.cause)
 
     def test_threaded_stages_match_sequential(self, tmp_path):
         config = tiny_benchmark(tmp_path)

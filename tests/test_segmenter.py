@@ -517,6 +517,14 @@ def run_selftrain(impl, source, target, regen_every, iterations=6, seed=6, on_mi
                 pseudo_config=PseudoLabelConfig(threshold=0.2))
 
 
+def assert_same_result(got, want):
+    """Equal values and equal bytes: np.array_equal takes -0.0 for 0.0."""
+    for a, b in ((got.losses, want.losses), (got.model.weights, want.model.weights),
+                 (got.model.bias, want.model.bias)):
+        assert np.array_equal(a, b)
+        assert a.tobytes() == b.tobytes()
+
+
 class TestRunAheadEquivalence:
     @pytest.mark.parametrize("scan", [None, ScanSimConfig()], ids=["no-scan", "scan"])
     @pytest.mark.parametrize("batch_size", [1, 3])
@@ -524,9 +532,7 @@ class TestRunAheadEquivalence:
         scenes = pretrain_scenes()
         want = run_pretrain(sequential_pretrain, scenes, scan, batch_size)
         got = run_pretrain(train_pretrain, scenes, scan, batch_size)
-        assert np.array_equal(got.losses, want.losses)
-        assert np.array_equal(got.model.weights, want.model.weights)
-        assert np.array_equal(got.model.bias, want.model.bias)
+        assert_same_result(got, want)
         assert not helper_threads()
 
     @pytest.mark.parametrize("regen_every", [0, 2])
@@ -538,10 +544,7 @@ class TestRunAheadEquivalence:
             log = seen[key]
             runs[key] = run_selftrain(impl, source, target, regen_every,
                                       on_mixed=lambda it, cloud, log=log: log.append((it, cloud)))
-        got, want = runs["ahead"], runs["plain"]
-        assert np.array_equal(got.losses, want.losses)
-        assert np.array_equal(got.model.weights, want.model.weights)
-        assert np.array_equal(got.model.bias, want.model.bias)
+        assert_same_result(runs["ahead"], runs["plain"])
         assert [it for it, _ in seen["ahead"]] == list(range(6))
         assert [it for it, _ in seen["plain"]] == list(range(6))
         for (_, a), (_, b) in zip(seen["ahead"], seen["plain"]):
@@ -570,6 +573,61 @@ class TestRunAheadEquivalence:
         assert len(names) == 6
         assert all(name.startswith("scanmix-features") for name in names)
         assert not helper_threads()
+
+
+class BranchedDescent:
+    """Reference: ``_Descent`` as it was, taking momentum and decay only
+    when they are positive."""
+
+    def __init__(self, model, config):
+        self.model = model.copy()
+        self.base_lr = config.learning_rate
+        self.momentum = config.momentum
+        self.decay = config.lr_decay_power
+        self.total = max(config.iterations, 1)
+        self.t = 0
+        self.vel_w = np.zeros_like(self.model.weights)
+        self.vel_b = np.zeros_like(self.model.bias)
+
+    def step(self, grad_w, grad_b):
+        lr = self.base_lr
+        if self.decay > 0:
+            lr *= (1.0 - self.t / self.total) ** self.decay
+        self.t += 1
+        if self.momentum > 0:
+            self.vel_w = self.momentum * self.vel_w + grad_w
+            self.vel_b = self.momentum * self.vel_b + grad_b
+            grad_w, grad_b = self.vel_w, self.vel_b
+        self.model.weights -= lr * grad_w
+        self.model.bias -= lr * grad_b
+
+
+def signed_zero_gradient(gen, shape):
+    """Normal entries, about 40% of them replaced by +0.0 or -0.0."""
+    grad = gen.normal(size=shape)
+    zero = gen.random(size=shape) < 0.4
+    grad[zero] = np.where(gen.random(size=shape) < 0.5, 0.0, -0.0)[zero]
+    return grad
+
+
+class TestDescent:
+    @pytest.mark.parametrize("momentum, decay", [(0.0, 0.0), (0.95, 0.9)])
+    def test_matches_branched_step_bit_for_bit(self, momentum, decay):
+        config = TrainConfig(learning_rate=0.05, iterations=30, momentum=momentum, lr_decay_power=decay)
+        model = SegmenterModel.zeros(TOY_TAXONOMY)
+        new, old = seg._Descent(model, config), BranchedDescent(model, config)
+        gen = RandomStream(17)
+        planted = 0
+        for _ in range(config.iterations):
+            grad_w = signed_zero_gradient(gen, new.model.weights.shape)
+            grad_b = signed_zero_gradient(gen, new.model.bias.shape)
+            planted += int(np.signbit(grad_w[grad_w == 0]).sum())
+            new.step(grad_w, grad_b)
+            old.step(grad_w, grad_b)
+            assert new.model.weights.tobytes() == old.model.weights.tobytes()
+            assert new.model.bias.tobytes() == old.model.bias.tobytes()
+        assert planted > 0
+        assert not np.array_equal(new.model.weights, model.weights)
 
 
 # --- error order -------------------------------------------------------------
