@@ -2,9 +2,9 @@
 
 Subcommands: gen-scenes, scan, mix, pseudo-label, pretrain, selftrain,
 evaluate, run-all, make-toy-benchmark. Common flags: --config PATH,
---seed N (overrides the config seed), --out DIR (overrides out_dir),
---threads N. Exit code 0 on success; failures print a stage-tagged
-message on stderr and exit nonzero.
+--seed N (overrides the config seed), --out DIR (overrides out_dir).
+pseudo-label, evaluate and run-all also take --threads N. Exit code 0 on
+success; failures print a stage-tagged message on stderr and exit nonzero.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ def _add_common(parser, need_config=True):
     parser.add_argument("--config", type=Path, required=need_config, help="pipeline config file")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
     parser.add_argument("--out", type=Path, default=None, help="override the output directory")
-    parser.add_argument("--threads", type=int, default=1, help="worker threads for per-scene stages")
 
 
 def _load(args) -> pipeline.PipelineConfig:
@@ -39,22 +38,22 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="scanmix", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # Options declared with SUPPRESS are left out when unset, so the
+    # library function's own defaults apply.
     p = sub.add_parser("gen-scenes", help="generate template scenes plus a manifest")
     p.add_argument("--out", type=Path, required=True)
     p.add_argument("--count", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--density", type=float, default=200.0)
+    p.add_argument("--density", type=float, default=argparse.SUPPRESS)
     p.add_argument("--role", choices=("source", "target"), default="source")
     p.add_argument(
-        "--templates", default=None,
+        "--templates", type=lambda s: tuple(s.split(",")), default=argparse.SUPPRESS,
         help=f"comma-separated template names (default: all of {', '.join(template_names())})",
     )
     p.add_argument(
-        "--format", default="ply_binary_le",
-        choices=[f.value for f in FileFormat], dest="fmt",
+        "--format", choices=[f.value for f in FileFormat], dest="fmt", default=argparse.SUPPRESS,
     )
 
-    # Unset options are left out so make_toy_benchmark's own defaults apply.
     p = sub.add_parser(
         "make-toy-benchmark", help="build the desk-scale benchmark",
         argument_default=argparse.SUPPRESS,
@@ -78,24 +77,20 @@ def build_parser() -> argparse.ArgumentParser:
         _add_common(p)
         if name == "mix":
             p.add_argument("--count", type=int, default=5)
+        if name in ("pseudo-label", "evaluate", "run-all"):
+            p.add_argument("--threads", type=int, default=1, help="worker threads for per-scene stages")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        options = {k: v for k, v in vars(args).items() if k not in ("command", "out")}
         if args.command == "gen-scenes":
-            templates = tuple(args.templates.split(",")) if args.templates else None
-            manifest = pipeline.generate_scene_set(
-                args.out, args.count, args.seed, args.role,
-                templates=templates, density=args.density, fmt=FileFormat(args.fmt),
-            )
-            print(manifest)
+            print(pipeline.generate_scene_set(args.out, **options))
             return 0
         if args.command == "make-toy-benchmark":
-            options = {k: v for k, v in vars(args).items() if k not in ("command", "out")}
-            config_path = pipeline.make_toy_benchmark(args.out, **options)
-            print(config_path)
+            print(pipeline.make_toy_benchmark(args.out, **options))
             return 0
 
         config = _load(args)

@@ -35,7 +35,16 @@ from .errors import (
 
 IGNORE_SENTINEL = 65535
 
-_PLY_DTYPE = np.dtype([("x", "<f4"), ("y", "<f4"), ("z", "<f4"), ("label", "<u2")])
+# Each PLY vertex property once, in file order: its name, the type names a
+# reader accepts (the writer declares the first) and its on-disk dtype.
+_PLY_PROPERTIES = (
+    ("x", ("float", "float32"), "<f4"),
+    ("y", ("float", "float32"), "<f4"),
+    ("z", ("float", "float32"), "<f4"),
+    ("label", ("ushort", "uint16"), "<u2"),
+)
+_PLY_DTYPE = np.dtype([(name, dtype) for name, _types, dtype in _PLY_PROPERTIES])
+_MANIFEST_HEADER = ("role", "taxonomy")
 # fewest whitespace-separated fields of each PLY header keyword the reader indexes
 _PLY_FIELDS = {"format": 2, "element": 3, "property": 3}
 _INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
@@ -120,16 +129,8 @@ def _labels_from_disk(raw: np.ndarray, taxonomy: ClassTaxonomy) -> np.ndarray:
 
 def _ply_header(fmt: FileFormat, count: int) -> str:
     kind = "ascii" if fmt is FileFormat.PLY_ASCII else "binary_little_endian"
-    return (
-        "ply\n"
-        f"format {kind} 1.0\n"
-        f"element vertex {count}\n"
-        "property float x\n"
-        "property float y\n"
-        "property float z\n"
-        "property ushort label\n"
-        "end_header\n"
-    )
+    props = "".join(f"property {types[0]} {name}\n" for name, types, _ in _PLY_PROPERTIES)
+    return f"ply\nformat {kind} 1.0\nelement vertex {count}\n{props}end_header\n"
 
 
 def write_point_file(cloud: LabeledPointCloud, path, fmt) -> None:
@@ -140,8 +141,8 @@ def write_point_file(cloud: LabeledPointCloud, path, fmt) -> None:
     pos = cloud.positions
     if fmt is FileFormat.PLY_BINARY_LE:
         rec = np.empty(cloud.n, dtype=_PLY_DTYPE)
-        rec["x"], rec["y"], rec["z"] = pos[:, 0], pos[:, 1], pos[:, 2]
-        rec["label"] = labels.astype(np.uint16)
+        for name, column in zip(_PLY_DTYPE.names, (*pos.T, labels)):
+            rec[name] = column
         data = _ply_header(fmt, cloud.n).encode("ascii") + rec.tobytes()
     else:
         data = "".join(
@@ -199,14 +200,8 @@ def _parse_ply_header(path: Path, data: bytes):
             props.append((parts[1], parts[2]))
     if fmt is None or count is None:
         raise ParseError(path, "PLY header lacks format or element line")
-    expected = [
-        ({"float", "float32"}, "x"),
-        ({"float", "float32"}, "y"),
-        ({"float", "float32"}, "z"),
-        ({"ushort", "uint16"}, "label"),
-    ]
-    if len(props) != 4 or any(
-        p[1] != name or p[0] not in types for p, (types, name) in zip(props, expected)
+    if len(props) != len(_PLY_PROPERTIES) or any(
+        p[1] != name or p[0] not in types for p, (name, types, _) in zip(props, _PLY_PROPERTIES)
     ):
         raise ParseError(path, f"unexpected PLY properties {props}")
     return fmt, count, offset
@@ -246,8 +241,8 @@ def _read_ply(path: Path) -> tuple[np.ndarray, np.ndarray]:
                 offset=offset,
             )
         rec = np.frombuffer(payload, dtype=_PLY_DTYPE)
-        pos = np.stack([rec["x"], rec["y"], rec["z"]], axis=1).astype(np.float64)
-        raw = rec["label"]
+        *xyz, raw = (rec[name] for name in _PLY_DTYPE.names)
+        pos = np.stack(xyz, axis=1).astype(np.float64)
     else:
         text = data[offset:].decode("ascii", errors="replace")
         pos, raw = _parse_rows(path, text.splitlines(), data[:offset].count(b"\n") + 1)
@@ -285,6 +280,30 @@ def detect_format(path) -> FileFormat:
     )
 
 
+def _header_line(keys, values) -> str:
+    """A one-line ``key=value`` header, in the order of ``keys``."""
+    return " ".join(f"{key}={value}" for key, value in zip(keys, values, strict=True))
+
+
+def _header_fields(path, line: str, keys) -> tuple[str, ...]:
+    """The values of a :func:`_header_line`, in the order of ``keys``. The
+    header must hold each of ``keys`` exactly once and nothing else."""
+    fields: dict[str, str] = {}
+    for token in line.split():
+        key, eq, value = token.partition("=")
+        if not eq:
+            raise ParseError(path, f"header token {token!r} is not key=value", line=1)
+        if key not in keys:
+            raise ParseError(path, f"unknown header key {key!r}", line=1)
+        if key in fields:
+            raise ParseError(path, f"duplicate header key {key!r}", line=1)
+        fields[key] = value
+    missing = [key for key in keys if key not in fields]
+    if missing:
+        raise ParseError(path, f"header lacks {', '.join(missing)}", line=1)
+    return tuple(fields[key] for key in keys)
+
+
 @dataclass(frozen=True)
 class DatasetManifest:
     """Ordered scene list for one domain (source or target)."""
@@ -308,11 +327,7 @@ def load_manifest(path) -> DatasetManifest:
     lines = _read_text(path).splitlines()
     if not lines:
         raise ParseError(path, "empty manifest", line=1)
-    header = dict(
-        part.split("=", 1) for part in lines[0].split() if "=" in part
-    )
-    if "role" not in header or "taxonomy" not in header:
-        raise ParseError(path, "header must declare role=... taxonomy=...", line=1)
+    role, taxonomy_name = _header_fields(path, lines[0], _MANIFEST_HEADER)
     base = path.parent
     seen = set()
     entries = []
@@ -334,7 +349,7 @@ def load_manifest(path) -> DatasetManifest:
             raise MissingFileError(f"{path}:{lineno}: missing file {resolved}")
         entries.append((scene_id, resolved))
     try:
-        return DatasetManifest(header["role"], header["taxonomy"], tuple(entries))
+        return DatasetManifest(role, taxonomy_name, tuple(entries))
     except ValueError as exc:
         raise ParseError(path, str(exc), line=1) from exc
 
@@ -342,7 +357,7 @@ def load_manifest(path) -> DatasetManifest:
 def save_manifest(path, role: str, taxonomy_name: str, entries) -> None:
     """Write a manifest; ``entries`` holds (scene_id, path relative to the
     manifest's directory)."""
-    lines = [f"role={role} taxonomy={taxonomy_name}"]
+    lines = [_header_line(_MANIFEST_HEADER, (role, taxonomy_name))]
     for scene_id, rel in entries:
         lines.append(f"{scene_id}\t{os.fspath(rel)}")
     _write_file(path, "\n".join(lines) + "\n")

@@ -27,7 +27,7 @@ import numpy as np
 
 from .core import AugmentConfig, ClassTaxonomy, RandomStream, StructuralClasses
 from .cuboidmix import CuboidMixConfig, TailCuboidQueue, compose_mixed_scene
-from .errors import ConfigError, StageError
+from .errors import ConfigError, ParseError, StageError
 from .io import (
     FileFormat,
     _exists,
@@ -260,6 +260,9 @@ def _write_losses(path, losses: np.ndarray) -> None:
 
 def _load_domain(manifest_path, taxonomy: ClassTaxonomy):
     manifest = load_manifest(manifest_path)
+    if manifest.taxonomy_name != taxonomy.name:
+        message = f"manifest taxonomy {manifest.taxonomy_name!r} != {taxonomy.name!r}"
+        raise ParseError(manifest_path, message, line=1)
     return manifest, load_scenes(manifest, taxonomy)
 
 

@@ -156,38 +156,33 @@ def generate_scene(spec: SceneSpec, taxonomy: ClassTaxonomy, rng: RandomStream) 
     return LabeledPointCloud(np.concatenate(chunks), np.concatenate(labels), taxonomy)
 
 
+# Scalar keys of the text form, in file order: key -> (parse, format). Class
+# ids are integers: ``int("1.5")`` raises instead of truncating, and ``str``
+# writes a numpy integer as plain digits. ``box`` lines repeat.
+_SPEC_KEYS = {
+    "width": (float, repr),
+    "depth": (float, repr),
+    "height": (float, repr),
+    "density": (float, repr),
+    "floor_class": (int, str),
+    "ceiling_class": (int, str),
+    "wall_class": (int, str),
+}
+
+
 def save_scene_spec(spec: SceneSpec, path) -> None:
     """Text form: key=value per line, furniture as repeated
     ``box=xmin,ymin,zmin,xmax,ymax,zmax,class`` lines."""
-    lines = [
-        f"width={spec.width!r}",
-        f"depth={spec.depth!r}",
-        f"height={spec.height!r}",
-        f"density={spec.density!r}",
-        f"floor_class={spec.floor_class}",
-        f"ceiling_class={spec.ceiling_class}",
-        f"wall_class={spec.wall_class}",
-    ]
+    lines = [f"{key}={fmt(getattr(spec, key))}" for key, (_, fmt) in _SPEC_KEYS.items()]
     for box, cls in spec.furniture:
         vals = ",".join(repr(float(v)) for v in (*box.min, *box.max))
         lines.append(f"box={vals},{cls}")
     _write_file(path, "\n".join(lines) + "\n")
 
 
-# Scalar keys of the text form and their parsers; ``box`` lines repeat.
-# Class ids are integers: ``int("1.5")`` raises instead of truncating.
-_SPEC_KEYS = {
-    "width": float,
-    "depth": float,
-    "height": float,
-    "density": float,
-    "floor_class": int,
-    "ceiling_class": int,
-    "wall_class": int,
-}
-
-
 def load_scene_spec(path) -> SceneSpec:
+    """Inverse of :func:`save_scene_spec`; a key the file omits takes
+    :class:`SceneSpec`'s default."""
     path = Path(path)
     lines = _read_text(path).splitlines()
     fields: dict[str, float | int] = {}
@@ -211,23 +206,12 @@ def load_scene_spec(path) -> SceneSpec:
                 nums = [float(p) for p in parts[:6]]
                 boxes.append((Aabb(nums[:3], nums[3:]), int(parts[6])))
             else:
-                fields[key] = _SPEC_KEYS[key](value)
+                fields[key] = _SPEC_KEYS[key][0](value)
         except ValueError as exc:
             raise ParseError(path, f"bad {key} value {value!r}: {exc}", line=lineno) from exc
     try:
-        return SceneSpec(
-            width=fields["width"],
-            depth=fields["depth"],
-            height=fields["height"],
-            furniture=tuple(boxes),
-            floor_class=fields.get("floor_class", 0),
-            ceiling_class=fields.get("ceiling_class", 1),
-            wall_class=fields.get("wall_class", 2),
-            density=fields.get("density", 1250.0),
-        )
-    except KeyError as exc:
-        raise ParseError(path, f"missing required key {exc}") from exc
-    except ValueError as exc:
+        return SceneSpec(furniture=tuple(boxes), **fields)
+    except (TypeError, ValueError) as exc:  # TypeError: a required key is missing
         raise ParseError(path, str(exc)) from exc
 
 

@@ -33,11 +33,12 @@ from .errors import (
     NoSupervisionError,
     ParseError,
 )
-from .io import _read_bytes, _write_file
+from .io import _header_fields, _header_line, _read_bytes, _write_file
 from .pseudo import PseudoLabelConfig, class_ratio, generate_pseudo_labels
 from .scansim import ScanSimConfig, plan_scan, scan_and_jitter
 
 FEATURE_DIM = 7
+_CHECKPOINT_HEADER = ("d", "c", "taxonomy")
 
 
 @dataclass(frozen=True)
@@ -442,7 +443,7 @@ def save_checkpoint(model: SegmenterModel, path) -> None:
     c, d = model.weights.shape
     _write_file(
         path,
-        f"d={d} c={c} taxonomy={model.taxonomy.name}\n".encode("ascii")
+        (_header_line(_CHECKPOINT_HEADER, (d, c, model.taxonomy.name)) + "\n").encode("ascii")
         + model.weights.astype("<f8").tobytes(order="C")
         + model.bias.astype("<f8").tobytes(),
     )
@@ -455,17 +456,12 @@ def load_checkpoint(path, taxonomy: ClassTaxonomy) -> SegmenterModel:
     if end < 0:
         raise ParseError(path, "missing checkpoint header")
     try:
-        tokens = data[:end].decode("ascii").split()
+        header = data[:end].decode("ascii")
     except UnicodeDecodeError:
         raise ParseError(path, "checkpoint header is not ascii", line=1) from None
-    if not all("=" in t for t in tokens):
-        raise ParseError(path, "header tokens must be key=value", line=1)
-    fields = dict(t.split("=", 1) for t in tokens)
+    d, c, name = _header_fields(path, header, _CHECKPOINT_HEADER)
     try:
-        d, c = int(fields["d"]), int(fields["c"])
-        name = fields["taxonomy"]
-    except KeyError as exc:
-        raise ParseError(path, f"header lacks {exc}") from exc
+        d, c = int(d), int(c)
     except ValueError as exc:
         raise ParseError(path, f"bad header value: {exc}", line=1) from exc
     if d != FEATURE_DIM:

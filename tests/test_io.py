@@ -1,5 +1,6 @@
 import ast
 import builtins
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -63,6 +64,28 @@ class TestRoundTrip:
         write_point_file(cloud, path, FileFormat.PLY_ASCII)
         text = path.read_text()
         assert "element vertex 17" in text
+
+    # the exact bytes each writer produces for two points, one of them ignored
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_written_bytes(self, taxonomy, tmp_path, fmt):
+        cloud = LabeledPointCloud(
+            np.array([[0.5, -1.25, 2.0], [1.0, 0.0, -0.5]]), np.array([2, -1]), taxonomy
+        )
+        rows = "0.500000 -1.250000 2.000000 2\n1.000000 0.000000 -0.500000 65535\n"
+        header = (
+            "ply\nformat {} 1.0\nelement vertex 2\n"
+            "property float x\nproperty float y\nproperty float z\nproperty ushort label\n"
+            "end_header\n"
+        )
+        expected = {
+            FileFormat.XYZL_TEXT: rows.encode(),
+            FileFormat.PLY_ASCII: (header.format("ascii") + rows).encode(),
+            FileFormat.PLY_BINARY_LE: header.format("binary_little_endian").encode()
+            + struct.pack("<fffH", 0.5, -1.25, 2.0, 2)
+            + struct.pack("<fffH", 1.0, 0.0, -0.5, 65535),
+        }[fmt]
+        write_point_file(cloud, tmp_path / "c.dat", fmt)
+        assert (tmp_path / "c.dat").read_bytes() == expected
 
     def test_detect_format(self, taxonomy, tmp_path):
         cloud = cloud_with_ignores(taxonomy, n=5)
@@ -263,6 +286,29 @@ class TestManifest:
         with pytest.raises(ParseError) as err:
             load_manifest(tmp_path / "m.txt")
         assert (err.value.path, err.value.line) == (str(tmp_path / "m.txt"), 3)
+
+    def test_written_bytes(self, tmp_path):
+        save_manifest(tmp_path / "m.txt", "target", "toy6", [("a", "a.ply"), ("b", Path("x/b.ply"))])
+        assert (tmp_path / "m.txt").read_bytes() == b"role=target taxonomy=toy6\na\ta.ply\nb\tx/b.ply\n"
+
+    # the header must hold role and taxonomy exactly once and nothing else
+    @pytest.mark.parametrize(
+        "header",
+        [
+            "role=source taxonomy=toy3 role=target",    # repeated key
+            "role=source junk taxonomy=toy3",           # token without '='
+            "role=source taxonomy=toy3 colour=red",     # unknown key
+            "taxonomy=toy3",                            # missing key
+        ],
+    )
+    def test_malformed_header_rejected(self, taxonomy, tmp_path, header):
+        rows = self.make_files(tmp_path, taxonomy, ["s0"])
+        save_manifest(tmp_path / "m.txt", "source", taxonomy.name, rows)
+        text = (tmp_path / "m.txt").read_text()
+        (tmp_path / "m.txt").write_text(header + "\n" + text.split("\n", 1)[1])
+        with pytest.raises(ParseError) as err:
+            load_manifest(tmp_path / "m.txt")
+        assert (err.value.path, err.value.line) == (str(tmp_path / "m.txt"), 1)
 
     def test_generated_order_matches(self, taxonomy, tmp_path):
         ids = [f"scene_{i:03d}" for i in range(100)]

@@ -24,8 +24,15 @@ from scanmix import (
     run_pipeline,
     write_point_file,
 )
-from scanmix.cli import main as cli_main
-from scanmix.errors import ConfigError, IoError, NoSupervisionError, NoWallPointsError, StageError
+from scanmix.cli import build_parser, main as cli_main
+from scanmix.errors import (
+    ConfigError,
+    IoError,
+    NoSupervisionError,
+    NoWallPointsError,
+    ParseError,
+    StageError,
+)
 from scanmix.pipeline import (
     CKPT_SOURCE_ONLY,
     CONFIG_KEYS,
@@ -348,6 +355,18 @@ class TestRunPipeline:
         assert report.complete
         assert "status=complete" in (config.out_dir / "report.txt").read_text()
 
+    def test_manifest_of_another_taxonomy_rejected(self, tmp_path):
+        config = tiny_benchmark(tmp_path)
+        manifest = config.source_manifest
+        text = manifest.read_text()
+        manifest.write_text(text.replace("taxonomy=toy6", "taxonomy=nope", 1))
+        with pytest.raises(StageError) as err:
+            stage_pretrain(config, with_scan_sim=False)
+        cause = err.value.cause
+        assert isinstance(cause, ParseError)
+        assert (cause.path, cause.line) == (str(manifest), 1)
+        assert "'nope'" in str(cause) and "'toy6'" in str(cause)
+
     def test_selftrain_before_pseudo_fails_tagged(self, tmp_path):
         config = tiny_benchmark(tmp_path)
         stage_pretrain(config, with_scan_sim=True)
@@ -425,6 +444,23 @@ class TestCli:
         assert rc == 0
         manifest = load_manifest((tmp_path / "gen") / "manifest.txt")
         assert len(manifest) == 2
+
+    def test_gen_scenes_defaults_are_the_library_defaults(self, tmp_path, capsys):
+        assert cli_main(["gen-scenes", "--out", str(tmp_path / "cli"), "--count", "2"]) == 0
+        generate_scene_set(tmp_path / "lib", count=2, seed=0, role="source")
+        assert hash_tree(tmp_path / "cli") == hash_tree(tmp_path / "lib")
+
+    @pytest.mark.parametrize(
+        "command", ["scan", "mix", "pseudo-label", "pretrain", "selftrain", "evaluate", "run-all"]
+    )
+    def test_threads_only_where_read(self, command):
+        reads_threads = command in ("pseudo-label", "evaluate", "run-all")
+        argv = [command, "--config", "c.cfg", "--threads", "2"]
+        if reads_threads:
+            assert build_parser().parse_args(argv).threads == 2
+        else:
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(argv)
 
     def test_failure_exit_code_and_stderr(self, tmp_path, capsys):
         config = PipelineConfig(out_dir=tmp_path / "out", source_manifest=tmp_path / "missing.txt")

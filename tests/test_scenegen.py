@@ -148,6 +148,19 @@ class TestTemplatesAndSpecIo:
             assert c1 == c2
             assert np.array_equal(b1.min, b2.min) and np.array_equal(b1.max, b2.max)
 
+    def test_written_bytes(self, tmp_path):
+        box = Aabb((0.5, 0.5, 0.0), (1.0, 1.0, 0.75))
+        spec = SceneSpec(
+            width=4, depth=3.5, height=2.5, furniture=((box, 4),),
+            floor_class=np.int64(0), density=200.0,
+        )
+        save_scene_spec(spec, tmp_path / "s.cfg")
+        assert (tmp_path / "s.cfg").read_text() == (
+            "width=4\ndepth=3.5\nheight=2.5\ndensity=200.0\n"
+            "floor_class=0\nceiling_class=1\nwall_class=2\n"
+            "box=0.5,0.5,0.0,1.0,1.0,0.75,4\n"
+        )
+
     # line 4 of GOOD_SPEC replaced by a bad one; each must name that line
     @pytest.mark.parametrize(
         "line",

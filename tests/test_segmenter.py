@@ -1,3 +1,4 @@
+import struct
 import threading
 
 import numpy as np
@@ -771,11 +772,12 @@ class TestCheckpoint:
         assert np.array_equal(back.bias, model.bias)
 
     def test_header_is_text(self, tmp_path):
-        model = SegmenterModel.zeros(TOY_TAXONOMY)
+        model = SegmenterModel(np.arange(42.0).reshape(6, 7), -np.arange(1.0, 7.0), TOY_TAXONOMY)
         path = tmp_path / "model.bin"
         save_checkpoint(model, path)
-        first = path.read_bytes().split(b"\n", 1)[0].decode("ascii")
-        assert first == "d=7 c=6 taxonomy=toy6"
+        # row-major little-endian weights, then the bias
+        payload = struct.pack("<42d", *range(42)) + struct.pack("<6d", *range(-1, -7, -1))
+        assert path.read_bytes() == b"d=7 c=6 taxonomy=toy6\n" + payload
 
     @pytest.mark.parametrize(
         "header, d, c",
@@ -787,6 +789,8 @@ class TestCheckpoint:
             (b"d=-7 c=6 taxonomy=toy6", 7, 6),
             (b"d=7 c=-6 taxonomy=toy6", 7, 6),
             (b"c=6 taxonomy=toy6", 7, 6),
+            (b"d=9 d=7 c=6 taxonomy=toy6", 7, 6),         # repeated key
+            (b"d=7 c=6 taxonomy=toy6 extra=1", 7, 6),     # unknown key
         ],
     )
     def test_malformed_header_rejected(self, tmp_path, header, d, c):
