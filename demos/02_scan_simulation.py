@@ -18,10 +18,10 @@ from scanmix import (
     ScanSimConfig,
     TOY_STRUCTURAL,
     TOY_TAXONOMY,
-    compute_free_space_bev,
     generate_scene,
     jitter_points,
     make_template,
+    plan_scan,
     sample_camera_poses,
     visible_points,
     visible_union_mask,
@@ -37,11 +37,11 @@ cloud = generate_scene(spec, TOY_TAXONOMY, rng)
 print(f"Clean scene: {cloud.n} points")
 
 config = ScanSimConfig()  # 4 cameras, 180 x 90 degree fixed field of view
-bev = compute_free_space_bev(cloud, config, TOY_STRUCTURAL)
-free = bev.free_cells()
-print(f"Bird's-eye grid {bev.shape}: {len(free)} free cells of {bev.blocked.size}")
+plan = plan_scan(cloud, config, TOY_STRUCTURAL)
+bev = plan.bev
+print(f"Bird's-eye grid {bev.shape}: {len(bev.free_cells())} free cells of {bev.blocked.size}")
 
-poses = sample_camera_poses(cloud, bev, config, TOY_STRUCTURAL, rng)
+poses = sample_camera_poses(cloud, plan, config, rng)
 for i, pose in enumerate(poses):
     mask = visible_points(cloud, pose, config)
     print(

@@ -24,11 +24,11 @@ print("  target/: 20 degraded scenes, central furniture, hidden scan config")
 print()
 
 config = load_config(config_path)
-report = run_pipeline(config)
+mious = run_pipeline(config)
 
 print("run complete; ablation mIoU on the target ground truth:")
-print(f"  source-only baseline : {report.mious['source_only']:.3f}")
-print(f"  + scan simulation    : {report.mious['scan_only']:.3f}")
-print(f"  + self-training/mix  : {report.mious['full']:.3f}")
+print(f"  source-only baseline : {mious['source_only']:.3f}")
+print(f"  + scan simulation    : {mious['scan_only']:.3f}")
+print(f"  + self-training/mix  : {mious['full']:.3f}")
 print()
 print(f"report, checkpoints, pseudo labels, and metrics CSVs in {config.out_dir}/")

@@ -17,7 +17,6 @@ from .cuboidmix import (
     Cuboid,
     CuboidMixConfig,
     CuboidSet,
-    MixedScene,
     TailCuboidQueue,
     classify_tail_cuboids,
     mix_cuboids,
@@ -39,7 +38,6 @@ from .io import (
 from .metrics import ConfusionMatrix, accumulate_confusion, compute_iou, write_iou_csv
 from .pipeline import (
     PipelineConfig,
-    PipelineReport,
     generate_scene_set,
     load_config,
     make_toy_benchmark,

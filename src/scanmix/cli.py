@@ -19,8 +19,8 @@ from .io import FileFormat
 from .scenegen import template_names
 
 
-def _add_common(parser, need_config=True):
-    parser.add_argument("--config", type=Path, required=need_config, help="pipeline config file")
+def _add_common(parser):
+    parser.add_argument("--config", type=Path, required=True, help="pipeline config file")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
     parser.add_argument("--out", type=Path, default=None, help="override the output directory")
 
@@ -87,10 +87,12 @@ def main(argv=None) -> int:
     try:
         options = {k: v for k, v in vars(args).items() if k not in ("command", "out")}
         if args.command == "gen-scenes":
-            print(pipeline.generate_scene_set(args.out, **options))
+            with pipeline._stage(args.command):
+                print(pipeline.generate_scene_set(args.out, **options))
             return 0
         if args.command == "make-toy-benchmark":
-            print(pipeline.make_toy_benchmark(args.out, **options))
+            with pipeline._stage(args.command):
+                print(pipeline.make_toy_benchmark(args.out, **options))
             return 0
 
         config = _load(args)
@@ -108,8 +110,7 @@ def main(argv=None) -> int:
             for tag, miou in pipeline.stage_evaluate(config, args.threads).items():
                 print(f"miou_{tag}={miou:.4f}")
         elif args.command == "run-all":
-            report = pipeline.run_pipeline(config, args.threads)
-            for tag, miou in report.mious.items():
+            for tag, miou in pipeline.run_pipeline(config, args.threads).items():
                 print(f"miou_{tag}={miou:.4f}")
             print(config.out_dir / "report.txt")
         return 0

@@ -77,7 +77,9 @@ class RandomStream:
 
 @dataclass(frozen=True)
 class ClassTaxonomy:
-    """Ordered class names plus the reserved ignore sentinel."""
+    """Ordered class names plus the reserved ignore sentinel. The name is
+    one token of the ascii checkpoint and manifest headers, so it must be
+    ascii without whitespace."""
 
     name: str
     names: tuple[str, ...]
@@ -85,6 +87,8 @@ class ClassTaxonomy:
 
     def __post_init__(self):
         object.__setattr__(self, "names", tuple(self.names))
+        if not self.name.isascii() or any(ch.isspace() for ch in self.name):
+            raise ValueError(f"taxonomy name {self.name!r} must be ascii without whitespace")
         if len(set(self.names)) != len(self.names):
             raise ValueError("class names must be unique")
         if not self.names:
@@ -150,8 +154,8 @@ class LabeledPointCloud:
     def with_positions(self, positions: np.ndarray) -> "LabeledPointCloud":
         return LabeledPointCloud(positions, self.labels, self.taxonomy)
 
-    def with_labels(self, labels: np.ndarray, taxonomy: ClassTaxonomy | None = None) -> "LabeledPointCloud":
-        return LabeledPointCloud(self.positions, labels, taxonomy or self.taxonomy)
+    def with_labels(self, labels: np.ndarray) -> "LabeledPointCloud":
+        return LabeledPointCloud(self.positions, labels, self.taxonomy)
 
 
 @dataclass(frozen=True)

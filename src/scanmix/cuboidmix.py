@@ -71,7 +71,9 @@ class Cuboid:
 
 @dataclass
 class CuboidSet:
-    """A partitioned scene: boundary arrays plus cuboids in cell order."""
+    """A partitioned scene: boundary arrays plus cuboids in cell order. A
+    mixed scene is one too, over the target's grid; its cuboids' bounds
+    follow the cuboids that were moved in."""
 
     cloud: LabeledPointCloud
     xb: np.ndarray
@@ -88,17 +90,6 @@ class CuboidSet:
         return np.array(
             [self.xb[i], self.yb[j], self.zb[k], self.xb[i + 1], self.yb[j + 1], self.zb[k + 1]]
         )
-
-
-@dataclass
-class MixedScene:
-    """Result of mixing: the composed cloud, its cuboids (bounds follow
-    the cuboids that were moved in), and per-point provenance codes."""
-
-    cloud: LabeledPointCloud
-    cuboids: list[Cuboid]
-    shape: tuple[int, int, int]
-    point_provenance: np.ndarray
 
 
 def _axis_boundaries(lo: float, hi: float, n: int, delta: float, rng: RandomStream) -> np.ndarray:
@@ -189,13 +180,13 @@ def permute_cuboids(cset: CuboidSet, rho_s: float, rng: RandomStream) -> CuboidS
 
 def _mix(
     source: CuboidSet, target: CuboidSet, take_source, injected: dict[int, QueuedCuboid]
-) -> MixedScene:
+) -> CuboidSet:
     """Fill each cell of the target grid with its occupant: the target
     cuboid, or where ``take_source`` the source cuboid of the same cell
     translated so its bounds center lands on the target cell's grid center.
     A queue entry ``injected[c]`` replaces the occupant of cell ``c``,
     centered where the occupant's bounds were centered."""
-    chunks_p, chunks_l, provs, cuboids = [], [], [], []
+    chunks_p, chunks_l, cuboids = [], [], []
     offset = 0
     for c, cell in enumerate(_cells_in_order(target.shape)):
         if take_source[c]:
@@ -217,15 +208,13 @@ def _mix(
                 pts = pts + shift
         chunks_p.append(pts)
         chunks_l.append(labs)
-        provs.append(prov)
         members = np.arange(offset, offset + len(pts), dtype=np.int64)
         cuboids.append(Cuboid(cell, bounds, members, prov))
         offset += len(pts)
     cloud = LabeledPointCloud(
         np.concatenate(chunks_p), np.concatenate(chunks_l), target.cloud.taxonomy
     )
-    provenance = np.repeat(np.array(provs, dtype=np.int8), [len(p) for p in chunks_p])
-    return MixedScene(cloud, cuboids, target.shape, provenance)
+    return CuboidSet(cloud, target.xb, target.yb, target.zb, cuboids)
 
 
 def mix_cuboids(
@@ -233,7 +222,7 @@ def mix_cuboids(
     target: CuboidSet,
     rho_m: float,
     rng: RandomStream,
-) -> MixedScene:
+) -> CuboidSet:
     """Start from the target scene; independently per cell with
     probability ``rho_m`` replace the target cuboid with the source cuboid
     of the same cell, translated so its bounds center lands on the target
@@ -252,10 +241,9 @@ def tail_classes_of(ratios: np.ndarray, n_tail: int) -> np.ndarray:
     return order[: min(n_tail, len(order))]
 
 
-def classify_tail_cuboids(scene, ratios: np.ndarray, n_tail: int) -> np.ndarray:
+def classify_tail_cuboids(scene: CuboidSet, ratios: np.ndarray, n_tail: int) -> np.ndarray:
     """Flag cuboids whose own labeled-point fraction of some tail class
-    strictly exceeds that class's dataset ratio. ``scene`` is any object
-    with ``cloud`` and ``cuboids`` attributes."""
+    strictly exceeds that class's dataset ratio."""
     tails = tail_classes_of(ratios, n_tail)
     labels = scene.cloud.labels
     ignore = scene.cloud.taxonomy.ignore_index
@@ -305,7 +293,7 @@ class TailCuboidQueue:
         return self._entries[index]
 
 
-def update_tail_queue(queue: TailCuboidQueue, cset, flags: np.ndarray) -> None:
+def update_tail_queue(queue: TailCuboidQueue, cset: CuboidSet, flags: np.ndarray) -> None:
     """Append deep copies of the flagged cuboids (translated to the
     canonical frame) to ``queue`` in cell order; oldest entries fall out
     first."""
@@ -325,7 +313,7 @@ def update_tail_queue(queue: TailCuboidQueue, cset, flags: np.ndarray) -> None:
 
 @dataclass
 class ComposeResult:
-    mixed: MixedScene
+    mixed: CuboidSet
     queue: TailCuboidQueue
     tail_flags: np.ndarray       # flags after any queue injection
     injected_cells: list[int]    # cell-order positions replaced from the queue

@@ -258,8 +258,10 @@ def _write_losses(path, losses: np.ndarray) -> None:
     _write_file(path, "".join(f"{float(value)!r}\n" for value in losses))
 
 
-def _load_domain(manifest_path, taxonomy: ClassTaxonomy):
+def _load_domain(manifest_path, role: str, taxonomy: ClassTaxonomy):
     manifest = load_manifest(manifest_path)
+    if manifest.role != role:
+        raise ParseError(manifest_path, f"manifest role {manifest.role!r} != {role!r}", line=1)
     if manifest.taxonomy_name != taxonomy.name:
         message = f"manifest taxonomy {manifest.taxonomy_name!r} != {taxonomy.name!r}"
         raise ParseError(manifest_path, message, line=1)
@@ -285,7 +287,7 @@ def stage_pretrain(config: PipelineConfig, with_scan_sim: bool = True) -> Path:
     """Train a model on the source scenes; returns the checkpoint path."""
     stage = "pretrain" if with_scan_sim else "source-only"
     with _stage(stage):
-        _, source = _load_domain(config.source_manifest, config.taxonomy)
+        _, source = _load_domain(config.source_manifest, "source", config.taxonomy)
         rng = RandomStream(config.seed).child(
             _TAG_PRETRAIN if with_scan_sim else _TAG_SOURCE_ONLY
         )
@@ -313,7 +315,7 @@ def stage_pseudo_label(config: PipelineConfig, threads: int = 1) -> Path:
     files (plus the class-ratio summary); returns the pseudo directory."""
     with _stage("pseudo-label"):
         model = load_checkpoint(config.out_dir / CKPT_SCAN_PRETRAIN, config.taxonomy)
-        tgt_manifest, scenes = _load_domain(config.target_manifest, config.taxonomy)
+        tgt_manifest, scenes = _load_domain(config.target_manifest, "target", config.taxonomy)
         pseudo_dir = config.out_dir / "pseudo"
         _make_dir(pseudo_dir)
         labels = _map_scenes(
@@ -344,7 +346,7 @@ def stage_selftrain(config: PipelineConfig) -> Path:
     target scenes; writes the final checkpoint and three mixed samples."""
     with _stage("selftrain"):
         model = load_checkpoint(config.out_dir / CKPT_SCAN_PRETRAIN, config.taxonomy)
-        _, source = _load_domain(config.source_manifest, config.taxonomy)
+        _, source = _load_domain(config.source_manifest, "source", config.taxonomy)
         pseudo_scenes = _load_pseudo_scenes(config)
         samples_dir = config.out_dir / "mixed_samples"
         _make_dir(samples_dir)
@@ -364,8 +366,8 @@ def stage_selftrain(config: PipelineConfig) -> Path:
             config.features,
             config.selftrain,
             rng,
+            config.pseudo,
             on_mixed=save_sample,
-            pseudo_config=config.pseudo,
         )
         path = config.out_dir / CKPT_FINAL
         save_checkpoint(result.model, path)
@@ -384,7 +386,7 @@ def stage_evaluate(config: PipelineConfig, threads: int = 1) -> dict[str, float]
     """Evaluate whichever checkpoints exist against target ground truth;
     writes one metrics CSV per model and returns tag -> mIoU."""
     with _stage("evaluate"):
-        _, scenes = _load_domain(config.target_manifest, config.taxonomy)
+        _, scenes = _load_domain(config.target_manifest, "target", config.taxonomy)
         mious: dict[str, float] = {}
         for ckpt, tag in _EVAL_TAGS:
             path = config.out_dir / ckpt
@@ -405,7 +407,7 @@ def stage_scan(config: PipelineConfig) -> Path:
     """Apply the scan simulation once to every source scene; writes the
     scanned clouds and a manifest into out/scanned."""
     with _stage("scan"):
-        src_manifest, scenes = _load_domain(config.source_manifest, config.taxonomy)
+        src_manifest, scenes = _load_domain(config.source_manifest, "source", config.taxonomy)
         out = config.out_dir / "scanned"
         _make_dir(out)
         rng = RandomStream(config.seed).child(_TAG_SCAN)
@@ -422,11 +424,11 @@ def stage_mix(config: PipelineConfig, count: int = 5) -> Path:
     """Compose a few mixed scenes (source ground truth vs target labels or
     pseudo labels when present) into out/mixed for inspection."""
     with _stage("mix"):
-        _, source = _load_domain(config.source_manifest, config.taxonomy)
+        _, source = _load_domain(config.source_manifest, "source", config.taxonomy)
         if _exists(config.out_dir / "pseudo"):
             target = _load_pseudo_scenes(config)
         else:
-            _, target = _load_domain(config.target_manifest, config.taxonomy)
+            _, target = _load_domain(config.target_manifest, "target", config.taxonomy)
         out = config.out_dir / "mixed"
         _make_dir(out)
         rng = RandomStream(config.seed).child(_TAG_MIX)
@@ -467,39 +469,30 @@ def _pretrain_both(config: PipelineConfig) -> None:
                 source_only.result()
 
 
-@dataclass
-class PipelineReport:
-    status: str
-    failed_stage: str | None
-    mious: dict[str, float]
-    out_dir: Path
-
-    @property
-    def complete(self) -> bool:
-        return self.status == "complete"
-
-
-def _write_report(config: PipelineConfig, report: PipelineReport, n_source: int, n_target: int) -> None:
+def _write_report(
+    config: PipelineConfig, failed_stage: str | None, mious: dict[str, float], n_source: int, n_target: int
+) -> None:
     lines = [
-        f"status={report.status}",
+        f"status={'complete' if failed_stage is None else 'failed'}",
         f"seed={config.seed}",
         f"scenes_source={n_source}",
         f"scenes_target={n_target}",
     ]
-    if report.failed_stage is not None:
-        lines.append(f"failed_stage={report.failed_stage}")
+    if failed_stage is not None:
+        lines.append(f"failed_stage={failed_stage}")
     for _, tag in _EVAL_TAGS:
-        if tag in report.mious:
-            lines.append(f"miou_{tag}={report.mious[tag]!r}")
+        if tag in mious:
+            lines.append(f"miou_{tag}={mious[tag]!r}")
         else:
             lines.append(f"miou_{tag}=incomplete")
     _write_file(config.out_dir / "report.txt", "\n".join(lines) + "\n")
 
 
-def run_pipeline(config: PipelineConfig, threads: int = 1) -> PipelineReport:
-    """Execute every stage and write the run report. The two pretrain
-    stages run side by side in two processes; ``threads`` parallelizes
-    per-scene scoring and evaluation.
+def run_pipeline(config: PipelineConfig, threads: int = 1) -> dict[str, float]:
+    """Execute every stage, write the run report and return tag -> mIoU,
+    as :func:`stage_evaluate` does. The two pretrain stages run side by
+    side in two processes; ``threads`` parallelizes per-scene scoring and
+    evaluation.
 
     On a stage failure the report is still written, with the failed stage
     named and the missing mIoUs marked incomplete, then the tagged error
@@ -517,12 +510,10 @@ def run_pipeline(config: PipelineConfig, threads: int = 1) -> PipelineReport:
         stage_pseudo_label(config, threads)
         stage_selftrain(config)
         mious = stage_evaluate(config, threads)
-        report = PipelineReport("complete", None, mious, config.out_dir)
-        _write_report(config, report, n_source, n_target)
-        return report
+        _write_report(config, None, mious, n_source, n_target)
+        return mious
     except StageError as exc:
-        report = PipelineReport("failed", exc.stage, mious, config.out_dir)
-        _write_report(config, report, n_source, n_target)
+        _write_report(config, exc.stage, mious, n_source, n_target)
         raise
 
 
@@ -552,21 +543,23 @@ def generate_scene_set(
     role: str,
     templates: tuple[str, ...] | None = None,
     density: float = 200.0,
-    taxonomy: ClassTaxonomy = TOY_TAXONOMY,
     fmt: FileFormat = FileFormat.PLY_BINARY_LE,
 ) -> Path:
-    """Generate ``count`` template scenes and a manifest; returns the
-    manifest path. Scene i uses template i mod len(templates) and the
-    child stream i, so sets are reproducible and extendable."""
+    """Generate ``count`` template scenes (labeled in TOY_TAXONOMY, whose
+    class ids the templates use) and a manifest; returns the manifest
+    path. Scene i uses template i mod len(templates) and the child stream
+    i, so sets are reproducible and extendable."""
+    if count < 0:
+        raise ValueError(f"scene count must be >= 0, got {count}")
     templates = templates or template_names()
     root = RandomStream(seed)
 
     def scene(i):
         rng = root.child(i)
         spec = make_template(templates[i % len(templates)], rng, density=density)
-        return generate_scene(spec, taxonomy, rng)
+        return generate_scene(spec, TOY_TAXONOMY, rng)
 
-    return _write_scene_set(Path(out_dir), role, map(scene, range(count)), taxonomy, fmt)
+    return _write_scene_set(Path(out_dir), role, map(scene, range(count)), TOY_TAXONOMY, fmt)
 
 
 # Hidden scan configuration used only while constructing the toy target
@@ -587,6 +580,8 @@ def make_toy_benchmark(
 ) -> Path:
     """Build the desk-scale benchmark: clean source scenes, degraded
     target scenes, manifests, and a tuned config. Returns the config path."""
+    if min(n_source, n_target) < 0:
+        raise ValueError(f"scene counts must be >= 0, got {n_source} and {n_target}")
     out_dir = Path(out_dir)
     root = RandomStream(seed)
 

@@ -179,17 +179,15 @@ def plan_scan(
     cloud: LabeledPointCloud,
     config: ScanSimConfig,
     structural: StructuralClasses,
-    bev: BevGrid | None = None,
 ) -> ScanPlan:
-    """Scene-only part of pose sampling. ``bev`` defaults to
-    :func:`compute_free_space_bev` of the cloud.
+    """Scene-only part of pose sampling, over the cloud's
+    :func:`compute_free_space_bev`.
 
     Free cells are those whose center lies farther than ``clearance`` from
     every blocking point; cameras stand in the top half of the cloud's
     vertical extent. Raises NoFreeSpaceError or NoWallPointsError.
     """
-    if bev is None:
-        bev = compute_free_space_bev(cloud, config, structural)
+    bev = compute_free_space_bev(cloud, config, structural)
     free = bev.free_cells()
     if len(free) == 0:
         raise NoFreeSpaceError("no free cell to place a camera")
@@ -214,22 +212,17 @@ def plan_scan(
 
 def sample_camera_poses(
     cloud: LabeledPointCloud,
-    bev: BevGrid,
+    plan: ScanPlan,
     config: ScanSimConfig,
-    structural: StructuralClasses,
     rng: RandomStream,
-    plan: ScanPlan | None = None,
 ) -> list[CameraPose]:
     """Draw ``n_v`` independent poses.
 
     x-y is a uniformly chosen free-cell center, z is uniform over the top
     half of the cloud's vertical extent, and the look-at target is a
     uniformly chosen wall-labeled point. ``plan`` must come from
-    :func:`plan_scan` on the same cloud, config and structural classes;
-    without it one is built over ``bev``.
+    :func:`plan_scan` on the same cloud and config.
     """
-    if plan is None:
-        plan = plan_scan(cloud, config, structural, bev)
     free, wall_idx = plan.free, plan.wall_idx
     z_lo, z_max = plan.z_lo, plan.z_max
     poses = []
@@ -314,12 +307,14 @@ def visible_points(
     return out
 
 
+_ORACLE_CHUNK = 2048             # occluder columns per (m, k) block
+
+
 def visibility_oracle(
     cloud: LabeledPointCloud,
     pose: CameraPose,
     fov: FovConfig,
     r_pt: float,
-    chunk: int = 2048,
 ) -> np.ndarray:
     """Exact reference visibility under a sphere-occluder model.
 
@@ -342,8 +337,8 @@ def visibility_oracle(
     limit = dist[cand] - r_pt
     occluded = np.zeros(len(cand), dtype=bool)
     r2 = r_pt * r_pt
-    for lo in range(0, cloud.n, chunk):
-        sl = slice(lo, min(lo + chunk, cloud.n))
+    for lo in range(0, cloud.n, _ORACLE_CHUNK):
+        sl = slice(lo, min(lo + _ORACLE_CHUNK, cloud.n))
         t = units @ rel[sl].T                       # (m, k) along-ray distance
         perp2 = (dist[sl] ** 2)[None, :] - t * t
         hits = (perp2 < r2) & (t > 0) & (t < limit[:, None])
@@ -377,7 +372,7 @@ def simulate_scan(
     reusing one leaves the output unchanged."""
     if plan is None:
         plan = plan_scan(cloud, config, structural)
-    poses = sample_camera_poses(cloud, plan.bev, config, structural, rng, plan)
+    poses = sample_camera_poses(cloud, plan, config, rng)
     return cloud.select(visible_union_mask(cloud, poses, config))
 
 

@@ -115,23 +115,6 @@ def _box_faces(box: Aabb) -> list[Rect]:
     ]
 
 
-def _room_faces(spec: SceneSpec) -> list[tuple[Rect, int]]:
-    w, d, h = spec.width, spec.depth, spec.height
-    ex = np.array([w, 0.0, 0.0])
-    ey = np.array([0.0, d, 0.0])
-    ez = np.array([0.0, 0.0, h])
-    o = np.zeros(3)
-    faces = [
-        (Rect(o, ex, ey), spec.floor_class),
-        (Rect(np.array([0.0, 0.0, h]), ex, ey), spec.ceiling_class),
-        (Rect(o, ex, ez), spec.wall_class),
-        (Rect(np.array([0.0, d, 0.0]), ex, ez), spec.wall_class),
-        (Rect(o, ey, ez), spec.wall_class),
-        (Rect(np.array([w, 0.0, 0.0]), ey, ez), spec.wall_class),
-    ]
-    return faces
-
-
 def generate_scene(spec: SceneSpec, taxonomy: ClassTaxonomy, rng: RandomStream) -> LabeledPointCloud:
     """Sample the room shell and all furniture box faces.
 
@@ -144,7 +127,8 @@ def generate_scene(spec: SceneSpec, taxonomy: ClassTaxonomy, rng: RandomStream) 
         for j in range(i + 1, len(boxes)):
             if boxes[i][0].overlaps(boxes[j][0]):
                 raise OverlapError(f"furniture boxes {i} and {j} overlap")
-    faces = list(_room_faces(spec))
+    shell = (spec.floor_class, spec.ceiling_class) + (spec.wall_class,) * 4
+    faces = list(zip(_box_faces(spec.room_box), shell))
     for box, cls in boxes:
         faces.extend((f, cls) for f in _box_faces(box))
     chunks = []
@@ -224,8 +208,9 @@ def load_scene_spec(path) -> SceneSpec:
 TABLE, CHAIR, LAMP = 3, 4, 5
 
 
-def _box_at(cx, cy, w, d, h, z0=0.0) -> Aabb:
-    return Aabb((cx - w / 2, cy - d / 2, z0), (cx + w / 2, cy + d / 2, z0 + h))
+def _box_at(cx, cy, w, d, h) -> Aabb:
+    """A floor-standing box of size (w, d, h) centered at (cx, cy)."""
+    return Aabb((cx - w / 2, cy - d / 2, 0.0), (cx + w / 2, cy + d / 2, h))
 
 
 def _jitter(rng: RandomStream, r: float) -> float:

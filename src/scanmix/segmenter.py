@@ -122,8 +122,8 @@ class SegmenterModel:
             raise ValueError("model parameters must be finite")
 
     @classmethod
-    def zeros(cls, taxonomy: ClassTaxonomy, d: int = FEATURE_DIM) -> "SegmenterModel":
-        return cls(np.zeros((taxonomy.count, d)), np.zeros(taxonomy.count), taxonomy)
+    def zeros(cls, taxonomy: ClassTaxonomy) -> "SegmenterModel":
+        return cls(np.zeros((taxonomy.count, FEATURE_DIM)), np.zeros(taxonomy.count), taxonomy)
 
     def copy(self) -> "SegmenterModel":
         return SegmenterModel(self.weights.copy(), self.bias.copy(), self.taxonomy)
@@ -380,8 +380,8 @@ def train_selftrain(
     feature_config: FeatureConfig,
     train_config: TrainConfig,
     rng: RandomStream,
+    pseudo_config: PseudoLabelConfig,
     on_mixed: Callable[[int, LabeledPointCloud], None] | None = None,
-    pseudo_config: PseudoLabelConfig | None = None,
 ) -> TrainResult:
     """Self-training on pseudo-labeled target scenes plus source scenes.
 
@@ -391,9 +391,10 @@ def train_selftrain(
     steps on CE(mixed) + source_loss_weight * CE(augmented source).
     ``on_mixed(it, cloud)`` sees each mixed scene just before its gradient.
 
-    With ``train_config.regen_every > 0`` and a ``pseudo_config``, the
-    pseudo labels (and class ratios) are refreshed from the current model
-    every that many iterations; the default keeps the initial labels.
+    With ``train_config.regen_every > 0`` the pseudo labels (and class
+    ratios) are refreshed from the current model through ``pseudo_config``
+    every that many iterations; ``regen_every == 0`` keeps the initial
+    labels.
     As in ``train_pretrain``, features run one iteration ahead on a helper
     thread; a refresh first finishes the pending iteration.
     """
@@ -408,12 +409,8 @@ def train_selftrain(
     plan_of = _lazy_plans(source_scenes, scan_config, structural)
 
     def refresh_due(it):
-        return (
-            train_config.regen_every > 0
-            and pseudo_config is not None
-            and it > 0
-            and it % train_config.regen_every == 0
-        )
+        every = train_config.regen_every
+        return every > 0 and it > 0 and it % every == 0
 
     def draw(it, submit, model):
         nonlocal target_scenes, ratios

@@ -45,6 +45,11 @@ class TestTaxonomy:
         with pytest.raises(ValueError):
             ClassTaxonomy("t", ("x", "x"))
 
+    @pytest.mark.parametrize("name", ["my tax", "a\tb", "t\u00f6y"])
+    def test_name_must_be_one_ascii_header_token(self, name):
+        with pytest.raises(ValueError, match="ascii without whitespace"):
+            ClassTaxonomy(name, ("x", "y"))
+
     def test_ignore_index_collision_rejected(self):
         with pytest.raises(ValueError):
             ClassTaxonomy("t", ("x", "y"), ignore_index=1)

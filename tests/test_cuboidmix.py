@@ -21,7 +21,6 @@ from scanmix.cuboidmix import (
     PROV_TARGET,
     Cuboid,
     CuboidSet,
-    MixedScene,
     QueuedCuboid,
     _axis_boundaries,
 )
@@ -285,7 +284,7 @@ class TestMix:
         src_set, tgt_set = self.make_pair(taxonomy)
         mixed = mix_cuboids(src_set, tgt_set, 0.0, RandomStream(1))
         assert mixed.cloud.n == tgt_set.cloud.n
-        assert (mixed.point_provenance == PROV_TARGET).all()
+        assert all(c.provenance == PROV_TARGET for c in mixed.cuboids)
         # same multiset of points, re-ordered by cell
         assert sorted(map(tuple, mixed.cloud.positions)) == sorted(map(tuple, tgt_set.cloud.positions))
 
@@ -293,7 +292,7 @@ class TestMix:
         src_set, tgt_set = self.make_pair(taxonomy, seed=2)
         mixed = mix_cuboids(src_set, tgt_set, 1.0, RandomStream(1))
         assert mixed.cloud.n == src_set.cloud.n
-        assert (mixed.point_provenance == PROV_SOURCE).all()
+        assert all(c.provenance == PROV_SOURCE for c in mixed.cuboids)
 
     def test_label_provenance_soundness(self, taxonomy):
         src_set, tgt_set = self.make_pair(taxonomy, seed=3)
@@ -453,17 +452,18 @@ def flatnonzero_partition(cloud, config, rng, provenance):
     return CuboidSet(cloud, xb, yb, zb, cuboids)
 
 
-def _build(cells, parts, taxonomy, shape):
-    """Concatenate (points, labels, bounds, provenance) chunks in cell order."""
+def _build(cells, parts, grid):
+    """Concatenate (points, labels, bounds, provenance) chunks in cell order
+    into a mixed scene over ``grid``'s boundaries."""
     cuboids, offset = [], 0
     for cell, (pts, _, bounds, prov) in zip(cells, parts):
         cuboids.append(Cuboid(cell, bounds, offset + np.arange(len(pts), dtype=np.int64), prov))
         offset += len(pts)
     cloud = LabeledPointCloud(
-        np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts]), taxonomy
+        np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts]),
+        grid.cloud.taxonomy,
     )
-    prov = np.concatenate([np.full(len(p[0]), p[3], dtype=np.int8) for p in parts])
-    return MixedScene(cloud, cuboids, shape, prov)
+    return CuboidSet(cloud, grid.xb, grid.yb, grid.zb, cuboids)
 
 
 def two_pass_mix(source, target, rho_m, rng):
@@ -481,7 +481,7 @@ def two_pass_mix(source, target, rho_m, rng):
             cub = target.cuboids[c]
             parts.append((target.cloud.positions[cub.members], target.cloud.labels[cub.members],
                           cub.bounds.copy(), PROV_TARGET))
-    return _build(cells, parts, target.cloud.taxonomy, target.shape)
+    return _build(cells, parts, target)
 
 
 def two_pass_inject(mixed, flags, queue, need, rng):
@@ -504,7 +504,7 @@ def two_pass_inject(mixed, flags, queue, need, rng):
         else:
             parts.append((mixed.cloud.positions[cub.members], mixed.cloud.labels[cub.members],
                           cub.bounds, cub.provenance))
-    out = _build([c.cell for c in mixed.cuboids], parts, mixed.cloud.taxonomy, mixed.shape)
+    out = _build([c.cell for c in mixed.cuboids], parts, mixed)
     return out, flags, sorted(replace_with)
 
 
@@ -561,8 +561,8 @@ class TestOnePassEquivalence:
                 assert got.queue is ours
                 assert np.array_equal(got.mixed.cloud.positions, mixed.cloud.positions)
                 assert np.array_equal(got.mixed.cloud.labels, mixed.cloud.labels)
-                assert got.mixed.point_provenance.dtype == np.int8
-                assert np.array_equal(got.mixed.point_provenance, mixed.point_provenance)
+                for axis in ("xb", "yb", "zb"):
+                    assert np.array_equal(getattr(got.mixed, axis), getattr(mixed, axis))
                 assert len(got.mixed.cuboids) == len(mixed.cuboids)
                 for a, b in zip(got.mixed.cuboids, mixed.cuboids):
                     assert a.cell == b.cell and a.provenance == b.provenance

@@ -131,6 +131,11 @@ class TestConfig:
         with pytest.raises(ConfigError):
             parse_config_text(line + "\n")
 
+    @pytest.mark.parametrize("name", ["my tax", "t\u00f6y"])
+    def test_taxonomy_name_outside_the_header_alphabet(self, name):
+        with pytest.raises(ConfigError, match="ascii without whitespace"):
+            parse_config_text(f"taxonomy.name={name}\n")
+
     def test_section_built_from_all_its_keys(self):
         # ignore=5 collides with the six default classes, not with these three
         config = parse_config_text("taxonomy.ignore=5\ntaxonomy.names=a,b,c\n")
@@ -240,9 +245,8 @@ class TestRunPipeline:
         config = tiny_benchmark(tmp_path)
         config.pretrain = TrainConfig(iterations=0)
         config.selftrain = TrainConfig(iterations=0)
-        report = run_pipeline(config)
-        assert report.complete
-        assert set(report.mious) == {"source_only", "scan_only", "full"}
+        mious = run_pipeline(config)
+        assert set(mious) == {"source_only", "scan_only", "full"}
         text = (config.out_dir / "report.txt").read_text()
         assert "status=complete" in text
         for tag in ("source_only", "scan_only", "full"):
@@ -250,8 +254,7 @@ class TestRunPipeline:
 
     def test_full_tiny_run_outputs(self, tmp_path):
         config = tiny_benchmark(tmp_path)
-        report = run_pipeline(config)
-        assert report.complete
+        run_pipeline(config)
         out = config.out_dir
         for name in (
             "checkpoint_source_only.bin",
@@ -290,8 +293,8 @@ class TestRunPipeline:
 
     def test_matches_stages_run_one_by_one(self, tmp_path):
         config = tiny_benchmark(tmp_path)
-        report = run_pipeline(config)
-        assert report.complete and not multiprocessing.active_children()
+        mious = run_pipeline(config)
+        assert not multiprocessing.active_children()
         whole = hash_tree(config.out_dir)
         assert whole.pop("report.txt")
         config.out_dir = tmp_path / "one_by_one"
@@ -299,7 +302,7 @@ class TestRunPipeline:
         stage_pretrain(config, with_scan_sim=True)
         stage_pseudo_label(config)
         stage_selftrain(config)
-        assert stage_evaluate(config) == report.mious
+        assert stage_evaluate(config) == mious
         assert hash_tree(config.out_dir) == whole
 
     def test_both_pretrains_fail_reports_source_only(self, tmp_path):
@@ -348,11 +351,10 @@ class TestRunPipeline:
         config_path = make_toy_benchmark(tmp_path / "bench", seed=3)
         rewrite_iterations(config_path, 4, 20)
         config = load_config(config_path)
-        _, targets = _load_domain(config.target_manifest, config.taxonomy)
+        _, targets = _load_domain(config.target_manifest, "target", config.taxonomy)
         extents = [np.ptp(t.positions[:, :2], axis=0).min() for t in targets]
         assert min(extents) < 2 * config.mix.delta_phi
-        report = run_pipeline(config)
-        assert report.complete
+        run_pipeline(config)
         assert "status=complete" in (config.out_dir / "report.txt").read_text()
 
     def test_manifest_of_another_taxonomy_rejected(self, tmp_path):
@@ -366,6 +368,18 @@ class TestRunPipeline:
         assert isinstance(cause, ParseError)
         assert (cause.path, cause.line) == (str(manifest), 1)
         assert "'nope'" in str(cause) and "'toy6'" in str(cause)
+
+    @pytest.mark.parametrize("stage", [stage_pretrain, stage_evaluate], ids=["pretrain", "evaluate"])
+    def test_swapped_manifests_rejected(self, tmp_path, stage):
+        config = tiny_benchmark(tmp_path)
+        config.source_manifest, config.target_manifest = config.target_manifest, config.source_manifest
+        with pytest.raises(StageError) as err:
+            stage(config)
+        cause = err.value.cause
+        assert isinstance(cause, ParseError)
+        want = config.source_manifest if stage is stage_pretrain else config.target_manifest
+        assert (cause.path, cause.line) == (str(want), 1)
+        assert "'target'" in str(cause) and "'source'" in str(cause)
 
     def test_selftrain_before_pseudo_fails_tagged(self, tmp_path):
         config = tiny_benchmark(tmp_path)
@@ -504,6 +518,25 @@ class TestCli:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith(f"[{argv[0]}] ")
         assert str(tmp_path / "file") in lines[0]
+
+    # a bad option value or scene count: one stderr line, exit 1
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen-scenes", "--templates", "nope"],
+            ["gen-scenes", "--density", "-1"],
+            ["gen-scenes", "--count", "-1"],
+            ["make-toy-benchmark", "--density", "-1"],
+        ],
+        ids=["templates", "gen-density", "count", "toy-density"],
+    )
+    def test_bad_scene_option_one_line_on_stderr(self, tmp_path, capsys, argv):
+        rc = cli_main([argv[0], "--out", str(tmp_path / "out"), *argv[1:]])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"[{argv[0]}] ")
 
     def test_seed_and_out_overrides(self, tmp_path):
         config = tiny_benchmark(tmp_path)

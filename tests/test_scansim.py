@@ -100,12 +100,12 @@ class TestPoseSampling:
     def test_basic_contract(self):
         cloud = empty_room_cloud()
         config = ScanSimConfig(bev_cell=0.5, n_v=4)
-        bev = compute_free_space_bev(cloud, config, TOY_STRUCTURAL)
-        poses = sample_camera_poses(cloud, bev, config, TOY_STRUCTURAL, RandomStream(0))
+        plan = plan_scan(cloud, config, TOY_STRUCTURAL)
+        poses = sample_camera_poses(cloud, plan, config, RandomStream(0))
         assert len(poses) == 4
         z = cloud.positions[:, 2]
         z_lo = z.min() + 0.5 * (z.max() - z.min())
-        free_centers = {tuple(c) for c in bev.cell_centers(bev.free_cells())}
+        free_centers = {tuple(c) for c in plan.bev.cell_centers(plan.bev.free_cells())}
         wall_pts = {tuple(p) for p in cloud.positions[cloud.labels == 2]}
         for pose in poses:
             assert (pose.position[0], pose.position[1]) in free_centers
@@ -120,9 +120,9 @@ class TestPoseSampling:
         labels.append(2)
         cloud = LabeledPointCloud(np.array(pos), np.array(labels), TOY_TAXONOMY)
         config = ScanSimConfig(bev_cell=0.5, n_v=6, clearance=0.0)
-        bev = compute_free_space_bev(cloud, config, TOY_STRUCTURAL)
-        assert len(bev.free_cells()) == 1
-        poses = sample_camera_poses(cloud, bev, config, TOY_STRUCTURAL, RandomStream(3))
+        plan = plan_scan(cloud, config, TOY_STRUCTURAL)
+        assert len(plan.bev.free_cells()) == 1
+        poses = sample_camera_poses(cloud, plan, config, RandomStream(3))
         xy = {(p.position[0], p.position[1]) for p in poses}
         assert len(xy) == 1
         assert all(np.array_equal(p.look_at, [0.1, 0.1, 1.0]) for p in poses)
@@ -133,22 +133,21 @@ class TestPoseSampling:
         pos = np.column_stack([gx.ravel(), gy.ravel(), np.zeros(gx.size)])
         cloud = LabeledPointCloud(pos, np.zeros(len(pos), dtype=int), TOY_TAXONOMY)
         config = ScanSimConfig(bev_cell=0.5)
-        bev = compute_free_space_bev(cloud, config, TOY_STRUCTURAL)
         with pytest.raises(NoWallPointsError):
-            sample_camera_poses(cloud, bev, config, TOY_STRUCTURAL, RandomStream(0))
+            sample_camera_poses(cloud, plan_scan(cloud, config, TOY_STRUCTURAL), config, RandomStream(0))
 
     def test_xy_uniform_over_free_cells(self):
         cloud = empty_room_cloud()
         config = ScanSimConfig(bev_cell=0.5, n_v=1)
-        bev = compute_free_space_bev(cloud, config, TOY_STRUCTURAL)
-        free = bev.free_cells()
-        centers = bev.cell_centers(free)
+        plan = plan_scan(cloud, config, TOY_STRUCTURAL)
+        free = plan.free
+        centers = plan.bev.cell_centers(free)
         lookup = {tuple(c): i for i, c in enumerate(centers)}
         counts = np.zeros(len(free))
         rng = RandomStream(12)
         n = 10_000
         for _ in range(n):
-            pose = sample_camera_poses(cloud, bev, config, TOY_STRUCTURAL, rng)[0]
+            pose = sample_camera_poses(cloud, plan, config, rng)[0]
             counts[lookup[(pose.position[0], pose.position[1])]] += 1
         expected = n / len(free)
         stat = ((counts - expected) ** 2 / expected).sum()
@@ -267,8 +266,8 @@ class TestVisiblePoints:
     def test_oracle_agreement_small_scene(self):
         cloud = template_cloud("one_occluder", 2, density=80.0)
         config = ScanSimConfig()
-        bev = compute_free_space_bev(cloud, config, TOY_STRUCTURAL)
-        poses = sample_camera_poses(cloud, bev, config, TOY_STRUCTURAL, RandomStream(5))
+        plan = plan_scan(cloud, config, TOY_STRUCTURAL)
+        poses = sample_camera_poses(cloud, plan, config, RandomStream(5))
         db = visible_union_mask(cloud, poses, config)
         oracle = np.zeros(cloud.n, dtype=bool)
         for pose in poses:
@@ -327,8 +326,8 @@ class TestSimulateScan:
     def test_union_monotone_in_camera_count(self):
         cloud = template_cloud("cluttered", 8, density=50.0)
         config = ScanSimConfig(n_v=6)
-        bev = compute_free_space_bev(cloud, config, TOY_STRUCTURAL)
-        poses = sample_camera_poses(cloud, bev, config, TOY_STRUCTURAL, RandomStream(3))
+        plan = plan_scan(cloud, config, TOY_STRUCTURAL)
+        poses = sample_camera_poses(cloud, plan, config, RandomStream(3))
         prev = np.zeros(cloud.n, dtype=bool)
         for k in range(1, len(poses) + 1):
             mask = visible_union_mask(cloud, poses[:k], config)
@@ -454,9 +453,7 @@ class TestOneProjectionEquivalence:
             TOY_TAXONOMY,
         )
         config = ScanSimConfig(fov=FovConfig(150.0, 80.0, mode))
-        poses = sample_camera_poses(
-            cloud, compute_free_space_bev(cloud, config, TOY_STRUCTURAL), config, TOY_STRUCTURAL, RandomStream(6)
-        )
+        poses = sample_camera_poses(cloud, plan_scan(cloud, config, TOY_STRUCTURAL), config, RandomStream(6))
         for pose in poses:
             got = visible_points(cloud, pose, config)
             assert np.array_equal(got, two_pass_visible_points(cloud, pose, config))

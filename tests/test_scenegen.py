@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from scipy.stats import chi2
@@ -124,6 +126,36 @@ class TestGenerateScene:
             expect = cloud.n * area / total_area
             sigma = np.sqrt(cloud.n * (area / total_area) * (1 - area / total_area))
             assert abs(n - expect) <= 3 * sigma + 3
+
+
+# sha256 of the positions (<f8) and labels (<i8) of each template at
+# density 50 from RandomStream(0); a change to a face, the face order or the
+# sampler's draws changes them
+TEMPLATE_GOLDEN = {
+    "empty_room": ("01096f1b49f1a8d7b01439b30bc33806b9b251cfc4e07fa7d101de43b194d1e7",
+                   "cba436e95b48e7cc522475961deabb093e1c14fe008a44320768e71a6acd850c"),
+    "one_occluder": ("bd998739b2b1dc73667be6e27470ea07c256e252f3324f2f5cc346641e13e187",
+                     "896e92e4dbaac0b0aa0f011f3742503407e9ea547f2457dcd3b499ff45f3c531"),
+    "cluttered": ("11dc8bcec4afbc163ba3cbcd397425ff7c2d6cc667a44bd5b08f96a78acd8d1d",
+                  "6fb74d0562c4c03c9a38447f7b77d101947135ce6162b4b44eb3ecf4d063af42"),
+    "long_corridor": ("a8c243cc44202d131396318604eab6a65fd1a83d3a3507d096b637f7dddcb90b",
+                      "77d9908e3602fa8b0e314443265fb525fedc1edd9822956d876fe4f0a450fed9"),
+    "tail_heavy": ("1234ccb1efd10da9464ea33ba568f238f5fc0f95f98062c6ce244ac370145dcf",
+                   "e0373f5adfc39ef5d6bef74208468b80abc02f6219dfee2812741b54061af4e8"),
+    "two_room": ("1fdfdf1cb73edfde541731572a4dda65e74002148fba6e630a7a1bc52e59200a",
+                 "e9a45725532e18d08228e34f4c800cb10ee1a712d6c601d0fde201de62d94b54"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TEMPLATE_GOLDEN))
+def test_template_bytes_are_golden(name):
+    rng = RandomStream(0)
+    cloud = generate_scene(make_template(name, rng, density=50.0), TOY_TAXONOMY, rng)
+    got = tuple(
+        hashlib.sha256(a.astype(dtype).tobytes()).hexdigest()
+        for a, dtype in ((cloud.positions, "<f8"), (cloud.labels, "<i8"))
+    )
+    assert got == TEMPLATE_GOLDEN[name]
 
 
 class TestTemplatesAndSpecIo:

@@ -355,7 +355,7 @@ class TestSelftrain:
         config = TrainConfig(learning_rate=0.05, iterations=1, batch_size=1, source_loss_weight=lam)
         result = train_selftrain(
             model, source, target, ScanSimConfig(), TOY_STRUCTURAL, CuboidMixConfig(),
-            FeatureConfig(radius=0.3), config, RandomStream(9),
+            FeatureConfig(radius=0.3), config, RandomStream(9), PseudoLabelConfig(),
         )
         want_loss, want_w, want_b, loss_m, loss_s = self.replicate_one_iteration(
             model, source, target, lam, seed=9
@@ -372,7 +372,7 @@ class TestSelftrain:
         result = train_selftrain(
             SegmenterModel.zeros(TOY_TAXONOMY), source, target, ScanSimConfig(),
             TOY_STRUCTURAL, CuboidMixConfig(), FeatureConfig(radius=0.3),
-            config, RandomStream(10),
+            config, RandomStream(10), PseudoLabelConfig(),
         )
         assert len(result.losses) == 5
         assert np.isfinite(result.losses).all()
