@@ -259,6 +259,12 @@ def standard_augment(
     enabled step consumes random draws in this order, so outputs are a
     pure function of (cloud, config, seed). Labels follow their points.
     """
+    return _standard_augment(cloud, config, rng)[0]
+
+
+def _standard_augment(cloud, config, rng):
+    """:func:`standard_augment` and its shuffle permutation: output point j
+    is input point ``perm[j]`` (``perm`` is None when shuffle is off)."""
     if cloud.n == 0:
         raise EmptyInputError("cannot augment an empty cloud")
     pos = cloud.positions.copy()
@@ -283,9 +289,10 @@ def standard_augment(
     if config.jitter:
         r = config.jitter_range
         pos = pos + rng.uniform(-r, r, size=(cloud.n, 3))
+    perm = None
     if config.shuffle:
         perm = rng.permutation(cloud.n)
         pos = pos[perm]
         labels = labels[perm]
 
-    return LabeledPointCloud(pos, labels, cloud.taxonomy)
+    return LabeledPointCloud(pos, labels, cloud.taxonomy), perm

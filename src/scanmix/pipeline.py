@@ -57,8 +57,9 @@ from .segmenter import (
     FeatureConfig,
     SegmenterModel,
     TrainConfig,
+    extract_features,
+    forward_scores,
     load_checkpoint,
-    predict_labels,
     pseudo_label,
     save_checkpoint,
     train_pretrain,
@@ -384,19 +385,36 @@ _EVAL_TAGS = (
 
 def stage_evaluate(config: PipelineConfig, threads: int = 1) -> dict[str, float]:
     """Evaluate whichever checkpoints exist against target ground truth;
-    writes one metrics CSV per model and returns tag -> mIoU."""
+    writes one metrics CSV per model and returns tag -> mIoU. Each scene's
+    features are computed once and scored by every model."""
     with _stage("evaluate"):
         _, scenes = _load_domain(config.target_manifest, "target", config.taxonomy)
+        models = {
+            tag: load_checkpoint(config.out_dir / ckpt, config.taxonomy)
+            for ckpt, tag in _EVAL_TAGS
+            if _exists(config.out_dir / ckpt)
+        }
+        if not models:
+            return {}
+
+        def confusions(scene):
+            features = extract_features(scene, config.features)
+            return [
+                accumulate_confusion(
+                    ConfusionMatrix.zeros(config.taxonomy),
+                    forward_scores(model, features).argmax(axis=1),
+                    scene.labels,
+                )
+                for model in models.values()
+            ]
+
+        # int64 counts: the sum does not depend on the order of the scenes
+        totals = [ConfusionMatrix.zeros(config.taxonomy) for _ in models]
+        for parts in _map_scenes(confusions, scenes, threads):
+            for total, part in zip(totals, parts):
+                total.counts += part.counts
         mious: dict[str, float] = {}
-        for ckpt, tag in _EVAL_TAGS:
-            path = config.out_dir / ckpt
-            if not _exists(path):
-                continue
-            model = load_checkpoint(path, config.taxonomy)
-            preds = _map_scenes(lambda s: predict_labels(model, s, config.features), scenes, threads)
-            matrix = ConfusionMatrix.zeros(config.taxonomy)
-            for scene, pred in zip(scenes, preds):
-                accumulate_confusion(matrix, pred, scene.labels)
+        for tag, matrix in zip(models, totals):
             ious, miou = compute_iou(matrix)
             write_iou_csv(config.out_dir / f"metrics_{tag}.csv", config.taxonomy, ious, miou)
             mious[tag] = miou
@@ -536,6 +554,15 @@ def _write_scene_set(out_dir: Path, role: str, clouds, taxonomy: ClassTaxonomy, 
     return manifest_path
 
 
+def _check_scene_options(density: float, templates: tuple[str, ...] = ()) -> None:
+    # what would fail the first scene, checked before any directory exists
+    if not (np.isfinite(density) and density > 0):
+        raise ValueError(f"density must be positive and finite, got {density!r}")
+    for name in templates:
+        if name not in template_names():
+            raise ValueError(f"unknown template {name!r}; choices: {sorted(template_names())}")
+
+
 def generate_scene_set(
     out_dir,
     count: int,
@@ -552,6 +579,7 @@ def generate_scene_set(
     if count < 0:
         raise ValueError(f"scene count must be >= 0, got {count}")
     templates = templates or template_names()
+    _check_scene_options(density, templates)
     root = RandomStream(seed)
 
     def scene(i):
@@ -582,6 +610,7 @@ def make_toy_benchmark(
     target scenes, manifests, and a tuned config. Returns the config path."""
     if min(n_source, n_target) < 0:
         raise ValueError(f"scene counts must be >= 0, got {n_source} and {n_target}")
+    _check_scene_options(density)
     out_dir = Path(out_dir)
     root = RandomStream(seed)
 

@@ -370,10 +370,15 @@ def simulate_scan(
     points. Output is a subset of the input with order preserved. ``plan``
     (from :func:`plan_scan` on the same scene) is built when not given;
     reusing one leaves the output unchanged."""
+    return cloud.select(_visible_indices(cloud, config, structural, rng, plan))
+
+
+def _visible_indices(cloud, config, structural, rng, plan):
+    # ascending indices of the points :func:`simulate_scan` keeps
     if plan is None:
         plan = plan_scan(cloud, config, structural)
     poses = sample_camera_poses(cloud, plan, config, rng)
-    return cloud.select(visible_union_mask(cloud, poses, config))
+    return np.flatnonzero(visible_union_mask(cloud, poses, config))
 
 
 def jitter_points(cloud: LabeledPointCloud, delta_p: float, rng: RandomStream) -> LabeledPointCloud:
@@ -396,5 +401,12 @@ def scan_and_jitter(
     plan: ScanPlan | None = None,
 ) -> LabeledPointCloud:
     """Occlusion simulation followed by noise jitter (the full augmentation).
-    ``plan`` is passed to :func:`simulate_scan`."""
-    return jitter_points(simulate_scan(cloud, config, structural, rng, plan), config.delta_p, rng)
+    ``plan`` is as for :func:`simulate_scan`."""
+    return _scan_and_jitter(cloud, config, structural, rng, plan)[0]
+
+
+def _scan_and_jitter(cloud, config, structural, rng, plan):
+    """:func:`scan_and_jitter` and the ascending indices ``kept`` of the
+    input points it kept: output point j is input point ``kept[j]``."""
+    kept = _visible_indices(cloud, config, structural, rng, plan)
+    return jitter_points(cloud.select(kept), config.delta_p, rng), kept

@@ -23,7 +23,7 @@ from .core import (
     LabeledPointCloud,
     RandomStream,
     StructuralClasses,
-    standard_augment,
+    _standard_augment,
 )
 from .cuboidmix import CuboidMixConfig, TailCuboidQueue, compose_mixed_scene
 from .errors import (
@@ -35,7 +35,7 @@ from .errors import (
 )
 from .io import _header_fields, _header_line, _read_bytes, _write_file
 from .pseudo import PseudoLabelConfig, class_ratio, generate_pseudo_labels
-from .scansim import ScanSimConfig, plan_scan, scan_and_jitter
+from .scansim import ScanSimConfig, _scan_and_jitter, plan_scan
 
 FEATURE_DIM = 7
 _CHECKPOINT_HEADER = ("d", "c", "taxonomy")
@@ -64,6 +64,23 @@ def extract_features(cloud: LabeledPointCloud, config: FeatureConfig) -> np.ndar
     5. planarity proxy: fraction of neighbors within +-voxel_size in z
     6. constant 1
     """
+    pairs = _pairs_within(cloud.positions, config.radius)
+    return _pair_features(cloud, pairs[:, 0], pairs[:, 1], config)
+
+
+def _pairs_within(pos, radius):
+    # every pair (i < j) with (dx*dx + dy*dy) + dz*dz <= radius*radius,
+    # which is the test cKDTree applies for p = 2 (the unbalanced,
+    # non-compact tree finds the same pairs and builds faster)
+    tree = cKDTree(pos, balanced_tree=False, compact_nodes=False)
+    return tree.query_pairs(radius, output_type="ndarray")
+
+
+def _pair_features(cloud, a, b, config):
+    """The feature matrix of ``cloud`` from its neighbor pairs: (a[k], b[k])
+    lists each unordered pair within ``config.radius`` once, in any order
+    and either orientation. Every statistic is an integer count or a
+    min/max, so the result does not depend on that order."""
     if cloud.n == 0:
         raise EmptyInputError("cannot extract features of an empty cloud")
     pos = cloud.positions
@@ -74,24 +91,7 @@ def extract_features(cloud: LabeledPointCloud, config: FeatureConfig) -> np.ndar
     extent = z_max - z_min
     norm_height = height / extent if extent > 0 else np.zeros(n)
 
-    # neighbor statistics via the (i < j) pair list; every point is its own
-    # neighbor, so counts start at one and extents at zero
-    # (the unbalanced, non-compact tree finds the same pairs and builds faster;
-    # the counts are integer-valued, so summing them in any order is exact)
-    tree = cKDTree(pos, balanced_tree=False, compact_nodes=False)
-    pairs = tree.query_pairs(config.radius, output_type="ndarray")
-    a, b = pairs[:, 0], pairs[:, 1]
-    count = 1.0 + np.bincount(a, minlength=n) + np.bincount(b, minlength=n)
-    z_lo = z.copy()
-    z_hi = z.copy()
-    np.minimum.at(z_lo, a, z[b])
-    np.minimum.at(z_lo, b, z[a])
-    np.maximum.at(z_hi, a, z[b])
-    np.maximum.at(z_hi, b, z[a])
-    near = np.abs(z[a] - z[b]) <= config.voxel_size
-    planar_num = 1.0 + np.bincount(a[near], minlength=n) + np.bincount(b[near], minlength=n)
-    z_ext = z_hi - z_lo
-    planar = planar_num / count
+    count, z_ext, planar = _neighbour_stats(z, a, b, config.voxel_size)
 
     x_min, y_min = pos[:, 0].min(), pos[:, 1].min()
     x_max, y_max = pos[:, 0].max(), pos[:, 1].max()
@@ -101,6 +101,23 @@ def extract_features(cloud: LabeledPointCloud, config: FeatureConfig) -> np.ndar
     return np.column_stack(
         [height, norm_height, count, z_ext, boundary, planar, np.ones(n)]
     )
+
+
+def _neighbour_stats(z, a, b, voxel_size):
+    # neighbour count, z extent and planarity; every point is its own
+    # neighbor, so counts start at one and extents at zero
+    n = len(z)
+    count = 1.0 + np.bincount(a, minlength=n) + np.bincount(b, minlength=n)
+    z_lo = z.copy()
+    z_hi = z.copy()
+    za, zb = z[a], z[b]
+    np.minimum.at(z_lo, a, zb)
+    np.minimum.at(z_lo, b, za)
+    np.maximum.at(z_hi, a, zb)
+    np.maximum.at(z_hi, b, za)
+    near = np.abs(za - zb) <= voxel_size
+    planar_num = 1.0 + np.bincount(a[near], minlength=n) + np.bincount(b[near], minlength=n)
+    return count, z_hi - z_lo, planar_num / count
 
 
 @dataclass
@@ -269,13 +286,109 @@ def _lazy_plans(scenes, scan_config, structural):
     return plan_of
 
 
+# Relative rounding slack on the candidate radius: a rigid motion of the
+# cloud moves a pair's computed distance by a few ulps of the coordinates.
+_ROUNDING_SLACK = 1e-9
+
+
+def _pair_margin(scan_config, augment_config):
+    """How much longer a draw can make a pair than it is in the clean
+    scene, or None when elastic distortion leaves that unbounded. Scan and
+    augment jitter move each coordinate by at most ``delta_p`` and
+    ``jitter_range``, so a pair by at most 2 * sqrt(3) times their sum;
+    rotation and flips are rigid, and shuffling moves no point."""
+    jitter = 0.0 if scan_config is None else scan_config.delta_p
+    if augment_config is not None:
+        if augment_config.elastic:
+            return None
+        if augment_config.jitter:
+            jitter += augment_config.jitter_range
+    return 2.0 * np.sqrt(3.0) * jitter
+
+
+def _lazy_candidates(scenes, radius):
+    """``candidates_of(i)``: scene i's pairs within ``radius`` plus the
+    rounding slack, found the first time scene i is drawn, as (counts,
+    partners): point i's partners j > i are the next counts[i] entries of
+    ``partners``, stored in the narrowest unsigned type that holds them."""
+    found = [None] * len(scenes)
+
+    def candidates_of(i):
+        if found[i] is None:
+            pos = scenes[i].positions
+            slack = _ROUNDING_SLACK * (1.0 + float(np.abs(pos).max(initial=0.0)))
+            pairs = _pairs_within(pos, radius + slack)
+            dtype = np.min_scalar_type(max(len(pos) - 1, 0))
+            counts = np.bincount(pairs[:, 0], minlength=len(pos)).astype(dtype)
+            partners = pairs[np.argsort(pairs[:, 0]), 1].astype(dtype)
+            found[i] = (counts, partners)
+        return found[i]
+
+    return candidates_of
+
+
+# Candidates are filtered this many clean points at a time, so a draw's
+# temporaries stay small next to the pairs it keeps.
+_FILTER_ROWS = 1024
+
+
+def _reused_features(cloud, config, candidates, kept, perm):
+    """``extract_features(cloud, config)`` of a draw from a clean scene,
+    from that scene's candidates (see ``_lazy_candidates``), found with a
+    radius of at least ``config.radius`` plus the draw's ``_pair_margin``.
+    Draw point j is clean point ``kept[perm[j]]``; ``kept`` None keeps
+    every point and ``perm`` None keeps their order.
+
+    The candidates whose two ends survive are renamed to draw indices and
+    kept where the draw's positions pass cKDTree's own distance test, so
+    the pairs are those ``query_pairs(config.radius)`` finds, and the
+    features are the same bytes."""
+    a, b = _surviving_pairs(cloud, config.radius, candidates, kept, perm)
+    return _pair_features(cloud, a, b, config)
+
+
+def _surviving_pairs(cloud, radius, candidates, kept, perm):
+    # apart from _pair_features, so these temporaries are freed before it runs
+    counts, partners = candidates
+    source = np.arange(len(counts), dtype=np.int32) if kept is None else kept.astype(np.int32)
+    if perm is not None:
+        source = source[perm]
+    rename = np.full(len(counts), -1, dtype=np.int32)
+    rename[source] = np.arange(len(source), dtype=np.int32)
+    ends = np.zeros(len(counts) + 1, dtype=np.intp)
+    np.cumsum(counts, out=ends[1:])
+    coords = np.ascontiguousarray(cloud.positions.T)
+    found_a, found_b = [], []
+    for lo in range(0, len(counts), _FILTER_ROWS):
+        hi = min(lo + _FILTER_ROWS, len(counts))
+        a = np.repeat(rename[lo:hi], counts[lo:hi])
+        b = rename[partners[ends[lo] : ends[hi]]]
+        if kept is not None:
+            both = np.minimum(a, b) >= 0
+            a, b = a[both], b[both]
+        # one cast, not one per gather; the sum runs from 0.0 through x, y, z
+        a, b = a.astype(np.intp), b.astype(np.intp)
+        dist2 = np.zeros(len(a))
+        for coord in coords:
+            d = coord.take(a)
+            d -= coord.take(b)
+            d *= d
+            dist2 += d
+        near = dist2 <= radius * radius
+        found_a.append(a[near])
+        found_b.append(b[near])
+    return np.concatenate(found_a), np.concatenate(found_b)
+
+
 def _train(model, train_config, feature_config, weights, norm, draw, drain=None, on_batch=None):
     """Descend on (sum of weights[i] * CE_i) / norm, one iteration ahead.
 
     ``draw(it, submit, model)`` takes every random draw of iteration ``it``
     in this thread and passes each finished cloud to ``submit``, which
     starts its features on a helper thread; CE_i is the i-th submitted
-    cloud's cross-entropy, summed in that order. ``on_batch(it, clouds)``
+    cloud's cross-entropy, summed in that order. ``submit(cloud, reuse)``
+    with ``reuse = (candidates, kept, perm)`` computes them by
+    ``_reused_features`` instead of a fresh neighbour search. ``on_batch(it, clouds)``
     sees the clouds just before their gradients. Iteration t-1 is stepped
     after iteration t is drawn, so the helper computes t's features while
     this thread steps t-1. Features are pure, and draws and steps keep
@@ -316,8 +429,12 @@ def _train(model, train_config, feature_config, weights, norm, draw, drain=None,
                 pending = None
             batch = []
 
-            def submit(cloud):
-                batch.append((cloud, pool.submit(extract_features, cloud, feature_config)))
+            def submit(cloud, reuse=None):
+                if reuse is None:
+                    future = pool.submit(extract_features, cloud, feature_config)
+                else:
+                    future = pool.submit(_reused_features, cloud, feature_config, *reuse)
+                batch.append((cloud, future))
 
             try:
                 draw(it, submit, opt.model)
@@ -358,14 +475,22 @@ def train_pretrain(
     if not scenes:
         raise EmptyInputError("no source scenes")
     plan_of = _lazy_plans(scenes, scan_config, structural)
+    margin = _pair_margin(scan_config, augment_config)
+    if margin is not None:
+        candidates_of = _lazy_candidates(scenes, feature_config.radius + margin)
     batch_size = train_config.batch_size
 
     def draw(it, submit, model):
         for si in rng.integers(0, len(scenes), size=batch_size):
-            scene = scenes[int(si)]
+            si = int(si)
+            scene, kept = scenes[si], None
             if scan_config is not None:
-                scene = scan_and_jitter(scene, scan_config, structural, rng, plan_of(int(si)))
-            submit(standard_augment(scene, augment_config, rng))
+                scene, kept = _scan_and_jitter(scene, scan_config, structural, rng, plan_of(si))
+            scene, perm = _standard_augment(scene, augment_config, rng)
+            if margin is None:
+                submit(scene)
+            else:
+                submit(scene, (candidates_of(si), kept, perm))
 
     return _train(model, train_config, feature_config, [1.0] * batch_size, batch_size, draw)
 
@@ -407,6 +532,9 @@ def train_selftrain(
     )
     queue = TailCuboidQueue(mix_config.queue_cap)
     plan_of = _lazy_plans(source_scenes, scan_config, structural)
+    candidates_of = _lazy_candidates(
+        source_scenes, feature_config.radius + _pair_margin(scan_config, None)
+    )
 
     def refresh_due(it):
         every = train_config.regen_every
@@ -424,10 +552,10 @@ def train_selftrain(
             )
         tgt = target_scenes[int(rng.integers(0, len(target_scenes)))]
         si = int(rng.integers(0, len(source_scenes)))
-        src = scan_and_jitter(source_scenes[si], scan_config, structural, rng, plan_of(si))
+        src, kept = _scan_and_jitter(source_scenes[si], scan_config, structural, rng, plan_of(si))
         result = compose_mixed_scene(src, tgt, ratios, mix_config, queue, rng)
         submit(result.mixed.cloud)
-        submit(src)
+        submit(src, (candidates_of(si), kept, None))
 
     on_batch = None if on_mixed is None else lambda it, clouds: on_mixed(it, clouds[0])
     weights = [1.0, train_config.source_loss_weight]

@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from scanmix import ClassTaxonomy, LabeledPointCloud, RandomStream

@@ -34,24 +34,20 @@ from scanmix import (
     mix_cuboids,
     partition_cuboids,
     permute_cuboids,
-    per_class_thresholds,
     plan_scan,
     read_point_file,
     run_pipeline,
     sample_camera_poses,
-    simulate_scan,
     compose_mixed_scene,
     train_pretrain,
     update_tail_queue,
     visibility_oracle,
-    visible_points,
     visible_range_mask,
     visible_union_mask,
     write_point_file,
 )
 from scanmix.core import AugmentConfig
 from scanmix.cuboidmix import PROV_SOURCE, PROV_TARGET, tail_classes_of
-from scanmix.pipeline import generate_scene_set
 from scanmix.scansim import FovConfig
 from scanmix.scenegen import SceneSpec
 from scanmix.segmenter import FeatureConfig

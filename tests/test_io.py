@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from scanmix import (
-    ClassTaxonomy,
     FileFormat,
     LabeledPointCloud,
     RandomStream,

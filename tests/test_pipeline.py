@@ -3,7 +3,6 @@ import multiprocessing
 import os
 import re
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +11,6 @@ import pytest
 import scanmix.pipeline
 from scanmix import (
     ClassTaxonomy,
-    FileFormat,
     StructuralClasses,
     TOY_TAXONOMY,
     detect_format,
@@ -519,16 +517,19 @@ class TestCli:
         assert len(lines) == 1 and lines[0].startswith(f"[{argv[0]}] ")
         assert str(tmp_path / "file") in lines[0]
 
-    # a bad option value or scene count: one stderr line, exit 1
+    # a bad option value or scene count: one stderr line, exit 1, and no
+    # output directory left behind
     @pytest.mark.parametrize(
         "argv",
         [
             ["gen-scenes", "--templates", "nope"],
+            ["gen-scenes", "--templates", "empty_room,nope", "--count", "2"],
             ["gen-scenes", "--density", "-1"],
             ["gen-scenes", "--count", "-1"],
             ["make-toy-benchmark", "--density", "-1"],
+            ["make-toy-benchmark", "--density", "nan"],
         ],
-        ids=["templates", "gen-density", "count", "toy-density"],
+        ids=["templates", "second-template", "gen-density", "count", "toy-density", "toy-nan"],
     )
     def test_bad_scene_option_one_line_on_stderr(self, tmp_path, capsys, argv):
         rc = cli_main([argv[0], "--out", str(tmp_path / "out"), *argv[1:]])
@@ -537,6 +538,7 @@ class TestCli:
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith(f"[{argv[0]}] ")
+        assert not (tmp_path / "out").exists()
 
     def test_seed_and_out_overrides(self, tmp_path):
         config = tiny_benchmark(tmp_path)

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
+import scanmix.core as core
+import scanmix.scansim as scansim
 import scanmix.segmenter as seg
 
 from scanmix import (
@@ -29,6 +31,7 @@ from scanmix import (
     make_template,
     save_checkpoint,
     scan_and_jitter,
+    standard_augment,
     train_pretrain,
     train_selftrain,
 )
@@ -397,9 +400,10 @@ class TestSelftrain:
 # --- the run-ahead training loops against the plain loops -----------------
 #
 # The references are the loops as they were before features moved to a
-# helper thread: one iteration at a time, features computed where used.
-# They reach the layer functions through the module, so the fault
-# injection below patches both implementations alike.
+# helper thread: one iteration at a time, features computed where used,
+# each from its own neighbour search. They reach the layer functions
+# through their modules, so the fault injection below patches both
+# implementations alike.
 
 
 def sequential_pretrain(model, scenes, scan_config, structural, augment_config,
@@ -417,8 +421,8 @@ def sequential_pretrain(model, scenes, scan_config, structural, augment_config,
         for si in picks:
             scene = scenes[int(si)]
             if scan_config is not None:
-                scene = seg.scan_and_jitter(scene, scan_config, structural, rng, plan_of(int(si)))
-            scene = seg.standard_augment(scene, augment_config, rng)
+                scene = scansim.scan_and_jitter(scene, scan_config, structural, rng, plan_of(int(si)))
+            scene = core.standard_augment(scene, augment_config, rng)
             feats = seg.extract_features(scene, feature_config)
             loss, gw, gb = seg._scene_gradient(opt.model, scene, feats)
             grad_w += gw
@@ -465,7 +469,7 @@ def sequential_selftrain(model, source_scenes, target_scenes, scan_config, struc
             ratios = class_ratio(np.concatenate([s.labels for s in target_scenes]), taxonomy)
         tgt = target_scenes[int(rng.integers(0, len(target_scenes)))]
         si = int(rng.integers(0, len(source_scenes)))
-        src = seg.scan_and_jitter(source_scenes[si], scan_config, structural, rng, plan_of(si))
+        src = scansim.scan_and_jitter(source_scenes[si], scan_config, structural, rng, plan_of(si))
         result = seg.compose_mixed_scene(src, tgt, ratios, mix_config, queue, rng)
         mixed_cloud = result.mixed.cloud
         if on_mixed is not None:
@@ -504,10 +508,15 @@ def selftrain_scenes():
 FEATURES = FeatureConfig(radius=0.3)
 
 
-def run_pretrain(impl, scenes, scan, batch_size, iterations=6, seed=5):
+# elastic distortion bypasses the neighbour reuse; without it every
+# pretrain draw reuses its scene's candidate pairs
+AUGMENTS = {"elastic": AugmentConfig(), "rigid": AugmentConfig(elastic=False)}
+
+
+def run_pretrain(impl, scenes, scan, batch_size, iterations=6, seed=5, augment="elastic"):
     config = TrainConfig(learning_rate=0.02, iterations=iterations, batch_size=batch_size)
     return impl(SegmenterModel.zeros(TOY_TAXONOMY), scenes, scan, TOY_STRUCTURAL,
-                AugmentConfig(), FEATURES, config, RandomStream(seed))
+                AUGMENTS[augment], FEATURES, config, RandomStream(seed))
 
 
 def run_selftrain(impl, source, target, regen_every, iterations=6, seed=6, on_mixed=None):
@@ -531,9 +540,10 @@ class TestRunAheadEquivalence:
     @pytest.mark.parametrize("batch_size", [1, 3])
     def test_pretrain_matches_plain_loop(self, scan, batch_size):
         scenes = pretrain_scenes()
-        want = run_pretrain(sequential_pretrain, scenes, scan, batch_size)
-        got = run_pretrain(train_pretrain, scenes, scan, batch_size)
-        assert_same_result(got, want)
+        for augment in AUGMENTS:
+            want = run_pretrain(sequential_pretrain, scenes, scan, batch_size, augment=augment)
+            got = run_pretrain(train_pretrain, scenes, scan, batch_size, augment=augment)
+            assert_same_result(got, want)
         assert not helper_threads()
 
     @pytest.mark.parametrize("regen_every", [0, 2])
@@ -563,17 +573,160 @@ class TestRunAheadEquivalence:
         assert not np.array_equal(kept.losses, refreshed.losses)
 
     def test_features_run_on_the_helper_thread(self, monkeypatch):
-        names = []
+        calls = []
 
-        def recording(cloud, config):
-            names.append(threading.current_thread().name)
-            return ORIGINALS["extract_features"](cloud, config)
+        def recorder(name):
+            original = getattr(seg, name)
 
-        monkeypatch.setattr(seg, "extract_features", recording)
-        run_pretrain(train_pretrain, pretrain_scenes(), ScanSimConfig(), 2, iterations=3)
-        assert len(names) == 6
-        assert all(name.startswith("scanmix-features") for name in names)
-        assert not helper_threads()
+            def recording(*args):
+                calls.append((name, threading.current_thread().name))
+                return original(*args)
+
+            return recording
+
+        for name in ("extract_features", "_reused_features"):
+            monkeypatch.setattr(seg, name, recorder(name))
+        # elastic distortion searches afresh; the rigid draws reuse pairs
+        for augment, runs in (("elastic", "extract_features"), ("rigid", "_reused_features")):
+            calls.clear()
+            run_pretrain(train_pretrain, pretrain_scenes(), ScanSimConfig(), 2, iterations=3,
+                         augment=augment)
+            assert [name for name, _ in calls] == [runs] * 6
+            assert all(thread.startswith("scanmix-features") for _, thread in calls)
+            assert not helper_threads()
+
+
+# --- neighbour reuse ---------------------------------------------------------
+
+# the draws that reuse their scene's candidate pairs: source-only
+# pretraining, scan pretraining, and the scanned source of self-training
+DRAW_KINDS = {
+    "source-only": (None, AugmentConfig(elastic=False)),
+    "scan": (ScanSimConfig(delta_p=0.02), AugmentConfig(elastic=False)),
+    "scan-only": (ScanSimConfig(delta_p=0.02), None),
+}
+PLANTED = FeatureConfig(voxel_size=0.02, radius=0.2)
+
+
+def cloud_of(positions):
+    return LabeledPointCloud(positions, np.zeros(len(positions), dtype=int), TOY_TAXONOMY)
+
+
+def planted_draw(scan, augment, angle, seed):
+    """A random clean cloud and one draw of it made as the training loops
+    make it (scan keep and jitter, then rotation, flips, jitter, shuffle),
+    with two kinds of planted pairs: pairs a few ulps from r apart that
+    move only rigidly, and diagonal pairs a few ulps from r + margin apart
+    whose jitter shortens them by the whole margin, back to about r when
+    ``angle`` is a quarter turn. Returns (clean, draw, kept, perm, the
+    planted pairs as draw indices)."""
+    gen = RandomStream(seed)
+    r, margin, eps = PLANTED.radius, seg._pair_margin(scan, augment), np.finfo(float).eps
+    scan_jitter = 0.0 if scan is None else scan.delta_p
+    aug_jitter = 0.0 if augment is None else augment.jitter_range
+    n_bg, n_pairs = 2500, 150
+    heads = n_bg + np.arange(2 * n_pairs)
+    tails = heads + 2 * n_pairs
+    ulps = gen.integers(-4, 5, size=2 * n_pairs) * eps
+    units = gen.normal(size=(n_pairs, 3))
+    units /= np.linalg.norm(units, axis=1, keepdims=True)
+    diagonal = np.where(gen.random((n_pairs, 3)) < 0.5, -1.0, 1.0)
+    offsets = np.concatenate([
+        (r * (1 + ulps[:n_pairs]))[:, None] * units,
+        ((r + margin) * (1 + ulps[n_pairs:]) / np.sqrt(3.0))[:, None] * diagonal,
+    ])
+    pos = gen.uniform(0.0, 2.0, size=(n_bg + 2 * n_pairs, 3))
+    pos = np.concatenate([pos, pos[heads] + offsets])
+    n = len(pos)
+    shortened = np.concatenate([heads[n_pairs:], tails[n_pairs:]])
+
+    shift = gen.uniform(-scan_jitter, scan_jitter, size=(n, 3))
+    shift[np.concatenate([heads[:n_pairs], tails[:n_pairs]])] = 0.0
+    shift[heads[n_pairs:]] = scan_jitter * diagonal
+    shift[tails[n_pairs:]] = -scan_jitter * diagonal
+    kept = None
+    if scan is not None:
+        kept = np.flatnonzero((gen.random(n) < 0.8) | (np.arange(n) >= n_bg))
+    at = np.arange(n) if kept is None else np.full(n, -1)
+    if kept is not None:
+        at[kept] = np.arange(len(kept))
+    draw = (pos + shift) if kept is None else (pos + shift)[kept]
+    perm = None
+    if augment is not None:
+        center = 0.5 * (draw.min(axis=0) + draw.max(axis=0))
+        c, s = np.cos(angle), np.sin(angle)
+        xy = draw[:, :2] - center[:2]
+        draw = np.column_stack(
+            [c * xy[:, 0] - s * xy[:, 1] + center[0], s * xy[:, 0] + c * xy[:, 1] + center[1],
+             draw[:, 2]]
+        )
+        draw[:, 0] = 2.0 * center[0] - draw[:, 0]
+        jitter = gen.uniform(-aug_jitter, aug_jitter, size=draw.shape)
+        jitter[at[heads[:n_pairs]]] = jitter[at[tails[:n_pairs]]] = 0.0
+        direction = np.sign(draw[at[tails[n_pairs:]]] - draw[at[heads[n_pairs:]]])
+        jitter[at[heads[n_pairs:]]] = aug_jitter * direction
+        jitter[at[tails[n_pairs:]]] = -aug_jitter * direction
+        perm = gen.permutation(len(draw))
+        draw = (draw + jitter)[perm]
+        at[at >= 0] = np.argsort(perm)[at[at >= 0]]
+    assert (at[shortened] >= 0).all()
+    return cloud_of(pos), cloud_of(draw), kept, perm, at[heads], at[tails]
+
+
+class TestReusedNeighbours:
+    @pytest.mark.parametrize("angle", [0.7, 1.5 * np.pi], ids=["turn", "quarter-turns"])
+    @pytest.mark.parametrize("kind", sorted(DRAW_KINDS))
+    def test_byte_equal_to_query_pairs_at_both_radii(self, kind, angle):
+        scan, augment = DRAW_KINDS[kind]
+        clean, draw, kept, perm, heads, tails = planted_draw(scan, augment, angle, seed=len(kind))
+        radius = PLANTED.radius + seg._pair_margin(scan, augment)
+        candidates = seg._lazy_candidates([clean], radius)(0)
+        got = seg._reused_features(draw, PLANTED, candidates, kept, perm)
+        assert got.tobytes() == extract_features(draw, PLANTED).tobytes()
+        # the planted pairs fall on both sides of r, by cKDTree's own test
+        d = draw.positions[tails] - draw.positions[heads]
+        inside = ((d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]) + d[:, 2] * d[:, 2]
+                  <= PLANTED.radius * PLANTED.radius)
+        assert 0 < inside[:150].sum() < 150
+        if augment is None or angle != 0.7:
+            assert 0 < inside[150:].sum() < 150
+
+    @pytest.mark.parametrize("kind", sorted(DRAW_KINDS))
+    def test_draws_match_the_public_path(self, kind):
+        # k draws on two identically seeded streams: the public functions
+        # and a fresh neighbour search against the private ones and reuse
+        scan, augment = DRAW_KINDS[kind]
+        scenes = pretrain_scenes()
+        plans = seg._lazy_plans(scenes, scan, TOY_STRUCTURAL)
+        candidates_of = seg._lazy_candidates(
+            scenes, FEATURES.radius + seg._pair_margin(scan, augment)
+        )
+        plain, reused = RandomStream(8), RandomStream(8)
+        for k in range(9):
+            si = k % len(scenes)
+            want = got = scenes[si]
+            kept = perm = None
+            if scan is not None:
+                want = scan_and_jitter(want, scan, TOY_STRUCTURAL, plain, plans(si))
+                got, kept = seg._scan_and_jitter(got, scan, TOY_STRUCTURAL, reused, plans(si))
+            if augment is not None:
+                want = standard_augment(want, augment, plain)
+                got, perm = seg._standard_augment(got, augment, reused)
+            assert got.positions.tobytes() == want.positions.tobytes()
+            assert np.array_equal(got.labels, want.labels)
+            features = seg._reused_features(got, FEATURES, candidates_of(si), kept, perm)
+            assert features.tobytes() == extract_features(want, FEATURES).tobytes()
+
+    def test_elastic_distortion_has_no_margin(self):
+        for scan in (None, ScanSimConfig()):
+            assert seg._pair_margin(scan, AugmentConfig()) is None
+            assert seg._pair_margin(scan, AugmentConfig(elastic=False)) is not None
+
+    def test_candidates_are_stored_narrow(self):
+        small = seg._lazy_candidates([random_cloud(TOY_TAXONOMY, n=300, seed=1)], 0.2)(0)
+        large = seg._lazy_candidates([random_cloud(TOY_TAXONOMY, n=70_000, seed=2)], 0.01)(0)
+        assert small[0].dtype == small[1].dtype == np.uint16
+        assert large[0].dtype == large[1].dtype == np.uint32
 
 
 class BranchedDescent:
@@ -633,15 +786,22 @@ class TestDescent:
 
 # --- error order -------------------------------------------------------------
 
-PATCHABLE = (
-    "scan_and_jitter",
-    "standard_augment",
-    "compose_mixed_scene",
-    "extract_features",
-    "_scene_gradient",
-    "generate_pseudo_labels",
-)
-ORIGINALS = {name: getattr(seg, name) for name in PATCHABLE}
+# layer -> the (module, name) bindings through which the loops reach it:
+# the plain references call the public functions, the training loops the
+# private ones that also return the draw's kept indices and permutation
+# and the feature call that reuses the scene's candidate pairs
+PATCHABLE = {
+    "scan_and_jitter": ((scansim, "scan_and_jitter"), (seg, "_scan_and_jitter")),
+    "standard_augment": ((core, "standard_augment"), (seg, "_standard_augment")),
+    "compose_mixed_scene": ((seg, "compose_mixed_scene"),),
+    "extract_features": ((seg, "extract_features"), (seg, "_reused_features")),
+    "_scene_gradient": ((seg, "_scene_gradient"),),
+    "generate_pseudo_labels": ((seg, "generate_pseudo_labels"),),
+}
+ORIGINALS = {
+    (module, name): getattr(module, name)
+    for bindings in PATCHABLE.values() for module, name in bindings
+}
 
 
 class InjectedFault(Exception):
@@ -649,23 +809,21 @@ class InjectedFault(Exception):
 
 
 def install_faults(monkeypatch, faults):
-    """Patch the segmenter's layer functions so that call k (from 0) of
-    function f fails as ``faults[(f, k)]`` says: "nan" makes that
+    """Patch the layer functions so that call k (from 0) of layer f, through
+    any of its bindings, fails as ``faults[(f, k)]`` says: "nan" makes that
     gradient's loss non-finite, "raise" raises InjectedFault naming the
     call. Each install restarts the counts."""
     counts = dict.fromkeys(PATCHABLE, 0)
     lock = threading.Lock()
 
-    def wrap(name):
-        original = ORIGINALS[name]
-
+    def wrap(layer, original):
         def wrapper(*args, **kwargs):
             with lock:
-                k = counts[name]
-                counts[name] += 1
-            fault = faults.get((name, k))
+                k = counts[layer]
+                counts[layer] += 1
+            fault = faults.get((layer, k))
             if fault == "raise":
-                raise InjectedFault(f"{name} call {k}")
+                raise InjectedFault(f"{layer} call {k}")
             out = original(*args, **kwargs)
             if fault == "nan":
                 return (float("nan"),) + out[1:]
@@ -673,8 +831,9 @@ def install_faults(monkeypatch, faults):
 
         return wrapper
 
-    for name in PATCHABLE:
-        monkeypatch.setattr(seg, name, wrap(name))
+    for layer, bindings in PATCHABLE.items():
+        for module, name in bindings:
+            monkeypatch.setattr(module, name, wrap(layer, ORIGINALS[(module, name)]))
 
 
 def outcome(monkeypatch, faults, call):
@@ -715,10 +874,12 @@ class TestRunAheadErrorOrder:
     )
     def test_pretrain_raises_in_plain_order(self, monkeypatch, batch_size, faults, want):
         scenes = pretrain_scenes()
-        for impl in (sequential_pretrain, train_pretrain):
-            got = outcome(monkeypatch, faults,
-                          lambda: run_pretrain(impl, scenes, ScanSimConfig(), batch_size))
-            assert got == want, impl.__name__
+        for augment in AUGMENTS:
+            for impl in (sequential_pretrain, train_pretrain):
+                got = outcome(monkeypatch, faults,
+                              lambda: run_pretrain(impl, scenes, ScanSimConfig(), batch_size,
+                                                   augment=augment))
+                assert got == want, (augment, impl.__name__)
 
     @pytest.mark.parametrize(
         "regen_every, faults, want, mixed_seen",
