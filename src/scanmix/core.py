@@ -193,7 +193,31 @@ def aabb_of(cloud: LabeledPointCloud) -> Aabb:
     """Tight bounding box of a non-empty cloud."""
     if cloud.n == 0:
         raise EmptyInputError("cannot take the bounding box of an empty cloud")
-    return Aabb(cloud.positions.min(axis=0), cloud.positions.max(axis=0))
+    pos = cloud.positions
+    return Aabb(_narrow_reduce(np.minimum, pos), _narrow_reduce(np.maximum, pos))
+
+
+def _narrow_reduce(ufunc, a: np.ndarray, axis: int = 0) -> np.ndarray:
+    """``ufunc.reduce(a, axis)`` for ``ufunc`` np.minimum or np.maximum and a
+    2-D ``a`` whose other axis is short, taken column by column.
+
+    numpy's own reduction along a short axis pays per row, about seven
+    times the column-by-column cost on 4,750 x 3 points. Along axis 0, with
+    two or more columns, the result is numpy's byte for byte: numpy folds
+    the rows in order and a tie between -0.0 and +0.0 keeps the later one,
+    so a zero result takes the sign of its column's last zero. Along axis 1
+    the columns are folded in order, and the sign of a zero result is not
+    promised.
+    """
+    if axis == 1:
+        out = a[:, 0].copy()
+        for j in range(1, a.shape[1]):
+            ufunc(out, a[:, j], out=out)
+        return out
+    out = np.array([ufunc.reduce(a[:, j]) for j in range(a.shape[1])])
+    for j in np.flatnonzero(out == 0):
+        out[j] = a[np.flatnonzero(a[:, j] == 0)[-1], j]
+    return out
 
 
 def map_labels(
@@ -237,8 +261,8 @@ class AugmentConfig:
 def _elastic_displacement(positions, spacing, magnitude, rng: RandomStream):
     # Coarse smoothed Gaussian noise field, trilinearly interpolated at the
     # points. Grid covers the cloud with one node of margin on each side.
-    lo = positions.min(axis=0) - spacing
-    hi = positions.max(axis=0) + spacing
+    lo = _narrow_reduce(np.minimum, positions) - spacing
+    hi = _narrow_reduce(np.maximum, positions) + spacing
     dims = np.maximum(np.ceil((hi - lo) / spacing).astype(int) + 1, 2)
     axes = [lo[k] + spacing * np.arange(dims[k]) for k in range(3)]
     noise = rng.normal(size=(dims[0], dims[1], dims[2], 3))
@@ -270,7 +294,7 @@ def _standard_augment(cloud, config, rng):
     pos = cloud.positions.copy()
     labels = cloud.labels
 
-    center = 0.5 * (pos.min(axis=0) + pos.max(axis=0))
+    center = 0.5 * (_narrow_reduce(np.minimum, pos) + _narrow_reduce(np.maximum, pos))
     if config.rotate:
         angle = rng.uniform(0.0, 2.0 * np.pi)
         c, s = np.cos(angle), np.sin(angle)

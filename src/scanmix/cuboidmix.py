@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LabeledPointCloud, RandomStream
+from .core import LabeledPointCloud, RandomStream, _narrow_reduce
 from .errors import DegeneratePartitionError, EmptyInputError, ShapeMismatchError
 
 PROV_SOURCE, PROV_TARGET, PROV_QUEUE = 0, 1, 2
@@ -129,8 +129,8 @@ def partition_cuboids(
     if cloud.n == 0:
         raise EmptyInputError("cannot partition an empty cloud")
     pos = cloud.positions
-    lo = pos.min(axis=0)
-    hi = pos.max(axis=0)
+    lo = _narrow_reduce(np.minimum, pos)
+    hi = _narrow_reduce(np.maximum, pos)
     xb = _axis_boundaries(lo[0], hi[0], config.nx, config.delta_phi, rng)
     yb = _axis_boundaries(lo[1], hi[1], config.ny, config.delta_phi, rng)
     zb = _axis_boundaries(lo[2], hi[2], config.nz, config.delta_phi, rng)

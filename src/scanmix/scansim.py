@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.ndimage import maximum_filter
 from scipy.spatial import cKDTree
 
 from .core import LabeledPointCloud, RandomStream, StructuralClasses, aabb_of
@@ -24,6 +25,10 @@ from .errors import (
 )
 
 FOV_MODES = ("fixed", "parallel", "perspective")
+# Finer depth-buffer bins would overflow visible_points' int64 bin key.
+_MIN_THETA_BIN = 1e-6
+# Relative slack that rounds a cell reach within rounding of an integer up.
+_ROUNDING_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -44,6 +49,8 @@ class FovConfig:
             raise ValueError("alpha_v must be in (0, 180]")
         if self.mode not in FOV_MODES:
             raise ValueError(f"mode must be one of {FOV_MODES}")
+        if not self.d_ref > 0.0:
+            raise ValueError("d_ref must be positive")
 
 
 @dataclass(frozen=True)
@@ -61,12 +68,12 @@ class ScanSimConfig:
     def __post_init__(self):
         if self.n_v < 1:
             raise ValueError("n_v must be >= 1")
-        if self.bev_cell <= 0:
+        if not self.bev_cell > 0:
             raise ValueError("bev_cell must be positive")
-        if self.clearance < 0:
+        if not self.clearance >= 0:
             raise ValueError("clearance must be >= 0")
-        if self.theta_bin <= 0:
-            raise ValueError("theta_bin must be positive")
+        if not self.theta_bin >= _MIN_THETA_BIN:
+            raise ValueError(f"theta_bin must be >= {_MIN_THETA_BIN} degrees")
         if self.eps_d < 0 or self.delta_p < 0:
             raise ValueError("eps_d and delta_p must be >= 0")
 
@@ -108,6 +115,12 @@ def compute_free_space_bev(
     ceiling, or it touches the x-y bounding-box boundary. Raises
     NoFreeSpaceError when nothing remains free.
     """
+    return _free_space_bev(cloud, config, structural)[0]
+
+
+def _free_space_bev(cloud, config, structural):
+    """:func:`compute_free_space_bev`, the x-y positions of the blocking
+    points and their (k, 2) cells."""
     box = aabb_of(cloud)
     origin = box.min[:2]
     extent = box.extent[:2]
@@ -118,12 +131,13 @@ def compute_free_space_bev(
 
     labels = cloud.labels
     blocking = (labels != structural.floor) & (labels != structural.ceiling)
-    if blocking.any():
-        cells = _xy_cells(cloud.positions[blocking, :2], origin, config.bev_cell, shape)
-        blocked[cells[:, 0], cells[:, 1]] = True
+    # np.compress takes the rows about 4x faster than positions[blocking, :2]
+    xy = np.compress(blocking, cloud.positions, axis=0)[:, :2]
+    cells = _xy_cells(xy, origin, config.bev_cell, shape)
+    blocked[cells[:, 0], cells[:, 1]] = True
     if blocked.all():
         raise NoFreeSpaceError("every bird's-eye-view cell is blocked")
-    return BevGrid(origin.copy(), config.bev_cell, blocked)
+    return BevGrid(origin.copy(), config.bev_cell, blocked), xy, cells
 
 
 @dataclass(frozen=True)
@@ -187,19 +201,23 @@ def plan_scan(
     every blocking point; cameras stand in the top half of the cloud's
     vertical extent. Raises NoFreeSpaceError or NoWallPointsError.
     """
-    bev = compute_free_space_bev(cloud, config, structural)
+    bev, xy, cells = _free_space_bev(cloud, config, structural)
     free = bev.free_cells()
-    if len(free) == 0:
-        raise NoFreeSpaceError("no free cell to place a camera")
-    if config.clearance > 0:
-        blocking = (cloud.labels != structural.floor) & (cloud.labels != structural.ceiling)
-        if blocking.any():
-            tree = cKDTree(cloud.positions[blocking, :2])
-            centers = bev.cell_centers(free)
-            dist, _ = tree.query(centers, k=1)
-            free = free[dist > config.clearance]
-            if len(free) == 0:
-                raise NoFreeSpaceError("clearance radius excludes every free cell")
+    # A cell d >= 1 cells from a free cell on some axis is at least
+    # (d - 0.5) * bev_cell from its center, and a free cell holds no
+    # blocking point, so only the points in cells within ``reach`` of a free
+    # cell can lie within ``clearance``; the slack covers the rounding of
+    # the cell indices and centers.
+    span = np.abs(bev.origin).max() / config.bev_cell + max(bev.shape)
+    ratio = config.clearance / config.bev_cell + 0.5 + _ROUNDING_SLACK * (1.0 + span)
+    reach = int(min(ratio, max(bev.shape)))
+    near = maximum_filter(~bev.blocked, size=2 * reach + 1, mode="constant")
+    candidates = near[cells[:, 0], cells[:, 1]]
+    if candidates.any():
+        dist, _ = cKDTree(xy[candidates]).query(bev.cell_centers(free), k=1)
+        free = free[dist > config.clearance]
+        if len(free) == 0:
+            raise NoFreeSpaceError("clearance radius excludes every free cell")
     wall_idx = np.flatnonzero(cloud.labels == structural.wall)
     if len(wall_idx) == 0:
         raise NoWallPointsError("no wall-labeled point to aim at")
@@ -299,7 +317,9 @@ def visible_points(
     az, el = (angles[0][idx], angles[1][idx]) if angles is not None else _angles(qf, qu, qr)
     a_bin = np.floor(az / config.theta_bin).astype(np.int64)
     e_bin = np.floor(el / config.theta_bin).astype(np.int64)
-    key = a_bin * (2 ** 20) + e_bin
+    # one integer per (azimuth, elevation) bin pair
+    e_lo = e_bin.min()
+    key = a_bin * (e_bin.max() - e_lo + 1) + (e_bin - e_lo)
     _, inverse = np.unique(key, return_inverse=True)
     nearest = np.full(inverse.max() + 1, np.inf)
     np.minimum.at(nearest, inverse, r)

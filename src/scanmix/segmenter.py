@@ -23,6 +23,7 @@ from .core import (
     LabeledPointCloud,
     RandomStream,
     StructuralClasses,
+    _narrow_reduce,
     _standard_augment,
 )
 from .cuboidmix import CuboidMixConfig, TailCuboidQueue, compose_mixed_scene
@@ -158,7 +159,7 @@ def forward_scores(model: SegmenterModel, features: np.ndarray) -> np.ndarray:
             f"features are {features.shape}, model expects (*, {model.d})"
         )
     logits = features @ model.weights.T + model.bias
-    logits -= logits.max(axis=1, keepdims=True)
+    logits -= _narrow_reduce(np.maximum, logits, axis=1)[:, None]
     e = np.exp(logits)
     return e / e.sum(axis=1, keepdims=True)
 

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.spatial.distance import pdist
@@ -12,6 +15,7 @@ from scanmix import (
     map_labels,
     standard_augment,
 )
+from scanmix.core import _narrow_reduce
 from scanmix.errors import EmptyInputError, UnknownLabelError
 
 from conftest import random_cloud
@@ -180,3 +184,100 @@ class TestStandardAugment:
         cloud = LabeledPointCloud(np.zeros((0, 3)), np.zeros(0, dtype=int), taxonomy)
         with pytest.raises(EmptyInputError):
             standard_augment(cloud, AugmentConfig(), rng)
+
+
+def signed_zero_ties(gen, n, k):
+    """Normal entries, each column all >= 0, all <= 0 or mixed, with one to
+    five +0.0/-0.0 planted, so a column's extreme is often a tie of zeros."""
+    a = gen.normal(size=(n, k))
+    for j in range(k):
+        sign = int(gen.integers(0, 3))
+        if sign < 2:
+            a[:, j] = np.abs(a[:, j]) * (1.0 if sign == 0 else -1.0)
+        rows = gen.choice(n, size=min(n, int(gen.integers(1, 6))), replace=False)
+        a[rows, j] = np.where(gen.random(len(rows)) < 0.5, 0.0, -0.0)
+    return a
+
+
+class TestNarrowReduce:
+    def test_axis_0_matches_numpy_byte_for_byte(self):
+        gen = RandomStream(14)
+        zero_extremes = per_column_differs = 0
+        for _ in range(2000):
+            a = signed_zero_ties(gen, int(gen.integers(1, 400)), int(gen.integers(2, 7)))
+            for ufunc, want in ((np.minimum, a.min(axis=0)), (np.maximum, a.max(axis=0))):
+                assert _narrow_reduce(ufunc, a).tobytes() == want.tobytes()
+                zero_extremes += int((want == 0).sum())
+                plain = np.array([ufunc.reduce(a[:, j]) for j in range(a.shape[1])])
+                per_column_differs += plain.tobytes() != want.tobytes()
+        # the planted ties reach the zeros a plain per-column reduction signs differently
+        assert zero_extremes > 1000 and per_column_differs > 0
+
+    def test_axis_1_matches_numpy(self):
+        gen = RandomStream(15)
+        for _ in range(500):
+            a = signed_zero_ties(gen, int(gen.integers(1, 200)), int(gen.integers(1, 9)))
+            for ufunc, want in ((np.minimum, a.min(axis=1)), (np.maximum, a.max(axis=1))):
+                assert np.array_equal(_narrow_reduce(ufunc, a, axis=1), want)
+
+    def test_callers_keep_numpy_bounds(self, taxonomy):
+        gen = RandomStream(16)
+        for _ in range(50):
+            pos = signed_zero_ties(gen, int(gen.integers(2, 300)), 3)
+            cloud = LabeledPointCloud(pos, np.zeros(len(pos), dtype=int), taxonomy)
+            box = aabb_of(cloud)
+            assert box.min.tobytes() == pos.min(axis=0).tobytes()
+            assert box.max.tobytes() == pos.max(axis=0).tobytes()
+
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "scanmix"
+HELPER = "_narrow_reduce"
+EXTREMES = {"min", "max", "amin", "amax", "nanmin", "nanmax"}
+
+
+def axis_reductions(source: str) -> list[int]:
+    """Lines of the min/max reductions along an axis in ``source`` outside
+    a function named ``HELPER``: ``a.min(axis=0)``, ``a.max(1)`` and
+    ``np.max(a, 1)``."""
+    tree = ast.parse(source)
+    inside = {
+        id(node)
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef) and fn.name == HELPER
+        for node in ast.walk(fn)
+    }
+    lines = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call) or id(node) in inside:
+            continue
+        func = node.func
+        if not isinstance(func, ast.Attribute) or func.attr not in EXTREMES:
+            continue
+        on_numpy = isinstance(func.value, ast.Name) and func.value.id in ("np", "numpy")
+        if any(k.arg == "axis" for k in node.keywords) or len(node.args) > on_numpy:
+            lines.append(node.lineno)
+    return lines
+
+
+def test_narrow_axis_reductions_only_in_the_helper():
+    paths = sorted(SRC.glob("*.py"))
+    assert len(paths) > 5
+    found = {p.name: axis_reductions(p.read_text(encoding="utf-8")) for p in paths}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_reduction_guard_bites():
+    source = (
+        "a.min(axis=0)\n"
+        "a.max(1)\n"
+        "np.max(a, 1)\n"
+        "np.amin(a, axis=1)\n"
+        "a.min()\n"
+        "np.max(a)\n"
+        "a.argmax(axis=1)\n"
+        "np.minimum(a, b)\n"
+        "np.minimum.at(a, i, b)\n"
+        f"def {HELPER}(ufunc, a):\n"
+        "    return a.min(axis=0), a.max(1)\n"
+    )
+    assert axis_reductions(source) == [1, 2, 3, 4]

@@ -117,6 +117,9 @@ class TestConfig:
             "pretrain.lambda=0.5",
             "selftrain.batch=1",
             "vss.bev_cell=0",
+            "vss.d_ref=0",
+            "vss.d_ref=-2",
+            "vss.theta_bin=1e-7",
             "selftrain.regen_every=-2",
             "pretrain.momentum=-0.5",
             "structural.wall=99",

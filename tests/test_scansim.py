@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 from scipy.stats import chi2
 
 from scanmix import (
@@ -26,6 +27,7 @@ from scanmix import (
     visible_union_mask,
 )
 from scanmix.errors import DegeneratePoseError, NoFreeSpaceError, NoWallPointsError
+import scanmix.scansim as scansim
 from scanmix.scansim import _angles, _camera_components, camera_frame
 
 
@@ -506,3 +508,165 @@ class TestScanPlan:
                 scan_and_jitter(cloud, config, TOY_STRUCTURAL, RandomStream(0))
         with pytest.raises(NoFreeSpaceError, match="clearance"):
             plan_scan(empty_room_cloud(), ScanSimConfig(bev_cell=0.5, clearance=5.0), TOY_STRUCTURAL)
+
+
+def reference_free_cells(cloud, config):
+    """The free cells plan_scan keeps, from a tree over every blocking point."""
+    bev = compute_free_space_bev(cloud, config, TOY_STRUCTURAL)
+    free = bev.free_cells()
+    blocking = (cloud.labels != TOY_STRUCTURAL.floor) & (cloud.labels != TOY_STRUCTURAL.ceiling)
+    if config.clearance > 0 and blocking.any():
+        dist, _ = cKDTree(cloud.positions[blocking, :2]).query(bev.cell_centers(free), k=1)
+        free = free[dist > config.clearance]
+    return free
+
+
+def furnished_room(gen, cell):
+    """A room at a random offset: a floor grid, walls on the perimeter and
+    a few blocking points inside, so most interior cells stay free."""
+    lo = gen.uniform(-3.0, 3.0, size=2)
+    w, d = gen.uniform(2.0, 4.0, size=2)
+    fx, fy = np.meshgrid(np.arange(0.0, w, cell / 3), np.arange(0.0, d, cell / 3), indexing="ij")
+    floor = np.column_stack([fx.ravel(), fy.ravel(), np.zeros(fx.size)])
+    t = np.linspace(0.0, 1.0, 30)
+    walls = np.concatenate([
+        np.column_stack([t * w, np.zeros_like(t)]), np.column_stack([t * w, np.full_like(t, d)]),
+        np.column_stack([np.zeros_like(t), t * d]), np.column_stack([np.full_like(t, w), t * d]),
+    ])
+    walls = np.column_stack([walls, np.full(len(walls), 1.0)])
+    inside = gen.uniform(0.0, 1.0, size=(int(gen.integers(3, 25)), 3)) * [w, d, 1.0]
+    pos = np.concatenate([floor, walls, inside]) + [lo[0], lo[1], 0.0]
+    labels = np.concatenate([np.zeros(len(floor)), np.full(len(walls), 2), np.full(len(inside), 3)])
+    return pos, labels.astype(int)
+
+
+def plant_near_free_centres(gen, pos, labels, config, offsets):
+    """One blocking point per offset j, about ``clearance`` from a distinct
+    free cell's center: along an axis or a random direction, then moved j
+    ulps along x. Points outside the room's x-y box are skipped."""
+    cloud = LabeledPointCloud(pos, labels, TOY_TAXONOMY)
+    bev = compute_free_space_bev(cloud, config, TOY_STRUCTURAL)
+    centers = bev.cell_centers(bev.free_cells())
+    lo, hi = pos[:, :2].min(axis=0), pos[:, :2].max(axis=0)
+    planted = []
+    for j, center in zip(offsets, centers[gen.permutation(len(centers))]):
+        angle = 0.0 if j % 2 == 0 else gen.uniform(0.0, 2.0 * np.pi)
+        p = center + config.clearance * np.array([np.cos(angle), np.sin(angle)])
+        p[0] = p[0] + j * np.spacing(p[0])
+        if (p > lo).all() and (p < hi).all():
+            planted.append([p[0], p[1], 0.5])
+    planted = np.array(planted).reshape(-1, 3)
+    return np.concatenate([pos, planted]), np.concatenate([labels, np.full(len(planted), 3)])
+
+
+def clearances(cell):
+    """Below, at and above half a cell, around the (d - 0.5) * cell edges
+    where the cell reach steps, and several cells wide."""
+    edges = [0.5 * cell, 1.5 * cell, 2.5 * cell]
+    around = [v for e in edges for v in (np.nextafter(e, 0.0), e, np.nextafter(e, 1.0))]
+    return [0.0, 0.2 * cell, 0.45 * cell, 0.8 * cell, 2.3 * cell, 3.7 * cell] + around
+
+
+class TestClearanceFilter:
+    @pytest.mark.parametrize("cell", [0.25, 0.3, 0.1])
+    def test_matches_a_tree_over_every_blocking_point(self, cell):
+        gen = RandomStream(int(cell * 1000))
+        checked = dropped = 0
+        for clearance in clearances(cell):
+            config = ScanSimConfig(bev_cell=cell, clearance=float(clearance))
+            for _ in range(3):
+                pos, labels = furnished_room(gen, cell)
+                pos, labels = plant_near_free_centres(gen, pos, labels, config, range(-3, 4))
+                cloud = LabeledPointCloud(pos, labels, TOY_TAXONOMY)
+                want = reference_free_cells(cloud, config)
+                if len(want) == 0:
+                    with pytest.raises(NoFreeSpaceError, match="clearance"):
+                        plan_scan(cloud, config, TOY_STRUCTURAL)
+                    continue
+                got = plan_scan(cloud, config, TOY_STRUCTURAL).free
+                assert np.array_equal(got, want)
+                checked += 1
+                dropped += len(compute_free_space_bev(cloud, config, TOY_STRUCTURAL).free_cells()) - len(want)
+        assert checked > 30 and dropped > 100
+
+    @pytest.mark.parametrize("name", ["cluttered", "tail_heavy"])
+    def test_templates_match_the_reference(self, name):
+        cloud = template_cloud(name, 4, density=60.0)
+        for clearance in (0.1, 0.125, 0.3, 0.6):
+            config = ScanSimConfig(clearance=clearance)
+            assert np.array_equal(plan_scan(cloud, config, TOY_STRUCTURAL).free,
+                                  reference_free_cells(cloud, config))
+
+    def test_no_tree_below_half_a_cell(self, monkeypatch):
+        # a point within clearance < bev_cell / 2 of a free center lies in that free cell
+        cloud = template_cloud("cluttered", 5, density=185.0)
+        config = ScanSimConfig()
+        want = reference_free_cells(cloud, config)
+
+        def no_tree(*args, **kwargs):
+            raise AssertionError("plan_scan built a tree")
+
+        monkeypatch.setattr(scansim, "cKDTree", no_tree)
+        assert np.array_equal(plan_scan(cloud, config, TOY_STRUCTURAL).free, want)
+
+
+def at_angles(r, az, el):
+    """A point at range r, azimuth az and elevation el (degrees) from a
+    camera at the origin looking along +x (right is -y, up is +z)."""
+    az, el = np.radians(az), np.radians(el)
+    return [r * np.cos(el) * np.cos(az), -r * np.cos(el) * np.sin(az), r * np.sin(el)]
+
+
+def pair_binned_visible(cloud, pose, config):
+    """visible_points with each depth-buffer bin named by its (azimuth,
+    elevation) index pair instead of one integer key."""
+    idx = np.flatnonzero(visible_range_mask(cloud, pose, config.fov))
+    out = np.zeros(cloud.n, dtype=bool)
+    if len(idx) == 0:
+        return out
+    qf, qu, qr = (q[idx] for q in _camera_components(cloud, pose))
+    r = np.sqrt(qf * qf + qu * qu + qr * qr)
+    az, el = _angles(qf, qu, qr)
+    bins = np.column_stack([np.floor(az / config.theta_bin), np.floor(el / config.theta_bin)])
+    _, inverse = np.unique(bins, axis=0, return_inverse=True)
+    inverse = inverse.reshape(-1)
+    nearest = np.full(inverse.max() + 1, np.inf)
+    np.minimum.at(nearest, inverse, r)
+    out[idx[r <= nearest[inverse] + config.eps_d]] = True
+    return out
+
+
+class TestDepthBufferKey:
+    def test_planted_pair_in_two_bins_stays_visible(self):
+        config = ScanSimConfig(fov=FovConfig(alpha_h=180.0, alpha_v=180.0), theta_bin=1e-4)
+        pose = CameraPose(np.zeros(3), np.array([1.0, 0.0, 0.0]))
+        far, near = at_angles(3.0, 5.5e-4, -59.99995), at_angles(1.0, 4.5e-4, 44.85765)
+        cloud = LabeledPointCloud(np.array([far, near]), np.array([0, 0]), TOY_TAXONOMY)
+        az, el = _angles(*_camera_components(cloud, pose))
+        a_bin = np.floor(az / config.theta_bin).astype(np.int64)
+        e_bin = np.floor(el / config.theta_bin).astype(np.int64)
+        assert a_bin.tolist() == [5, 4] and e_bin.tolist() == [-600000, 448576]
+        # the key a_bin * 2**20 + e_bin puts both points in one bin
+        assert (a_bin * 2 ** 20 + e_bin).tolist() == [4642880, 4642880]
+        assert visible_points(cloud, pose, config).tolist() == [True, True]
+
+    @pytest.mark.parametrize("theta_bin", [scansim._MIN_THETA_BIN, 1e-4, 0.01, 0.5, 5.0])
+    def test_matches_bins_named_by_index_pairs(self, theta_bin):
+        gen = np.random.default_rng(int(theta_bin * 1e6))
+        cloud = LabeledPointCloud(gen.uniform(-3.0, 3.0, size=(3000, 3)), np.zeros(3000, dtype=int), TOY_TAXONOMY)
+        for mode in ("fixed", "parallel", "perspective"):
+            config = ScanSimConfig(fov=FovConfig(300.0, 170.0, mode), theta_bin=theta_bin)
+            for pose in random_poses(gen, -0.5, 0.5, 3):
+                want = pair_binned_visible(cloud, pose, config)
+                assert np.array_equal(visible_points(cloud, pose, config), want)
+
+    @pytest.mark.parametrize("theta_bin", [0.0, 1e-7, np.nan])
+    def test_bins_finer_than_the_key_allows_rejected(self, theta_bin):
+        with pytest.raises(ValueError, match="theta_bin"):
+            ScanSimConfig(theta_bin=theta_bin)
+
+
+@pytest.mark.parametrize("d_ref", [0.0, -1.0, np.nan])
+def test_non_positive_d_ref_rejected(d_ref):
+    with pytest.raises(ValueError, match="d_ref"):
+        FovConfig(mode="parallel", d_ref=d_ref)

@@ -200,6 +200,31 @@ class TestForward:
         want = (e / e.sum(axis=1, keepdims=True)).astype(np.float64)
         assert np.allclose(scores, want, rtol=1e-12, atol=1e-12)
 
+    def test_matches_numpy_row_max_byte_for_byte(self):
+        gen = RandomStream(17)
+        c = TOY_TAXONOMY.count
+        for _ in range(20):
+            weights = gen.normal(size=(c, 7))
+            weights[gen.random(c) < 0.4] = 0.0               # classes tied on their bias
+            bias = gen.choice(3, size=c).astype(np.float64)
+            features = gen.normal(size=(300, 7)) * 3
+            features[gen.random(300) < 0.2] = 0.0
+            model = SegmenterModel(weights, bias, TOY_TAXONOMY)
+            logits = features @ weights.T + bias
+            logits -= logits.max(axis=1, keepdims=True)
+            e = np.exp(logits)
+            want = e / e.sum(axis=1, keepdims=True)
+            assert forward_scores(model, features).tobytes() == want.tobytes()
+
+    def test_sign_of_a_zero_row_max_does_not_reach_the_scores(self):
+        # rows whose maximum is a tie of +0.0 and -0.0
+        gen = RandomStream(18)
+        logits = signed_zero_gradient(gen, (2000, 6))
+        logits = np.where(logits > 0, -logits, logits)
+        want = np.exp(logits - logits.max(axis=1, keepdims=True))
+        got = np.exp(logits - core._narrow_reduce(np.maximum, logits, axis=1)[:, None])
+        assert got.tobytes() == want.tobytes()
+
 
 class TestCrossEntropy:
     def test_perfect_prediction_zero_loss(self):
