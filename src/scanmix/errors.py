@@ -91,6 +91,10 @@ class DivergenceError(ScanmixError):
     """Training produced a non-finite loss."""
 
 
+class TrainerError(ScanmixError):
+    """A training loop's trainer process died before it replied."""
+
+
 class NoEvaluatedClassesError(ScanmixError):
     """Every class has an undefined IoU (empty confusion matrix)."""
 

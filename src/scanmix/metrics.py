@@ -72,6 +72,6 @@ def write_iou_csv(path, taxonomy: ClassTaxonomy, ious: np.ndarray, miou: float) 
     """One row per class (name, IoU; 'nan' when undefined), then mIoU."""
     lines = ["class,iou"]
     for name, value in zip(taxonomy.names, ious):
-        lines.append(f"{name},{value!r}" if np.isfinite(value) else f"{name},nan")
+        lines.append(f"{name},{float(value)!r}" if np.isfinite(value) else f"{name},nan")
     lines.append(f"mIoU,{miou!r}")
     _write_file(path, "\n".join(lines) + "\n")

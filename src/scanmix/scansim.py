@@ -171,7 +171,9 @@ def camera_frame(pose: CameraPose) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if norm < 1e-12:
         raise DegeneratePoseError("camera forward axis is parallel to world z")
     up = up / norm
-    right = np.cross(f, up)
+    # np.cross's products and differences, written out: the same bytes
+    (fx, fy, fz), (ux, uy, uz) = f.tolist(), up.tolist()
+    right = np.array([fy * uz - fz * uy, fz * ux - fx * uz, fx * uy - fy * ux])
     return f, up, right
 
 
@@ -267,10 +269,9 @@ def _angles(qf, qu, qr) -> tuple[np.ndarray, np.ndarray]:
     return np.degrees(np.arctan2(qr, qf)), np.degrees(np.arctan2(qu, np.hypot(qf, qr)))
 
 
-def _fov_mask(qf, qu, qr, fov: FovConfig, angles=None) -> np.ndarray:
-    # ``angles``: _angles(qf, qu, qr) when the caller already has them
+def _fov_mask(qf, qu, qr, fov: FovConfig) -> np.ndarray:
     if fov.mode == "fixed":
-        az, el = angles if angles is not None else _angles(qf, qu, qr)
+        az, el = _angles(qf, qu, qr)
         return (np.abs(az) <= fov.alpha_h / 2) & (np.abs(el) <= fov.alpha_v / 2)
     th = np.tan(np.radians(fov.alpha_h / 2))
     tv = np.tan(np.radians(fov.alpha_v / 2))
@@ -278,6 +279,26 @@ def _fov_mask(qf, qu, qr, fov: FovConfig, angles=None) -> np.ndarray:
     if fov.mode == "perspective":
         return ahead & (np.abs(qr) <= qf * th) & (np.abs(qu) <= qf * tv)
     return ahead & (np.abs(qr) <= fov.d_ref * th) & (np.abs(qu) <= fov.d_ref * tv)
+
+
+def _fixed_fov(qf, qu, qr, fov):
+    """The fixed mode's in-FOV indices with their azimuths and elevations,
+    the bytes ``_angles`` and ``_fov_mask`` give, computed only where they
+    can pass: the azimuth of the points a conservative prefilter admits,
+    the elevation where the azimuth passed."""
+    if fov.alpha_h <= 180.0:
+        # |azimuth| <= 90 needs qf >= 0 up to rounding (qf = -1e-17, qr = 1
+        # has azimuth 90.0); a point this drops is more than 5.7e-8
+        # degrees past 90, far beyond that rounding
+        idx = np.flatnonzero(qf >= -1e-9 * np.abs(qr))
+    else:
+        idx = np.arange(len(qf))
+    az = np.degrees(np.arctan2(qr[idx], qf[idx]))
+    keep = np.flatnonzero(np.abs(az) <= fov.alpha_h / 2)
+    idx, az = idx[keep], az[keep]
+    el = np.degrees(np.arctan2(qu[idx], np.hypot(qf[idx], qr[idx])))
+    keep = np.flatnonzero(np.abs(el) <= fov.alpha_v / 2)
+    return idx[keep], az[keep], el[keep]
 
 
 def visible_range_mask(
@@ -306,15 +327,17 @@ def visible_points(
     point survives iff its range is within ``eps_d`` of its bin's minimum.
     """
     qf, qu, qr = _camera_components(cloud, pose)
-    # the fixed mode's mask needs every point's angles; other modes only the in-FOV ones
-    angles = _angles(qf, qu, qr) if config.fov.mode == "fixed" else None
-    idx = np.flatnonzero(_fov_mask(qf, qu, qr, config.fov, angles))
+    if config.fov.mode == "fixed":
+        idx, az, el = _fixed_fov(qf, qu, qr, config.fov)
+    else:
+        idx = np.flatnonzero(_fov_mask(qf, qu, qr, config.fov))
     out = np.zeros(cloud.n, dtype=bool)
     if len(idx) == 0:
         return out
     qf, qu, qr = qf[idx], qu[idx], qr[idx]
     r = np.sqrt(qf * qf + qu * qu + qr * qr)
-    az, el = (angles[0][idx], angles[1][idx]) if angles is not None else _angles(qf, qu, qr)
+    if config.fov.mode != "fixed":
+        az, el = _angles(qf, qu, qr)
     a_bin = np.floor(az / config.theta_bin).astype(np.int64)
     e_bin = np.floor(el / config.theta_bin).astype(np.int64)
     # one integer per (azimuth, elevation) bin pair

@@ -9,7 +9,9 @@ point, not the capacity of the classifier.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import multiprocessing
+import os
+import traceback
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
@@ -33,6 +35,8 @@ from .errors import (
     EmptyInputError,
     NoSupervisionError,
     ParseError,
+    TrainerError,
+    UnknownLabelError,
 )
 from .io import _header_fields, _header_line, _read_bytes, _write_file
 from .pseudo import PseudoLabelConfig, class_ratio, generate_pseudo_labels
@@ -161,7 +165,10 @@ def forward_scores(model: SegmenterModel, features: np.ndarray) -> np.ndarray:
     logits = features @ model.weights.T + model.bias
     logits -= _narrow_reduce(np.maximum, logits, axis=1)[:, None]
     e = np.exp(logits)
-    return e / e.sum(axis=1, keepdims=True)
+    # numpy sums a row of fewer than eight in order, as the column adds do,
+    # and a longer one pairwise
+    total = _narrow_reduce(np.add, e, axis=1) if e.shape[1] < 8 else e.sum(axis=1)
+    return e / total[:, None]
 
 
 def cross_entropy(
@@ -171,7 +178,9 @@ def cross_entropy(
 ) -> tuple[float, np.ndarray]:
     """Mean cross-entropy over non-ignored rows plus its gradient with
     respect to the pre-softmax logits ((S - onehot) / n on those rows,
-    zero elsewhere). Probabilities are clamped at 1e-12."""
+    zero elsewhere). Probabilities are clamped at 1e-12. A label that is
+    neither the ignore index nor a column of ``scores`` raises
+    UnknownLabelError."""
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
     if scores.shape[0] != labels.shape[0]:
@@ -181,10 +190,15 @@ def cross_entropy(
     if len(valid) == 0:
         raise NoSupervisionError("every point is ignored")
     target = labels[valid]
-    picked = scores[valid, target]
+    if target.min() < 0 or target.max() >= scores.shape[1]:
+        bad = target[(target < 0) | (target >= scores.shape[1])][0]
+        raise UnknownLabelError(bad, f"scores have {scores.shape[1]} classes")
+    # one flat index into the row-major gradient serves the pick and the subtraction
+    flat = valid * scores.shape[1] + target
+    picked = scores.take(flat)
     loss = float(-np.log(np.maximum(picked, 1e-12)).mean())
-    grad = np.where(keep[:, None], scores, 0.0)
-    grad[valid, target] -= 1.0
+    grad = scores.copy() if len(valid) == len(keep) else np.where(keep[:, None], scores, 0.0)
+    grad.reshape(-1)[flat] -= 1.0
     grad /= len(valid)
     return loss, grad
 
@@ -265,12 +279,17 @@ def _scene_gradient(model, cloud, features):
     return loss, grad_logits.T @ features, grad_logits.sum(axis=0)
 
 
-def _gradients(model, batch):
-    """``_scene_gradient`` of each (cloud, features future) pair, in order.
-    Each waits only for its own features, so a failure surfaces where the
-    sequential loop would meet it."""
-    for cloud, features in batch:
-        yield _scene_gradient(model, cloud, features.result())
+def _gradients(model, batch, feature_config, candidates_of):
+    """``_scene_gradient`` of each submitted (cloud, reuse) pair, in order,
+    each cloud's features computed just before its gradient, so a failure
+    surfaces where the plain loop would meet it."""
+    for cloud, reuse in batch:
+        if reuse is None:
+            features = extract_features(cloud, feature_config)
+        else:
+            i, kept, perm = reuse
+            features = _reused_features(cloud, feature_config, candidates_of(i), kept, perm)
+        yield _scene_gradient(model, cloud, features)
 
 
 def _lazy_plans(scenes, scan_config, structural):
@@ -365,8 +384,8 @@ def _surviving_pairs(cloud, radius, candidates, kept, perm):
         a = np.repeat(rename[lo:hi], counts[lo:hi])
         b = rename[partners[ends[lo] : ends[hi]]]
         if kept is not None:
-            both = np.minimum(a, b) >= 0
-            a, b = a[both], b[both]
+            both = np.flatnonzero(np.minimum(a, b) >= 0)
+            a, b = a.take(both), b.take(both)
         # one cast, not one per gather; the sum runs from 0.0 through x, y, z
         a, b = a.astype(np.intp), b.astype(np.intp)
         dist2 = np.zeros(len(a))
@@ -375,83 +394,168 @@ def _surviving_pairs(cloud, radius, candidates, kept, perm):
             d -= coord.take(b)
             d *= d
             dist2 += d
-        near = dist2 <= radius * radius
-        found_a.append(a[near])
-        found_b.append(b[near])
+        near = np.flatnonzero(dist2 <= radius * radius)
+        found_a.append(a.take(near))
+        found_b.append(b.take(near))
     return np.concatenate(found_a), np.concatenate(found_b)
 
 
-def _train(model, train_config, feature_config, weights, norm, draw, drain=None, on_batch=None):
-    """Descend on (sum of weights[i] * CE_i) / norm, one iteration ahead.
+class _TrainerTraceback(Exception):
+    """The trainer's formatted traceback, the cause of the error it sent."""
+
+
+def _trainer(conn, parent_end, opt, weights, norm, feature_config, candidates_of):
+    # The trainer process's loop: each message is an iteration's batch and
+    # whether it is whole; a whole batch is stepped and answered with the
+    # loss and the stepped model, a partial one (its draw failed) only has
+    # its gradients taken. The parent's end closing stops it, so this copy
+    # of that end is closed first.
+    parent_end.close()
+    try:
+        while True:
+            it, batch, whole = conn.recv()
+            grads = _gradients(opt.model, batch, feature_config, candidates_of)
+            reply = None
+            if whole:
+                grad_w = np.zeros_like(opt.model.weights)
+                grad_b = np.zeros_like(opt.model.bias)
+                total = 0.0
+                for weight, (loss, gw, gb) in zip(weights, grads):
+                    grad_w += weight * gw
+                    grad_b += weight * gb
+                    total += weight * loss
+                total /= norm
+                if not np.isfinite(total):
+                    raise DivergenceError(f"non-finite loss at iteration {it}")
+                opt.step(grad_w / norm, grad_b / norm)
+                reply = (total, opt.model.weights, opt.model.bias)
+            else:
+                for _ in grads:
+                    pass
+            conn.send((None, reply))
+    except EOFError:
+        pass
+    except Exception as exc:
+        trace = "".join(traceback.format_exception(exc))
+        try:
+            conn.send((exc, trace))
+        except Exception:
+            # an error that does not pickle still reaches the parent, typed
+            conn.send((TrainerError(f"{type(exc).__name__}: {exc}"), trace))
+    finally:
+        # Exit without the exit handlers inherited from the parent: a
+        # process pool's handler there (run_pipeline forks while one runs)
+        # would write to that pool's wakeup pipe.
+        os._exit(0)
+
+
+class _Trainer:
+    """A trainer process forked from this one, and this end of its pipe.
+    A trainer that dies shows here as the end of the pipe, and raises
+    TrainerError instead of leaving this process waiting."""
+
+    def __init__(self, *args):
+        fork = multiprocessing.get_context("fork")
+        self.conn, child_end = fork.Pipe()
+        self.process = fork.Process(
+            target=_trainer, args=(child_end, self.conn, *args), name="scanmix-trainer"
+        )
+        self.process.start()
+        child_end.close()
+
+    def _died(self):
+        self.process.join()
+        raise TrainerError(
+            f"the trainer process exited with code {self.process.exitcode} before it replied"
+        ) from None
+
+    def send(self, message):
+        try:
+            self.conn.send(message)
+        except Exception:
+            if self.process.is_alive():
+                raise
+            self._died()
+
+    def receive(self):
+        """The trainer's next reply; an error it sent is raised here."""
+        try:
+            error, reply = self.conn.recv()
+        except EOFError:
+            self._died()
+        if error is not None:
+            raise error from _TrainerTraceback(reply)
+        return reply
+
+    def close(self):
+        # the trainer stops at the end of its pipe
+        self.conn.close()
+        self.process.join()
+
+
+def _train(model, train_config, feature_config, weights, norm, draw, candidates_of=None,
+           drain=None, on_batch=None):
+    """Descend on (sum of weights[i] * CE_i) / norm, in a trainer process
+    one iteration behind the draws.
 
     ``draw(it, submit, model)`` takes every random draw of iteration ``it``
-    in this thread and passes each finished cloud to ``submit``, which
-    starts its features on a helper thread; CE_i is the i-th submitted
-    cloud's cross-entropy, summed in that order. ``submit(cloud, reuse)``
-    with ``reuse = (candidates, kept, perm)`` computes them by
-    ``_reused_features`` instead of a fresh neighbour search. ``on_batch(it, clouds)``
-    sees the clouds just before their gradients. Iteration t-1 is stepped
-    after iteration t is drawn, so the helper computes t's features while
-    this thread steps t-1. Features are pure, and draws and steps keep
-    their order, so the result is that of the plain loop.
+    in this process and passes each finished cloud to ``submit``; CE_i is
+    the i-th submitted cloud's cross-entropy, summed in that order.
+    ``submit(cloud, reuse)`` with ``reuse = (i, kept, perm)`` has the
+    trainer compute the features by ``_reused_features`` from
+    ``candidates_of(i)`` instead of a fresh neighbour search.
+    ``on_batch(it, clouds)`` sees the clouds of iteration ``it`` just
+    before they go to the trainer.
+
+    The trainer is forked at the start of each call, so it inherits the
+    scenes and ``candidates_of``, whose tables it fills itself. It computes
+    the features, gradients and descent steps; this process keeps every
+    random draw. Iteration t is drawn here while the trainer works on t-1;
+    then this process waits for t-1's step, which sends back the stepped
+    model, calls ``on_batch(t)`` and sends t. Features are pure, and draws
+    and steps keep their order, so the result is that of the plain loop.
 
     Errors come out in the plain loop's order: when the draw of t fails,
     t-1 is stepped first, then the gradients of the clouds t had already
     drawn, and only then is the draw's error re-raised. ``drain(it)`` true
-    steps t-1 before t is drawn, for a draw that reads the model.
+    waits for t-1's step before t is drawn, for a draw that reads the
+    model. Every path joins the trainer.
     """
     if train_config.iterations == 0:
         return TrainResult(model, np.zeros(0))
-    opt = _Descent(model, train_config)
     losses = np.zeros(train_config.iterations)
+    current = model.copy()
 
-    def finish(it, batch):
-        if on_batch is not None:
-            on_batch(it, [cloud for cloud, _ in batch])
-        grad_w = np.zeros_like(opt.model.weights)
-        grad_b = np.zeros_like(opt.model.bias)
-        total = 0.0
-        for weight, (loss, gw, gb) in zip(weights, _gradients(opt.model, batch)):
-            grad_w += weight * gw
-            grad_b += weight * gb
-            total += weight * loss
-        total /= norm
-        if not np.isfinite(total):
-            raise DivergenceError(f"non-finite loss at iteration {it}")
-        losses[it] = total
-        opt.step(grad_w / norm, grad_b / norm)
+    def settle(it):
+        losses[it], current.weights, current.bias = trainer.receive()
 
-    pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="scanmix-features")
+    trainer = _Trainer(_Descent(model, train_config), weights, norm, feature_config, candidates_of)
     try:
         pending = None
         for it in range(train_config.iterations):
             if pending is not None and drain is not None and drain(it):
-                finish(*pending)
+                settle(pending)
                 pending = None
             batch = []
-
-            def submit(cloud, reuse=None):
-                if reuse is None:
-                    future = pool.submit(extract_features, cloud, feature_config)
-                else:
-                    future = pool.submit(_reused_features, cloud, feature_config, *reuse)
-                batch.append((cloud, future))
-
             try:
-                draw(it, submit, opt.model)
+                draw(it, lambda cloud, reuse=None: batch.append((cloud, reuse)), current)
             except Exception:
                 if pending is not None:
-                    finish(*pending)
-                for _ in _gradients(opt.model, batch):
-                    pass
+                    settle(pending)
+                if batch:
+                    trainer.send((it, batch, False))
+                    trainer.receive()
                 raise
             if pending is not None:
-                finish(*pending)
-            pending = (it, batch)
-        finish(*pending)
+                settle(pending)
+            if on_batch is not None:
+                on_batch(it, [cloud for cloud, _ in batch])
+            trainer.send((it, batch, True))
+            pending = it
+        settle(pending)
     finally:
-        pool.shutdown(cancel_futures=True)
-    return TrainResult(opt.model, losses)
+        trainer.close()
+    return TrainResult(current, losses)
 
 
 def train_pretrain(
@@ -470,8 +574,8 @@ def train_pretrain(
     applies the scan simulation plus jitter when ``scan_config`` is given,
     applies the standard augmentations, and takes one descent step on the
     mean cross-entropy. Zero iterations return the model unchanged. The
-    features are computed on a helper thread one iteration ahead of the
-    descent; the result is that of a plain loop.
+    features, gradients and steps run in a forked trainer process one
+    iteration behind the draws; the result is that of a plain loop.
     """
     if not scenes:
         raise EmptyInputError("no source scenes")
@@ -491,9 +595,10 @@ def train_pretrain(
             if margin is None:
                 submit(scene)
             else:
-                submit(scene, (candidates_of(si), kept, perm))
+                submit(scene, (si, kept, perm))
 
-    return _train(model, train_config, feature_config, [1.0] * batch_size, batch_size, draw)
+    return _train(model, train_config, feature_config, [1.0] * batch_size, batch_size, draw,
+                  None if margin is None else candidates_of)
 
 
 def train_selftrain(
@@ -521,8 +626,8 @@ def train_selftrain(
     ratios) are refreshed from the current model through ``pseudo_config``
     every that many iterations; ``regen_every == 0`` keeps the initial
     labels.
-    As in ``train_pretrain``, features run one iteration ahead on a helper
-    thread; a refresh first finishes the pending iteration.
+    As in ``train_pretrain``, a trainer process steps one iteration behind
+    the draws; a refresh first waits for the pending iteration's step.
     """
     if not source_scenes or not target_scenes:
         raise EmptyInputError("self-training needs source and target scenes")
@@ -556,11 +661,12 @@ def train_selftrain(
         src, kept = _scan_and_jitter(source_scenes[si], scan_config, structural, rng, plan_of(si))
         result = compose_mixed_scene(src, tgt, ratios, mix_config, queue, rng)
         submit(result.mixed.cloud)
-        submit(src, (candidates_of(si), kept, None))
+        submit(src, (si, kept, None))
 
     on_batch = None if on_mixed is None else lambda it, clouds: on_mixed(it, clouds[0])
     weights = [1.0, train_config.source_loss_weight]
-    return _train(model, train_config, feature_config, weights, 1, draw, refresh_due, on_batch)
+    return _train(model, train_config, feature_config, weights, 1, draw, candidates_of,
+                  refresh_due, on_batch)
 
 
 def save_checkpoint(model: SegmenterModel, path) -> None:

@@ -104,3 +104,15 @@ class TestCsv:
         assert len(lines) == 1 + taxonomy.count + 1
         assert lines[-1].startswith("mIoU,")
         assert float(lines[-1].split(",")[1]) == miou
+
+    def test_every_row_parses_as_a_float(self, taxonomy, tmp_path):
+        # the third class is never seen, so its IoU is undefined
+        counts = np.array([[5, 1, 0], [2, 7, 0], [0, 0, 0]], dtype=np.int64)
+        ious, miou = compute_iou(ConfusionMatrix(counts, taxonomy))
+        path = tmp_path / "metrics.csv"
+        write_iou_csv(path, taxonomy, ious, miou)
+        rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+        assert [name for name, _ in rows] == [*taxonomy.names, "mIoU"]
+        values = [float(value) for _, value in rows]
+        assert values[:2] == ious[:2].tolist() and np.isnan(values[2])
+        assert values[-1] == miou

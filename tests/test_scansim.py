@@ -21,6 +21,7 @@ from scanmix import (
     sample_camera_poses,
     scan_and_jitter,
     simulate_scan,
+    template_names,
     visibility_oracle,
     visible_points,
     visible_range_mask,
@@ -608,6 +609,85 @@ class TestClearanceFilter:
 
         monkeypatch.setattr(scansim, "cKDTree", no_tree)
         assert np.array_equal(plan_scan(cloud, config, TOY_STRUCTURAL).free, want)
+
+
+def gathered_angle_visible_points(cloud, pose, config):
+    """Reference: visible_points as it was, the fixed mode taking the
+    angles of every point and gathering the in-view ones, the other modes
+    taking the angles of the in-view points."""
+    qf, qu, qr = _camera_components(cloud, pose)
+    idx = np.flatnonzero(visible_range_mask(cloud, pose, config.fov))
+    out = np.zeros(cloud.n, dtype=bool)
+    if len(idx) == 0:
+        return out
+    if config.fov.mode == "fixed":
+        az, el = (a[idx] for a in _angles(qf, qu, qr))
+    else:
+        az, el = _angles(qf[idx], qu[idx], qr[idx])
+    qf, qu, qr = qf[idx], qu[idx], qr[idx]
+    r = np.sqrt(qf * qf + qu * qu + qr * qr)
+    a_bin = np.floor(az / config.theta_bin).astype(np.int64)
+    e_bin = np.floor(el / config.theta_bin).astype(np.int64)
+    key = a_bin * (e_bin.max() - e_bin.min() + 1) + (e_bin - e_bin.min())
+    _, inverse = np.unique(key, return_inverse=True)
+    nearest = np.full(inverse.max() + 1, np.inf)
+    np.minimum.at(nearest, inverse, r)
+    out[idx[r <= nearest[inverse] + config.eps_d]] = True
+    return out
+
+
+def assert_fixed_fov_gathers(cloud, pose, fov):
+    # the fixed mode's subset angles against every point's, gathered
+    q = _camera_components(cloud, pose)
+    idx, az, el = scansim._fixed_fov(*q, fov)
+    want = np.flatnonzero(scansim._fov_mask(*q, fov))
+    assert np.array_equal(idx, want)
+    want_az, want_el = _angles(*q)
+    assert az.tobytes() == want_az[want].tobytes()
+    assert el.tobytes() == want_el[want].tobytes()
+
+
+class TestSubsetAngles:
+    @pytest.mark.parametrize("density", [45.0, 185.0])
+    @pytest.mark.parametrize("mode", ["fixed", "parallel", "perspective"])
+    def test_templates_match_gathered_angles(self, mode, density):
+        config = ScanSimConfig(fov=FovConfig(mode=mode))
+        for k, name in enumerate(template_names()):
+            cloud = template_cloud(name, 30 + k, density=density)
+            plan = plan_scan(cloud, config, TOY_STRUCTURAL)
+            for pose in sample_camera_poses(cloud, plan, config, RandomStream(k)):
+                got = visible_points(cloud, pose, config)
+                assert np.array_equal(got, gathered_angle_visible_points(cloud, pose, config))
+                if mode == "fixed":
+                    assert_fixed_fov_gathers(cloud, pose, config.fov)
+
+    @pytest.mark.parametrize("alpha_h", [90.0, 100.0, 180.0, 181.0, 360.0])
+    @pytest.mark.parametrize("mode", ["fixed", "parallel", "perspective"])
+    def test_prefilter_keeps_points_rounded_onto_the_side_plane(self, mode, alpha_h):
+        # looking along +x from the origin: right is -y, so the planted
+        # points have qf = -1e-17 and -1e-16 exactly, and qr = 1
+        pose = CameraPose(np.zeros(3), np.array([1.0, 0.0, 0.0]))
+        planted = np.array([[-1e-17, -1.0, 0.0], [-1e-16, -1.0, 0.0]])
+        gen = np.random.default_rng(int(alpha_h))
+        pos = np.concatenate([planted, gen.uniform(-3.0, 3.0, size=(2000, 3))])
+        cloud = LabeledPointCloud(pos, np.zeros(len(pos), dtype=int), TOY_TAXONOMY)
+        config = ScanSimConfig(fov=FovConfig(alpha_h, 90.0, mode))
+        got = visible_points(cloud, pose, config)
+        assert np.array_equal(got, gathered_angle_visible_points(cloud, pose, config))
+        if mode == "fixed":
+            assert_fixed_fov_gathers(cloud, pose, config.fov)
+            in_view = visible_range_mask(cloud, pose, config.fov)[:2].tolist()
+            # at 180 degrees -1e-17 rounds to an azimuth of 90.0, -1e-16 past it
+            assert in_view == {90.0: [False, False], 100.0: [False, False],
+                               180.0: [True, False]}.get(alpha_h, [True, True])
+
+
+class TestCrossWrittenOut:
+    def test_matches_np_cross_byte_for_byte(self):
+        gen = RandomStream(41)
+        for pose in random_poses(gen, -5.0, 5.0, 3000):
+            f, up, right = camera_frame(pose)
+            assert right.tobytes() == np.cross(f, up).tobytes()
 
 
 def at_angles(r, az, el):

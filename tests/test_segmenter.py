@@ -1,5 +1,9 @@
+import multiprocessing
+import os
+import signal
 import struct
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -11,6 +15,7 @@ import scanmix.segmenter as seg
 
 from scanmix import (
     AugmentConfig,
+    ClassTaxonomy,
     CuboidMixConfig,
     FeatureConfig,
     LabeledPointCloud,
@@ -36,7 +41,14 @@ from scanmix import (
     train_selftrain,
 )
 from scanmix.cuboidmix import compose_mixed_scene
-from scanmix.errors import DimensionError, DivergenceError, NoSupervisionError, ParseError
+from scanmix.errors import (
+    DimensionError,
+    DivergenceError,
+    NoSupervisionError,
+    ParseError,
+    TrainerError,
+    UnknownLabelError,
+)
 from scanmix.pseudo import PseudoLabelConfig, class_ratio
 from scanmix.segmenter import _scene_gradient
 
@@ -226,6 +238,28 @@ class TestForward:
         assert got.tobytes() == want.tobytes()
 
 
+def row_sum_scores(model, features):
+    """Reference: forward_scores as it was, normalising by numpy's row sum."""
+    logits = features @ model.weights.T + model.bias
+    logits -= logits.max(axis=1, keepdims=True)
+    e = np.exp(logits)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+class TestColumnRowSum:
+    # numpy adds a row of fewer than eight in order and a longer one
+    # pairwise, so 9 takes the other branch
+    @pytest.mark.parametrize("c", [1, 2, 6, 9])
+    def test_matches_numpy_row_sum_byte_for_byte(self, c):
+        gen = RandomStream(40 + c)
+        taxonomy = ClassTaxonomy(f"c{c}", tuple(f"k{j}" for j in range(c)))
+        for n in (1, 3, 301, 4_295):
+            model = SegmenterModel(gen.normal(size=(c, 7)) * 2, gen.normal(size=c), taxonomy)
+            features = gen.normal(size=(n, 7)) * 3
+            got = forward_scores(model, features)
+            assert got.tobytes() == row_sum_scores(model, features).tobytes()
+
+
 class TestCrossEntropy:
     def test_perfect_prediction_zero_loss(self):
         scores = np.array([[1.0, 0.0, 0.0]])
@@ -259,6 +293,36 @@ class TestCrossEntropy:
         want_loss, want_grad = masked_cross_entropy(scores, labels)
         assert loss == want_loss
         assert np.array_equal(grad, want_grad)
+
+    @pytest.mark.parametrize("ignored", ["none", "some", "all but one"])
+    def test_bit_exact_with_where_reference(self, ignored):
+        # the reference is cross_entropy as it was: np.where over every row
+        # and the one subtracted through a (row, label) fancy index
+        gen = RandomStream(19)
+        scores = forward_scores(
+            SegmenterModel(gen.normal(size=(6, 7)), gen.normal(size=6), TOY_TAXONOMY),
+            gen.normal(size=(4_295, 7)),
+        )
+        labels = gen.integers(0, 6, size=4_295)
+        if ignored == "some":
+            labels[gen.random(4_295) < 0.4] = -1
+        elif ignored == "all but one":
+            labels[1:] = -1
+        keep = labels != -1
+        valid = np.flatnonzero(keep)
+        want = np.where(keep[:, None], scores, 0.0)
+        want[valid, labels[valid]] -= 1.0
+        want /= len(valid)
+        want_loss = float(-np.log(np.maximum(scores[valid, labels[valid]], 1e-12)).mean())
+        loss, grad = cross_entropy(scores, labels)
+        assert loss == want_loss
+        assert grad.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("label", [-2, 3, 7])
+    def test_label_outside_the_scores_rejected(self, label):
+        scores = np.full((4, 3), 1 / 3)
+        with pytest.raises(UnknownLabelError, match=f"unknown label {label}"):
+            cross_entropy(scores, np.array([0, -1, label, 1]))
 
     def test_gradient_matches_finite_differences(self):
         gen = RandomStream(5)
@@ -424,11 +488,14 @@ class TestSelftrain:
 
 # --- the run-ahead training loops against the plain loops -----------------
 #
-# The references are the loops as they were before features moved to a
-# helper thread: one iteration at a time, features computed where used,
-# each from its own neighbour search. They reach the layer functions
-# through their modules, so the fault injection below patches both
-# implementations alike.
+# The references are the loops as they were before the features left the
+# drawing loop: one iteration at a time in one process, features computed
+# where used, each from its own neighbour search. They reach the layer
+# functions through their modules, so the fault injection below patches
+# both implementations alike. The trainer process inherits the patches and
+# counts its own calls, so a layer is faulted only where all its calls run
+# in one process: with a refresh, its feature calls run in the drawing
+# process and the training ones in the trainer.
 
 
 def sequential_pretrain(model, scenes, scan_config, structural, augment_config,
@@ -511,8 +578,8 @@ def sequential_selftrain(model, source_scenes, target_scenes, scan_config, struc
     return TrainResult(opt.model, losses)
 
 
-def helper_threads():
-    return [t.name for t in threading.enumerate() if t.name.startswith("scanmix-features")]
+def trainers():
+    return multiprocessing.active_children()
 
 
 def pretrain_scenes():
@@ -569,7 +636,7 @@ class TestRunAheadEquivalence:
             want = run_pretrain(sequential_pretrain, scenes, scan, batch_size, augment=augment)
             got = run_pretrain(train_pretrain, scenes, scan, batch_size, augment=augment)
             assert_same_result(got, want)
-        assert not helper_threads()
+        assert trainers() == []
 
     @pytest.mark.parametrize("regen_every", [0, 2])
     def test_selftrain_matches_plain_loop(self, regen_every):
@@ -586,7 +653,7 @@ class TestRunAheadEquivalence:
         for (_, a), (_, b) in zip(seen["ahead"], seen["plain"]):
             assert np.array_equal(a.positions, b.positions)
             assert np.array_equal(a.labels, b.labels)
-        assert not helper_threads()
+        assert trainers() == []
 
     def test_regen_refresh_changes_the_run(self):
         # the refresh must see the stepped model: with it, the run differs
@@ -596,15 +663,19 @@ class TestRunAheadEquivalence:
         refreshed = run_selftrain(train_selftrain, source, target, 2)
         assert kept.losses[:2].tolist() == refreshed.losses[:2].tolist()
         assert not np.array_equal(kept.losses, refreshed.losses)
+        assert trainers() == []
 
-    def test_features_run_on_the_helper_thread(self, monkeypatch):
-        calls = []
+    def test_features_run_in_the_trainer_process(self, monkeypatch, tmp_path):
+        # each call appends its name and process id to a file, which the
+        # trainer process shares with this one
+        log = tmp_path / "calls.txt"
 
         def recorder(name):
             original = getattr(seg, name)
 
             def recording(*args):
-                calls.append((name, threading.current_thread().name))
+                with open(log, "a") as out:
+                    out.write(f"{name} {os.getpid()}\n")
                 return original(*args)
 
             return recording
@@ -613,12 +684,31 @@ class TestRunAheadEquivalence:
             monkeypatch.setattr(seg, name, recorder(name))
         # elastic distortion searches afresh; the rigid draws reuse pairs
         for augment, runs in (("elastic", "extract_features"), ("rigid", "_reused_features")):
-            calls.clear()
+            log.write_text("")
             run_pretrain(train_pretrain, pretrain_scenes(), ScanSimConfig(), 2, iterations=3,
                          augment=augment)
+            calls = [line.split() for line in log.read_text().splitlines()]
             assert [name for name, _ in calls] == [runs] * 6
-            assert all(thread.startswith("scanmix-features") for _, thread in calls)
-            assert not helper_threads()
+            assert len({pid for _, pid in calls}) == 1
+            assert calls[0][1] != str(os.getpid())
+            assert trainers() == []
+
+    def test_a_dead_trainer_raises_a_typed_error(self, monkeypatch):
+        calls, original = [], seg.extract_features
+
+        def dying(*args):
+            calls.append(None)
+            if len(calls) == 3:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return original(*args)
+
+        monkeypatch.setattr(seg, "extract_features", dying)
+        start = time.monotonic()
+        with pytest.raises(TrainerError, match="exited with code -9"):
+            run_pretrain(train_pretrain, pretrain_scenes(), ScanSimConfig(), 1)
+        assert time.monotonic() - start < 10.0
+        assert calls == []           # every feature call ran in the trainer
+        assert trainers() == []
 
 
 # --- neighbour reuse ---------------------------------------------------------
@@ -866,9 +956,9 @@ def outcome(monkeypatch, faults, call):
     try:
         call()
     except Exception as exc:
-        assert not helper_threads()
+        assert trainers() == []
         return type(exc), str(exc)
-    assert not helper_threads()
+    assert trainers() == []
     return None
 
 
