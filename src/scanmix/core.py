@@ -255,6 +255,14 @@ class AugmentConfig:
     elastic_magnitude: float = 0.05
     jitter_range: float = 0.005
 
+    def __post_init__(self):
+        if not np.isfinite([self.elastic_spacing, self.elastic_magnitude, self.jitter_range]).all():
+            raise ValueError("elastic_spacing, elastic_magnitude and jitter_range must be finite")
+        if not self.elastic_spacing > 0:
+            raise ValueError("elastic_spacing must be positive")
+        if self.jitter_range < 0:
+            raise ValueError("jitter_range must be >= 0")
+
     @classmethod
     def none(cls) -> "AugmentConfig":
         return cls(rotate=False, flip=False, elastic=False, jitter=False, shuffle=False)

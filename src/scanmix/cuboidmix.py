@@ -38,6 +38,8 @@ class CuboidMixConfig:
     def __post_init__(self):
         if min(self.nx, self.ny, self.nz) < 1:
             raise ValueError("partition counts must be >= 1")
+        if not (np.isfinite(self.delta_phi) and self.delta_phi >= 0):
+            raise ValueError("delta_phi must be finite and >= 0")
         if not (0.0 <= self.rho_s <= 1.0 and 0.0 <= self.rho_m <= 1.0):
             raise ValueError("rho_s and rho_m must be in [0, 1]")
         if self.queue_cap < 0 or self.n_tail_classes < 0:

@@ -9,6 +9,7 @@ point, not the capacity of the classifier.
 
 from __future__ import annotations
 
+import mmap
 import multiprocessing
 import os
 import traceback
@@ -54,8 +55,9 @@ class FeatureConfig:
     radius: float = 0.15       # neighborhood radius, meters
 
     def __post_init__(self):
-        if self.voxel_size <= 0 or self.radius <= 0:
-            raise ValueError("voxel_size and radius must be positive")
+        if not (np.isfinite([self.voxel_size, self.radius]).all()
+                and self.voxel_size > 0 and self.radius > 0):
+            raise ValueError("voxel_size and radius must be positive and finite")
 
 
 def extract_features(cloud: LabeledPointCloud, config: FeatureConfig) -> np.ndarray:
@@ -70,7 +72,8 @@ def extract_features(cloud: LabeledPointCloud, config: FeatureConfig) -> np.ndar
     6. constant 1
     """
     pairs = _pairs_within(cloud.positions, config.radius)
-    return _pair_features(cloud, pairs[:, 0], pairs[:, 1], config)
+    stats = _neighbour_stats(cloud.positions[:, 2], pairs[:, 0], pairs[:, 1], config.voxel_size)
+    return _pair_features(cloud, stats)
 
 
 def _pairs_within(pos, radius):
@@ -81,11 +84,9 @@ def _pairs_within(pos, radius):
     return tree.query_pairs(radius, output_type="ndarray")
 
 
-def _pair_features(cloud, a, b, config):
-    """The feature matrix of ``cloud`` from its neighbor pairs: (a[k], b[k])
-    lists each unordered pair within ``config.radius`` once, in any order
-    and either orientation. Every statistic is an integer count or a
-    min/max, so the result does not depend on that order."""
+def _pair_features(cloud, stats):
+    """The feature matrix of ``cloud`` from the ``_neighbour_stats`` of its
+    points, in the cloud's order."""
     if cloud.n == 0:
         raise EmptyInputError("cannot extract features of an empty cloud")
     pos = cloud.positions
@@ -96,7 +97,7 @@ def _pair_features(cloud, a, b, config):
     extent = z_max - z_min
     norm_height = height / extent if extent > 0 else np.zeros(n)
 
-    count, z_ext, planar = _neighbour_stats(z, a, b, config.voxel_size)
+    count, z_ext, planar = stats
 
     x_min, y_min = pos[:, 0].min(), pos[:, 1].min()
     x_max, y_max = pos[:, 0].max(), pos[:, 1].max()
@@ -109,8 +110,12 @@ def _pair_features(cloud, a, b, config):
 
 
 def _neighbour_stats(z, a, b, voxel_size):
-    # neighbour count, z extent and planarity; every point is its own
-    # neighbor, so counts start at one and extents at zero
+    """Neighbour count, z extent and planarity of each point of ``z``, from
+    its neighbour pairs: (a[k], b[k]) lists each unordered pair within the
+    radius once, in any order and either orientation. Every statistic is
+    an integer count or a min/max, so the result does not depend on that
+    order. Every point is its own neighbour, so counts start at one and
+    extents at zero."""
     n = len(z)
     count = 1.0 + np.bincount(a, minlength=n) + np.bincount(b, minlength=n)
     z_lo = z.copy()
@@ -228,6 +233,11 @@ class TrainConfig:
     regen_every: int = 0         # self-training: refresh pseudo labels every N steps (0 = never)
 
     def __post_init__(self):
+        floats = [self.learning_rate, self.source_loss_weight, self.momentum, self.lr_decay_power]
+        if not np.isfinite(floats).all():
+            raise ValueError(
+                "learning_rate, source_loss_weight, momentum and lr_decay_power must be finite"
+            )
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
         if self.source_loss_weight < 0:
@@ -328,9 +338,10 @@ def _pair_margin(scan_config, augment_config):
 
 def _lazy_candidates(scenes, radius):
     """``candidates_of(i)``: scene i's pairs within ``radius`` plus the
-    rounding slack, found the first time scene i is drawn, as (counts,
-    partners): point i's partners j > i are the next counts[i] entries of
-    ``partners``, stored in the narrowest unsigned type that holds them."""
+    rounding slack, found the first time scene i is drawn, as (a, b, n):
+    the pairs (a[k], b[k]) with a[k] < b[k], in ascending order of a, of
+    the scene's n points, stored in the narrowest unsigned type that holds
+    an index."""
     found = [None] * len(scenes)
 
     def candidates_of(i):
@@ -339,17 +350,11 @@ def _lazy_candidates(scenes, radius):
             slack = _ROUNDING_SLACK * (1.0 + float(np.abs(pos).max(initial=0.0)))
             pairs = _pairs_within(pos, radius + slack)
             dtype = np.min_scalar_type(max(len(pos) - 1, 0))
-            counts = np.bincount(pairs[:, 0], minlength=len(pos)).astype(dtype)
-            partners = pairs[np.argsort(pairs[:, 0]), 1].astype(dtype)
-            found[i] = (counts, partners)
+            order = np.argsort(pairs[:, 0])
+            found[i] = (pairs[order, 0].astype(dtype), pairs[order, 1].astype(dtype), len(pos))
         return found[i]
 
     return candidates_of
-
-
-# Candidates are filtered this many clean points at a time, so a draw's
-# temporaries stay small next to the pairs it keeps.
-_FILTER_ROWS = 1024
 
 
 def _reused_features(cloud, config, candidates, kept, perm):
@@ -359,61 +364,81 @@ def _reused_features(cloud, config, candidates, kept, perm):
     Draw point j is clean point ``kept[perm[j]]``; ``kept`` None keeps
     every point and ``perm`` None keeps their order.
 
-    The candidates whose two ends survive are renamed to draw indices and
-    kept where the draw's positions pass cKDTree's own distance test, so
+    The draw's positions are put back in the clean scene's order, NaN where
+    the scan dropped a point, and the candidates are kept where they pass
+    cKDTree's own distance test, which a pair with a dropped end fails. So
     the pairs are those ``query_pairs(config.radius)`` finds, and the
     features are the same bytes."""
-    a, b = _surviving_pairs(cloud, config.radius, candidates, kept, perm)
-    return _pair_features(cloud, a, b, config)
-
-
-def _surviving_pairs(cloud, radius, candidates, kept, perm):
-    # apart from _pair_features, so these temporaries are freed before it runs
-    counts, partners = candidates
-    source = np.arange(len(counts), dtype=np.int32) if kept is None else kept.astype(np.int32)
-    if perm is not None:
-        source = source[perm]
-    rename = np.full(len(counts), -1, dtype=np.int32)
-    rename[source] = np.arange(len(source), dtype=np.int32)
-    ends = np.zeros(len(counts) + 1, dtype=np.intp)
-    np.cumsum(counts, out=ends[1:])
-    coords = np.ascontiguousarray(cloud.positions.T)
-    found_a, found_b = [], []
-    for lo in range(0, len(counts), _FILTER_ROWS):
-        hi = min(lo + _FILTER_ROWS, len(counts))
-        a = np.repeat(rename[lo:hi], counts[lo:hi])
-        b = rename[partners[ends[lo] : ends[hi]]]
-        if kept is not None:
-            both = np.flatnonzero(np.minimum(a, b) >= 0)
-            a, b = a.take(both), b.take(both)
-        # one cast, not one per gather; the sum runs from 0.0 through x, y, z
-        a, b = a.astype(np.intp), b.astype(np.intp)
-        dist2 = np.zeros(len(a))
-        for coord in coords:
-            d = coord.take(a)
-            d -= coord.take(b)
-            d *= d
-            dist2 += d
-        near = np.flatnonzero(dist2 <= radius * radius)
-        found_a.append(a.take(near))
-        found_b.append(b.take(near))
-    return np.concatenate(found_a), np.concatenate(found_b)
+    a, b, n = candidates
+    if kept is None and perm is None:
+        source = None
+        coords = np.ascontiguousarray(cloud.positions.T)
+    else:
+        source = kept if perm is None else perm if kept is None else kept[perm]
+        coords = np.full((3, n), np.nan)
+        coords[:, source] = cloud.positions.T
+    # the sum runs from 0.0 through x, y, z
+    dist2 = np.zeros(len(a))
+    for coord in coords:
+        d = coord.take(a)
+        d -= coord.take(b)
+        d *= d
+        dist2 += d
+    near = np.flatnonzero(dist2 <= config.radius * config.radius)
+    # the kept pairs as intp, on which ufunc.at takes its fast path
+    a, b = a.take(near).astype(np.intp), b.take(near).astype(np.intp)
+    stats = _neighbour_stats(coords[2], a, b, config.voxel_size)
+    if source is not None:
+        stats = [stat.take(source) for stat in stats]
+    return _pair_features(cloud, stats)
 
 
 class _TrainerTraceback(Exception):
     """The trainer's formatted traceback, the cause of the error it sent."""
 
 
-def _trainer(conn, parent_end, opt, weights, norm, feature_config, candidates_of):
+# The batch map's first size; it doubles, or grows to the batch, when a
+# batch does not fit. Pages are allocated only where a batch is written.
+_MAP_BYTES = 1 << 20
+# Each array starts on a cache line of the map.
+_ALIGN = 64
+
+
+def _batch_of(view, layout):
+    # the (cloud, reuse) pairs of a batch from their arrays in ``view``, as
+    # the caller's ``_Trainer.send`` laid them out; the caller built and
+    # checked the clouds, so they are rebuilt as unpickling would, unchecked
+    def array(entry):
+        if entry is None:
+            return None
+        dtype, shape, offset = entry
+        return np.ndarray(shape, dtype, buffer=view, offset=offset)
+
+    batch = []
+    for scene, taxonomy, entries in layout:
+        positions, labels, kept, perm = map(array, entries)
+        cloud = object.__new__(LabeledPointCloud)
+        cloud.__dict__.update(positions=positions, labels=labels, taxonomy=taxonomy)
+        batch.append((cloud, None if scene is None else (scene, kept, perm)))
+    return batch
+
+
+def _trainer(conn, parent_end, fd, opt, weights, norm, feature_config, candidates_of):
     # The trainer process's loop: each message is an iteration's batch and
     # whether it is whole; a whole batch is stepped and answered with the
     # loss and the stepped model, a partial one (its draw failed) only has
-    # its gradients taken. The parent's end closing stops it, so this copy
-    # of that end is closed first.
+    # its gradients taken. The batch's arrays are read-only views of the
+    # map ``fd``, which the caller rewrites only after the answer. The
+    # parent's end closing stops it, so this copy of that end is closed
+    # first.
     parent_end.close()
+    view = None
     try:
         while True:
-            it, batch, whole = conn.recv()
+            it, whole, size, layout = conn.recv()
+            if view is None or len(view) != size:
+                view = mmap.mmap(fd, size, prot=mmap.PROT_READ)
+            batch = _batch_of(view, layout)
             grads = _gradients(opt.model, batch, feature_config, candidates_of)
             reply = None
             if whole:
@@ -450,18 +475,29 @@ def _trainer(conn, parent_end, opt, weights, norm, feature_config, candidates_of
 
 
 class _Trainer:
-    """A trainer process forked from this one, and this end of its pipe.
-    A trainer that dies shows here as the end of the pipe, and raises
-    TrainerError instead of leaving this process waiting."""
+    """A trainer process forked from this one, this end of its pipe, and
+    the shared memory map that carries each batch's arrays. A trainer that
+    dies shows here as the end of the pipe, and raises TrainerError
+    instead of leaving this process waiting."""
 
     def __init__(self, *args):
         fork = multiprocessing.get_context("fork")
-        self.conn, child_end = fork.Pipe()
-        self.process = fork.Process(
-            target=_trainer, args=(child_end, self.conn, *args), name="scanmix-trainer"
-        )
-        self.process.start()
-        child_end.close()
+        self.fd = os.memfd_create("scanmix-batch")
+        self.map = self.conn = self.process = None
+        try:
+            os.ftruncate(self.fd, _MAP_BYTES)
+            self.map = mmap.mmap(self.fd, _MAP_BYTES)
+            self.conn, child_end = fork.Pipe()
+            try:
+                process = fork.Process(target=_trainer, args=(child_end, self.conn, self.fd, *args),
+                                       name="scanmix-trainer")
+                process.start()
+            finally:
+                child_end.close()
+            self.process = process
+        except BaseException:
+            self.close()
+            raise
 
     def _died(self):
         self.process.join()
@@ -469,9 +505,31 @@ class _Trainer:
             f"the trainer process exited with code {self.process.exitcode} before it replied"
         ) from None
 
-    def send(self, message):
+    def send(self, it, batch, whole):
+        """Copy the arrays of ``batch`` into the map, growing it first if
+        they do not fit, and send the trainer their layout."""
+        layout, arrays, end = [], [], 0
+        for cloud, reuse in batch:
+            scene, kept, perm = (None, None, None) if reuse is None else reuse
+            entries = []
+            for a in (cloud.positions, cloud.labels, kept, perm):
+                if a is None:
+                    entries.append(None)
+                    continue
+                entries.append((a.dtype.str, a.shape, end))
+                arrays.append((a, end))
+                end += -(-a.nbytes // _ALIGN) * _ALIGN
+            layout.append((scene, cloud.taxonomy, entries))
+        if end > len(self.map):
+            size = max(end, 2 * len(self.map))
+            os.ftruncate(self.fd, size)
+            grown = mmap.mmap(self.fd, size)
+            self.map.close()
+            self.map = grown
+        for a, offset in arrays:
+            np.ndarray(a.shape, a.dtype, buffer=self.map, offset=offset)[...] = a
         try:
-            self.conn.send(message)
+            self.conn.send((it, whole, len(self.map), layout))
         except Exception:
             if self.process.is_alive():
                 raise
@@ -489,8 +547,16 @@ class _Trainer:
 
     def close(self):
         # the trainer stops at the end of its pipe
-        self.conn.close()
-        self.process.join()
+        try:
+            if self.conn is not None:
+                self.conn.close()
+            if self.process is not None:
+                self.process.join()
+                self.process.close()
+        finally:
+            if self.map is not None:
+                self.map.close()
+            os.close(self.fd)
 
 
 def _train(model, train_config, feature_config, weights, norm, draw, candidates_of=None,
@@ -515,11 +581,20 @@ def _train(model, train_config, feature_config, weights, norm, draw, candidates_
     model, calls ``on_batch(t)`` and sends t. Features are pure, and draws
     and steps keep their order, so the result is that of the plain loop.
 
+    What crosses the pipe is small and does not grow with the clouds: the
+    iteration, whether the batch is whole, the size of a shared memory map
+    created before the fork, and per cloud its scene index (None for a
+    fresh search), its taxonomy and a (dtype, shape, offset) entry for each
+    of its positions, labels, kept indices and shuffle. The arrays
+    themselves are copied into the map, which this process grows when a
+    batch does not fit; the trainer reads them in place and this process
+    rewrites the map only after the trainer has answered.
+
     Errors come out in the plain loop's order: when the draw of t fails,
     t-1 is stepped first, then the gradients of the clouds t had already
     drawn, and only then is the draw's error re-raised. ``drain(it)`` true
     waits for t-1's step before t is drawn, for a draw that reads the
-    model. Every path joins the trainer.
+    model. Every path joins the trainer and closes the map.
     """
     if train_config.iterations == 0:
         return TrainResult(model, np.zeros(0))
@@ -543,14 +618,14 @@ def _train(model, train_config, feature_config, weights, norm, draw, candidates_
                 if pending is not None:
                     settle(pending)
                 if batch:
-                    trainer.send((it, batch, False))
+                    trainer.send(it, batch, False)
                     trainer.receive()
                 raise
             if pending is not None:
                 settle(pending)
             if on_batch is not None:
                 on_batch(it, [cloud for cloud, _ in batch])
-            trainer.send((it, batch, True))
+            trainer.send(it, batch, True)
             pending = it
         settle(pending)
     finally:

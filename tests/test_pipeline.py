@@ -10,9 +10,13 @@ import pytest
 
 import scanmix.pipeline
 from scanmix import (
+    AugmentConfig,
     ClassTaxonomy,
+    CuboidMixConfig,
+    FeatureConfig,
     StructuralClasses,
     TOY_TAXONOMY,
+    TrainConfig,
     detect_format,
     generate_scene_set,
     load_config,
@@ -122,6 +126,10 @@ class TestConfig:
             "vss.theta_bin=1e-7",
             "selftrain.regen_every=-2",
             "pretrain.momentum=-0.5",
+            "augment.jitter_range=-0.05",
+            "augment.elastic_spacing=0",
+            "augment.elastic_spacing=-0.2",
+            "tacm.delta_phi=-0.1",
             "structural.wall=99",
             "augment.flip=maybe",
             "seed=1\nseed=2",
@@ -131,6 +139,28 @@ class TestConfig:
     def test_invalid_input_raises_config_error(self, line):
         with pytest.raises(ConfigError):
             parse_config_text(line + "\n")
+
+    @pytest.mark.parametrize(
+        "section, values",
+        [
+            (FeatureConfig, {"radius": float("nan")}),
+            (FeatureConfig, {"voxel_size": float("inf")}),
+            (TrainConfig, {"learning_rate": float("nan")}),
+            (TrainConfig, {"learning_rate": float("inf")}),
+            (TrainConfig, {"source_loss_weight": float("nan")}),
+            (TrainConfig, {"momentum": float("nan")}),
+            (TrainConfig, {"lr_decay_power": float("inf")}),
+            (AugmentConfig, {"jitter_range": float("nan")}),
+            (AugmentConfig, {"elastic_spacing": float("inf")}),
+            (AugmentConfig, {"elastic_magnitude": float("nan")}),
+            (CuboidMixConfig, {"delta_phi": float("nan")}),
+        ],
+    )
+    def test_non_finite_section_value_rejected(self, section, values):
+        # a config file cannot spell these (its floats must be finite), but
+        # the sections are public and must not take them either
+        with pytest.raises(ValueError, match="finite"):
+            section(**values)
 
     @pytest.mark.parametrize("name", ["my tax", "t\u00f6y"])
     def test_taxonomy_name_outside_the_header_alphabet(self, name):

@@ -1,9 +1,11 @@
 import multiprocessing
+import multiprocessing.connection
 import os
 import signal
 import struct
 import threading
 import time
+from multiprocessing.reduction import ForkingPickler
 
 import numpy as np
 import pytest
@@ -703,12 +705,107 @@ class TestRunAheadEquivalence:
             return original(*args)
 
         monkeypatch.setattr(seg, "extract_features", dying)
+        scenes = pretrain_scenes()
+        fds = open_fds()
         start = time.monotonic()
         with pytest.raises(TrainerError, match="exited with code -9"):
-            run_pretrain(train_pretrain, pretrain_scenes(), ScanSimConfig(), 1)
+            run_pretrain(train_pretrain, scenes, ScanSimConfig(), 1)
         assert time.monotonic() - start < 10.0
         assert calls == []           # every feature call ran in the trainer
         assert trainers() == []
+        assert open_fds() == fds
+
+
+def open_fds():
+    return sorted(os.listdir("/proc/self/fd"))
+
+
+class FailingCall(Exception):
+    pass
+
+
+def fail_on_call(monkeypatch, name, at):
+    # seg.<name> raises on its at-th call in the process that makes it
+    calls, original = [], getattr(seg, name)
+
+    def failing(*args):
+        calls.append(None)
+        if len(calls) == at:
+            raise FailingCall(name)
+        return original(*args)
+
+    monkeypatch.setattr(seg, name, failing)
+
+
+class TestBatchTransport:
+    def test_a_batch_that_outgrows_the_map(self, monkeypatch):
+        # the first batch fits the map, a later one holds more than its
+        # first size and grows it
+        small = random_cloud(TOY_TAXONOMY, n=300, seed=1)
+        large = random_cloud(TOY_TAXONOMY, n=40_000, seed=3, scale=12.0)
+        assert 32 * large.n > seg._MAP_BYTES
+        sizes, drawn = [], []
+        ftruncate, augment = os.ftruncate, seg._standard_augment
+        monkeypatch.setattr(os, "ftruncate",
+                            lambda fd, size: sizes.append(size) or ftruncate(fd, size))
+        monkeypatch.setattr(seg, "_standard_augment",
+                            lambda cloud, *args: drawn.append(cloud.n) or augment(cloud, *args))
+        for augment_kind in AUGMENTS:
+            sizes.clear()
+            drawn.clear()
+            want = run_pretrain(sequential_pretrain, [small, large], None, 1, iterations=5,
+                                seed=6, augment=augment_kind)
+            got = run_pretrain(train_pretrain, [small, large], None, 1, iterations=5,
+                               seed=6, augment=augment_kind)
+            assert_same_result(got, want)
+            assert drawn[0] == small.n and large.n in drawn
+            assert sizes[0] == seg._MAP_BYTES and max(sizes) > seg._MAP_BYTES
+        assert trainers() == []
+
+    @pytest.mark.parametrize("fault", [None, ("_standard_augment", 4), ("_scene_gradient", 3)],
+                             ids=["normal", "draw-error", "trainer-error"])
+    def test_every_path_closes_the_map_and_its_fd(self, monkeypatch, fault):
+        scenes = pretrain_scenes()
+        if fault is not None:
+            fail_on_call(monkeypatch, *fault)
+        fds = open_fds()
+        if fault is None:
+            run_pretrain(train_pretrain, scenes, ScanSimConfig(), 2, augment="rigid")
+        else:
+            with pytest.raises(FailingCall, match=fault[0]):
+                run_pretrain(train_pretrain, scenes, ScanSimConfig(), 2, augment="rigid")
+        assert trainers() == []
+        assert open_fds() == fds
+
+    def test_the_pipe_carries_no_cloud(self, monkeypatch):
+        # every message pickles to a few hundred bytes, whatever the clouds'
+        # size: their arrays go through the shared map
+        sizes = []
+        send = multiprocessing.connection.Connection.send
+
+        def recording(conn, message):
+            sizes.append(len(ForkingPickler.dumps(message)))
+            return send(conn, message)
+
+        monkeypatch.setattr(multiprocessing.connection.Connection, "send", recording)
+        rng = RandomStream(40)
+        scenes = [generate_scene(make_template("cluttered", rng, density=45.0), TOY_TAXONOMY, rng)
+                  for _ in range(2)]
+        drawn, augment = [], seg._standard_augment
+
+        def counting(cloud, *args):
+            out = augment(cloud, *args)
+            drawn.append(out[0].n)
+            return out
+
+        monkeypatch.setattr(seg, "_standard_augment", counting)
+        for kind in AUGMENTS:
+            sizes.clear()
+            drawn.clear()
+            run_pretrain(train_pretrain, scenes, ScanSimConfig(), 3, iterations=3, augment=kind)
+            assert len(sizes) == 3
+            assert max(sizes) < 4096
+            assert min(np.add.reduceat(drawn, [0, 3, 6])) > 4000
 
 
 # --- neighbour reuse ---------------------------------------------------------
@@ -831,6 +928,54 @@ class TestReusedNeighbours:
             assert np.array_equal(got.labels, want.labels)
             features = seg._reused_features(got, FEATURES, candidates_of(si), kept, perm)
             assert features.tobytes() == extract_features(want, FEATURES).tobytes()
+
+    def test_a_dropped_point_near_a_kept_one(self):
+        # dropped points planted within r of kept ones: their candidate
+        # pairs are in the table and must fail on the dropped end's NaN;
+        # the cloud is centred on the origin, so a dropped point put at
+        # zero instead would have kept neighbours too
+        gen = RandomStream(21)
+        pos = gen.uniform(-1.0, 1.0, size=(1500, 3))
+        offsets = gen.normal(size=(200, 3))
+        offsets *= 0.5 * PLANTED.radius / np.linalg.norm(offsets, axis=1, keepdims=True)
+        pos = np.concatenate([pos, pos[:200] + offsets])
+        clean = cloud_of(pos)
+        kept = np.arange(1500)
+        perm = gen.permutation(len(kept))
+        shuffled = cloud_of(pos[kept[perm]] + gen.uniform(-0.01, 0.01, size=(len(kept), 3)))
+        radius = PLANTED.radius + 2.0 * np.sqrt(3.0) * 0.01
+        a, b, n = seg._lazy_candidates([clean], radius)(0)
+        assert n == len(pos)
+        assert set(zip(range(200), range(1500, 1700))) <= set(zip(a.tolist(), b.tolist()))
+        for order, draw in ((perm, shuffled), (None, cloud_of(pos[kept]))):
+            got = seg._reused_features(draw, PLANTED, (a, b, n), kept, order)
+            assert got.tobytes() == extract_features(draw, PLANTED).tobytes()
+
+    def test_a_draw_that_neither_drops_nor_shuffles(self):
+        scan, augment = None, AugmentConfig(elastic=False, shuffle=False)
+        scenes = pretrain_scenes()
+        candidates_of = seg._lazy_candidates(
+            scenes, FEATURES.radius + seg._pair_margin(scan, augment)
+        )
+        rng = RandomStream(22)
+        for si, scene in enumerate(scenes):
+            draw, perm = seg._standard_augment(scene, augment, rng)
+            assert perm is None
+            got = seg._reused_features(draw, FEATURES, candidates_of(si), None, None)
+            assert got.tobytes() == extract_features(draw, FEATURES).tobytes()
+
+    def test_a_scanned_draw_without_shuffle(self):
+        # self-training's source draw: the scan drops points, nothing shuffles
+        scan = ScanSimConfig()
+        scenes = pretrain_scenes()
+        plans = seg._lazy_plans(scenes, scan, TOY_STRUCTURAL)
+        candidates_of = seg._lazy_candidates(scenes, FEATURES.radius + seg._pair_margin(scan, None))
+        rng = RandomStream(23)
+        for si in (0, 1, 2, 0):
+            draw, kept = seg._scan_and_jitter(scenes[si], scan, TOY_STRUCTURAL, rng, plans(si))
+            assert len(kept) < scenes[si].n
+            got = seg._reused_features(draw, FEATURES, candidates_of(si), kept, None)
+            assert got.tobytes() == extract_features(draw, FEATURES).tobytes()
 
     def test_elastic_distortion_has_no_margin(self):
         for scan in (None, ScanSimConfig()):
