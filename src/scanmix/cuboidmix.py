@@ -42,8 +42,8 @@ class CuboidMixConfig:
             raise ValueError("delta_phi must be finite and >= 0")
         if not (0.0 <= self.rho_s <= 1.0 and 0.0 <= self.rho_m <= 1.0):
             raise ValueError("rho_s and rho_m must be in [0, 1]")
-        if self.queue_cap < 0 or self.n_tail_classes < 0:
-            raise ValueError("queue_cap and n_tail_classes must be >= 0")
+        if min(self.queue_cap, self.n_tail_classes, self.min_tail_cuboids) < 0:
+            raise ValueError("queue_cap, n_tail_classes and min_tail_cuboids must be >= 0")
         if self.min_tail_cuboids > self.nx * self.ny * self.nz:
             raise ValueError("min_tail_cuboids cannot exceed the cell count")
 

@@ -92,7 +92,7 @@ class DivergenceError(ScanmixError):
 
 
 class TrainerError(ScanmixError):
-    """A training loop's trainer process died before it replied."""
+    """A forked process died before it replied, or sent an error that does not pickle."""
 
 
 class NoEvaluatedClassesError(ScanmixError):
@@ -100,7 +100,7 @@ class NoEvaluatedClassesError(ScanmixError):
 
 
 class ConfigError(ScanmixError):
-    """Invalid or unknown pipeline configuration key/value."""
+    """Invalid or unknown pipeline configuration key/value or run option."""
 
 
 class StageError(ScanmixError):

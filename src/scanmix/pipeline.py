@@ -16,8 +16,7 @@ and ``DEFAULT_CONFIG_TEXT`` lists every key with its default.
 from __future__ import annotations
 
 import math
-import multiprocessing
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from operator import attrgetter
@@ -57,6 +56,7 @@ from .segmenter import (
     FeatureConfig,
     SegmenterModel,
     TrainConfig,
+    _Child,
     extract_features,
     forward_scores,
     load_checkpoint,
@@ -248,6 +248,11 @@ _TAG_SCAN = 0x505
 _TAG_MIX = 0x506
 
 
+def _check_threads(threads: int) -> None:
+    if threads < 1:
+        raise ConfigError(f"threads must be >= 1, got {threads}")
+
+
 def _map_scenes(fn, items, threads: int):
     if threads <= 1:
         return [fn(x) for x in items]
@@ -314,6 +319,7 @@ def stage_pretrain(config: PipelineConfig, with_scan_sim: bool = True) -> Path:
 def stage_pseudo_label(config: PipelineConfig, threads: int = 1) -> Path:
     """Score target scenes with the pretrained model and write pseudo-label
     files (plus the class-ratio summary); returns the pseudo directory."""
+    _check_threads(threads)
     with _stage("pseudo-label"):
         model = load_checkpoint(config.out_dir / CKPT_SCAN_PRETRAIN, config.taxonomy)
         tgt_manifest, scenes = _load_domain(config.target_manifest, "target", config.taxonomy)
@@ -387,6 +393,7 @@ def stage_evaluate(config: PipelineConfig, threads: int = 1) -> dict[str, float]
     """Evaluate whichever checkpoints exist against target ground truth;
     writes one metrics CSV per model and returns tag -> mIoU. Each scene's
     features are computed once and scored by every model."""
+    _check_threads(threads)
     with _stage("evaluate"):
         _, scenes = _load_domain(config.target_manifest, "target", config.taxonomy)
         models = {
@@ -441,6 +448,8 @@ def stage_scan(config: PipelineConfig) -> Path:
 def stage_mix(config: PipelineConfig, count: int = 5) -> Path:
     """Compose a few mixed scenes (source ground truth vs target labels or
     pseudo labels when present) into out/mixed for inspection."""
+    if count < 0:
+        raise ConfigError(f"count must be >= 0, got {count}")
     with _stage("mix"):
         _, source = _load_domain(config.source_manifest, "source", config.taxonomy)
         if _exists(config.out_dir / "pseudo"):
@@ -463,10 +472,9 @@ def stage_mix(config: PipelineConfig, count: int = 5) -> Path:
 # --- full run ---------------------------------------------------------------
 
 
-def _source_only(config: PipelineConfig) -> Path:
-    # The worker's entry point. Being private, it pickles by name even
-    # when the public stage functions are wrapped (by a profiler, say).
-    return stage_pretrain(config, with_scan_sim=False)
+def _source_only(conn, config: PipelineConfig) -> None:
+    # the worker's loop: one reply, the checkpoint path
+    conn.send((None, stage_pretrain(config, with_scan_sim=False)))
 
 
 def _pretrain_both(config: PipelineConfig) -> None:
@@ -476,15 +484,13 @@ def _pretrain_both(config: PipelineConfig) -> None:
     turn; so is the error raised (source-only first). A forked worker
     inherits the loaded package and never re-imports the caller's
     ``__main__``."""
-    fork = multiprocessing.get_context("fork")
-    with ProcessPoolExecutor(max_workers=1, mp_context=fork) as pool:
-        source_only = pool.submit(_source_only, config)
+    with _Child("scanmix-source-only", _source_only, config) as worker:
         try:
             stage_pretrain(config, with_scan_sim=True)
         finally:
-            # a dead worker raises BrokenProcessPool here
+            # a dead worker raises TrainerError here
             with _stage("source-only"):
-                source_only.result()
+                worker.receive()
 
 
 def _write_report(
@@ -514,8 +520,9 @@ def run_pipeline(config: PipelineConfig, threads: int = 1) -> dict[str, float]:
 
     On a stage failure the report is still written, with the failed stage
     named and the missing mIoUs marked incomplete, then the tagged error
-    is re-raised.
+    is re-raised. A ``threads`` below 1 raises ConfigError at once.
     """
+    _check_threads(threads)
     _make_dir(config.out_dir)
     n_source = n_target = 0
     mious: dict[str, float] = {}

@@ -10,10 +10,10 @@ point, not the capacity of the classifier.
 from __future__ import annotations
 
 import mmap
-import multiprocessing
 import os
 import traceback
 from dataclasses import dataclass
+from functools import cache
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -302,20 +302,6 @@ def _gradients(model, batch, feature_config, candidates_of):
         yield _scene_gradient(model, cloud, features)
 
 
-def _lazy_plans(scenes, scan_config, structural):
-    """``plan_of(i)``: scene i's scan plan, built the first time scene i is
-    drawn, so a scene that cannot be scanned fails at the same draw as it
-    would without plans, and no random draw moves."""
-    plans = [None] * len(scenes)
-
-    def plan_of(i):
-        if plans[i] is None:
-            plans[i] = plan_scan(scenes[i], scan_config, structural)
-        return plans[i]
-
-    return plan_of
-
-
 # Relative rounding slack on the candidate radius: a rigid motion of the
 # cloud moves a pair's computed distance by a few ulps of the coordinates.
 _ROUNDING_SLACK = 1e-9
@@ -336,31 +322,22 @@ def _pair_margin(scan_config, augment_config):
     return 2.0 * np.sqrt(3.0) * jitter
 
 
-def _lazy_candidates(scenes, radius):
-    """``candidates_of(i)``: scene i's pairs within ``radius`` plus the
-    rounding slack, found the first time scene i is drawn, as (a, b, n):
-    the pairs (a[k], b[k]) with a[k] < b[k], in ascending order of a, of
-    the scene's n points, stored in the narrowest unsigned type that holds
-    an index."""
-    found = [None] * len(scenes)
-
-    def candidates_of(i):
-        if found[i] is None:
-            pos = scenes[i].positions
-            slack = _ROUNDING_SLACK * (1.0 + float(np.abs(pos).max(initial=0.0)))
-            pairs = _pairs_within(pos, radius + slack)
-            dtype = np.min_scalar_type(max(len(pos) - 1, 0))
-            order = np.argsort(pairs[:, 0])
-            found[i] = (pairs[order, 0].astype(dtype), pairs[order, 1].astype(dtype), len(pos))
-        return found[i]
-
-    return candidates_of
+def _candidates(pos, radius):
+    """The pairs of the points ``pos`` within ``radius`` plus the rounding
+    slack, as (a, b, n): the pairs (a[k], b[k]) with a[k] < b[k], in
+    ascending order of a, of the n points, stored in the narrowest unsigned
+    type that holds an index."""
+    slack = _ROUNDING_SLACK * (1.0 + float(np.abs(pos).max(initial=0.0)))
+    pairs = _pairs_within(pos, radius + slack)
+    dtype = np.min_scalar_type(max(len(pos) - 1, 0))
+    order = np.argsort(pairs[:, 0])
+    return pairs[order, 0].astype(dtype), pairs[order, 1].astype(dtype), len(pos)
 
 
 def _reused_features(cloud, config, candidates, kept, perm):
     """``extract_features(cloud, config)`` of a draw from a clean scene,
-    from that scene's candidates (see ``_lazy_candidates``), found with a
-    radius of at least ``config.radius`` plus the draw's ``_pair_margin``.
+    from that scene's ``_candidates``, found with a radius of at least
+    ``config.radius`` plus the draw's ``_pair_margin``.
     Draw point j is clean point ``kept[perm[j]]``; ``kept`` None keeps
     every point and ``perm`` None keeps their order.
 
@@ -393,8 +370,72 @@ def _reused_features(cloud, config, candidates, kept, perm):
     return _pair_features(cloud, stats)
 
 
-class _TrainerTraceback(Exception):
-    """The trainer's formatted traceback, the cause of the error it sent."""
+class _ChildTraceback(Exception):
+    """A child's formatted traceback, the cause of the error it sent."""
+
+
+class _Child:
+    """A process forked to run ``loop(conn, *args)``, and this end of its
+    pipe; the package starts no process another way. The loop replies with
+    ``conn.send((None, reply))`` and ends when this end closes; any error
+    that ends it is raised by ``receive``, and so is its death."""
+
+    def __init__(self, name, loop, *args):
+        import multiprocessing  # only here: see the class docstring
+        fork = multiprocessing.get_context("fork")
+        self.conn, child_end = fork.Pipe()
+        with child_end:
+            self.process = fork.Process(target=self._main, args=(child_end, loop, args), name=name)
+            try:
+                self.process.start()
+            except BaseException:
+                self.conn.close()
+                raise
+
+    def _main(self, conn, loop, args):
+        self.conn.close()  # so that the parent closing its end ends the loop
+        try:
+            loop(conn, *args)
+        except BaseException as exc:
+            trace = "".join(traceback.format_exception(exc))
+            try:
+                conn.send((exc, trace))
+            except Exception:
+                # an error that does not pickle still reaches the parent, typed
+                conn.send((TrainerError(f"{type(exc).__name__}: {exc}"), trace))
+        finally:
+            os._exit(0)  # running none of the exit handlers inherited from the parent
+
+    def _died(self):
+        self.process.join()
+        name, code = self.process.name, self.process.exitcode
+        raise TrainerError(f"the {name} process exited with code {code} before it replied") from None
+
+    def send(self, message):
+        try:
+            self.conn.send(message)
+        except Exception:
+            if self.process.is_alive():
+                raise
+            self._died()
+
+    def receive(self):
+        """The child's next reply; an error it sent is raised here."""
+        try:
+            error, reply = self.conn.recv()
+        except EOFError:
+            self._died()
+        if error is not None:
+            raise error from _ChildTraceback(reply)
+        return reply
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.conn.close()  # the child's loop stops at the end of its pipe
+        self.process.join()
+        self.process.close()
 
 
 # The batch map's first size; it doubles, or grows to the batch, when a
@@ -423,15 +464,12 @@ def _batch_of(view, layout):
     return batch
 
 
-def _trainer(conn, parent_end, fd, opt, weights, norm, feature_config, candidates_of):
+def _trainer(conn, fd, opt, weights, norm, feature_config, candidates_of):
     # The trainer process's loop: each message is an iteration's batch and
     # whether it is whole; a whole batch is stepped and answered with the
     # loss and the stepped model, a partial one (its draw failed) only has
     # its gradients taken. The batch's arrays are read-only views of the
-    # map ``fd``, which the caller rewrites only after the answer. The
-    # parent's end closing stops it, so this copy of that end is closed
-    # first.
-    parent_end.close()
+    # map ``fd``, which the caller rewrites only after the answer.
     view = None
     try:
         while True:
@@ -460,50 +498,22 @@ def _trainer(conn, parent_end, fd, opt, weights, norm, feature_config, candidate
             conn.send((None, reply))
     except EOFError:
         pass
-    except Exception as exc:
-        trace = "".join(traceback.format_exception(exc))
-        try:
-            conn.send((exc, trace))
-        except Exception:
-            # an error that does not pickle still reaches the parent, typed
-            conn.send((TrainerError(f"{type(exc).__name__}: {exc}"), trace))
-    finally:
-        # Exit without the exit handlers inherited from the parent: a
-        # process pool's handler there (run_pipeline forks while one runs)
-        # would write to that pool's wakeup pipe.
-        os._exit(0)
 
 
-class _Trainer:
-    """A trainer process forked from this one, this end of its pipe, and
-    the shared memory map that carries each batch's arrays. A trainer that
-    dies shows here as the end of the pipe, and raises TrainerError
-    instead of leaving this process waiting."""
+class _Trainer(_Child):
+    """A trainer process (see ``_trainer``) and the shared memory map that
+    carries each batch's arrays, created before the fork."""
 
     def __init__(self, *args):
-        fork = multiprocessing.get_context("fork")
         self.fd = os.memfd_create("scanmix-batch")
-        self.map = self.conn = self.process = None
+        self.map = None
         try:
             os.ftruncate(self.fd, _MAP_BYTES)
             self.map = mmap.mmap(self.fd, _MAP_BYTES)
-            self.conn, child_end = fork.Pipe()
-            try:
-                process = fork.Process(target=_trainer, args=(child_end, self.conn, self.fd, *args),
-                                       name="scanmix-trainer")
-                process.start()
-            finally:
-                child_end.close()
-            self.process = process
+            super().__init__("scanmix-trainer", _trainer, self.fd, *args)
         except BaseException:
-            self.close()
+            self._close_map()
             raise
-
-    def _died(self):
-        self.process.join()
-        raise TrainerError(
-            f"the trainer process exited with code {self.process.exitcode} before it replied"
-        ) from None
 
     def send(self, it, batch, whole):
         """Copy the arrays of ``batch`` into the map, growing it first if
@@ -528,35 +538,18 @@ class _Trainer:
             self.map = grown
         for a, offset in arrays:
             np.ndarray(a.shape, a.dtype, buffer=self.map, offset=offset)[...] = a
-        try:
-            self.conn.send((it, whole, len(self.map), layout))
-        except Exception:
-            if self.process.is_alive():
-                raise
-            self._died()
+        super().send((it, whole, len(self.map), layout))
 
-    def receive(self):
-        """The trainer's next reply; an error it sent is raised here."""
+    def __exit__(self, *exc):
         try:
-            error, reply = self.conn.recv()
-        except EOFError:
-            self._died()
-        if error is not None:
-            raise error from _TrainerTraceback(reply)
-        return reply
-
-    def close(self):
-        # the trainer stops at the end of its pipe
-        try:
-            if self.conn is not None:
-                self.conn.close()
-            if self.process is not None:
-                self.process.join()
-                self.process.close()
+            super().__exit__(*exc)
         finally:
-            if self.map is not None:
-                self.map.close()
-            os.close(self.fd)
+            self._close_map()
+
+    def _close_map(self):
+        if self.map is not None:
+            self.map.close()
+        os.close(self.fd)
 
 
 def _train(model, train_config, feature_config, weights, norm, draw, candidates_of=None,
@@ -604,8 +597,8 @@ def _train(model, train_config, feature_config, weights, norm, draw, candidates_
     def settle(it):
         losses[it], current.weights, current.bias = trainer.receive()
 
-    trainer = _Trainer(_Descent(model, train_config), weights, norm, feature_config, candidates_of)
-    try:
+    opt = _Descent(model, train_config)
+    with _Trainer(opt, weights, norm, feature_config, candidates_of) as trainer:
         pending = None
         for it in range(train_config.iterations):
             if pending is not None and drain is not None and drain(it):
@@ -628,8 +621,6 @@ def _train(model, train_config, feature_config, weights, norm, draw, candidates_
             trainer.send(it, batch, True)
             pending = it
         settle(pending)
-    finally:
-        trainer.close()
     return TrainResult(current, losses)
 
 
@@ -654,10 +645,13 @@ def train_pretrain(
     """
     if not scenes:
         raise EmptyInputError("no source scenes")
-    plan_of = _lazy_plans(scenes, scan_config, structural)
+    # A scene's scan plan and candidate pairs are built on its first draw, so
+    # an unscannable scene fails at the same draw, and no random draw moves.
+    plan_of = cache(lambda i: plan_scan(scenes[i], scan_config, structural))
     margin = _pair_margin(scan_config, augment_config)
-    if margin is not None:
-        candidates_of = _lazy_candidates(scenes, feature_config.radius + margin)
+    candidates_of = None if margin is None else cache(
+        lambda i: _candidates(scenes[i].positions, feature_config.radius + margin)
+    )
     batch_size = train_config.batch_size
 
     def draw(it, submit, model):
@@ -673,7 +667,7 @@ def train_pretrain(
                 submit(scene, (si, kept, perm))
 
     return _train(model, train_config, feature_config, [1.0] * batch_size, batch_size, draw,
-                  None if margin is None else candidates_of)
+                  candidates_of)
 
 
 def train_selftrain(
@@ -712,10 +706,9 @@ def train_selftrain(
         np.concatenate([s.labels for s in target_scenes]), taxonomy
     )
     queue = TailCuboidQueue(mix_config.queue_cap)
-    plan_of = _lazy_plans(source_scenes, scan_config, structural)
-    candidates_of = _lazy_candidates(
-        source_scenes, feature_config.radius + _pair_margin(scan_config, None)
-    )
+    plan_of = cache(lambda i: plan_scan(source_scenes[i], scan_config, structural))
+    radius = feature_config.radius + _pair_margin(scan_config, None)
+    candidates_of = cache(lambda i: _candidates(source_scenes[i].positions, radius))
 
     def refresh_due(it):
         every = train_config.regen_every

@@ -2,7 +2,7 @@ import hashlib
 import multiprocessing
 import os
 import re
-from concurrent.futures.process import BrokenProcessPool
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +34,7 @@ from scanmix.errors import (
     NoWallPointsError,
     ParseError,
     StageError,
+    TrainerError,
 )
 from scanmix.pipeline import (
     CKPT_SOURCE_ONLY,
@@ -130,6 +131,7 @@ class TestConfig:
             "augment.elastic_spacing=0",
             "augment.elastic_spacing=-0.2",
             "tacm.delta_phi=-0.1",
+            "tacm.min_tail_cuboids=-3",
             "structural.wall=99",
             "augment.flip=maybe",
             "seed=1\nseed=2",
@@ -267,8 +269,19 @@ def hash_tree(root: Path) -> dict[str, str]:
     return out
 
 
-def _exit_at_once(config):
+def _exit_at_once(*_):
     os._exit(3)
+
+
+def _interrupt(*_):
+    raise KeyboardInterrupt
+
+
+def _raise_unpicklable(*_):
+    class Local(Exception):
+        pass
+
+    raise Local("not importable by name")
 
 
 class TestRunPipeline:
@@ -371,9 +384,51 @@ class TestRunPipeline:
         with pytest.raises(StageError) as err:
             run_pipeline(config)
         assert err.value.stage == "source-only"
-        assert isinstance(err.value.cause, BrokenProcessPool)
+        assert isinstance(err.value.cause, TrainerError)
+        assert "the scanmix-source-only process exited with code 3" in str(err.value.cause)
         assert "failed_stage=source-only" in (config.out_dir / "report.txt").read_text()
         assert not multiprocessing.active_children()
+
+    def test_an_unpicklable_worker_error_arrives_typed(self, tmp_path, monkeypatch):
+        config = tiny_benchmark(tmp_path)
+        monkeypatch.setattr(scanmix.pipeline, "_source_only", _raise_unpicklable)
+        with pytest.raises(StageError) as err:
+            run_pipeline(config)
+        assert err.value.stage == "source-only"
+        cause = err.value.cause
+        assert isinstance(cause, TrainerError)
+        assert str(cause) == "Local: not importable by name"
+        # the worker's traceback is the cause of the error it sent
+        trace = str(cause.__cause__)
+        assert "in _raise_unpicklable" in trace
+        assert trace.rstrip().endswith("Local: not importable by name")
+        assert not multiprocessing.active_children()
+
+    def test_an_interrupted_worker_interrupts_the_run(self, tmp_path, monkeypatch):
+        config = tiny_benchmark(tmp_path)
+        monkeypatch.setattr(scanmix.pipeline, "_source_only", _interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            run_pipeline(config)
+        assert not multiprocessing.active_children()
+
+    def test_every_fork_is_made_by_one_thread(self, tmp_path, monkeypatch):
+        # a fork copies only the forking thread, and with it any lock that
+        # another thread held; each fork is logged by the process making it
+        config = tiny_benchmark(tmp_path)
+        log, fork = tmp_path / "forks.txt", os.fork
+
+        def logged_fork():
+            with open(log, "a") as out:
+                out.write(f"{os.getpid()} {threading.active_count()}\n")
+            return fork()
+
+        monkeypatch.setattr(os, "fork", logged_fork)
+        run_pipeline(config)
+        forks = [line.split() for line in log.read_text().splitlines()]
+        # the worker and its trainer, then the scan pretrain's and
+        # self-training's trainers from this process
+        assert len(forks) == 4 and len({pid for pid, _ in forks}) == 2
+        assert [count for _, count in forks] == ["1"] * 4
 
     def test_toy_seed_with_thin_target_completes(self, tmp_path):
         # toy seed 3 holds a target scan that kept one wall patch about
@@ -572,6 +627,28 @@ class TestCli:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith(f"[{argv[0]}] ")
         assert not (tmp_path / "out").exists()
+
+    # a thread or mix count out of range: one stderr line, exit 1, before
+    # any stage reads or writes
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["run-all", "--threads", "0"], "threads must be >= 1, got 0"),
+            (["pseudo-label", "--threads", "0"], "threads must be >= 1, got 0"),
+            (["evaluate", "--threads", "-4"], "threads must be >= 1, got -4"),
+            (["mix", "--count", "-2"], "count must be >= 0, got -2"),
+        ],
+        ids=["run-all", "pseudo-label", "evaluate", "mix"],
+    )
+    def test_bad_run_option_one_line_on_stderr(self, tmp_path, capsys, argv, message):
+        save_config(tiny_benchmark(tmp_path), tmp_path / "c.cfg")
+        out = tmp_path / "out"
+        rc = cli_main([*argv, "--config", str(tmp_path / "c.cfg"), "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"[{argv[0]}] {message}"]
+        assert not out.exists()
 
     def test_seed_and_out_overrides(self, tmp_path):
         config = tiny_benchmark(tmp_path)

@@ -1,3 +1,4 @@
+import ast
 import multiprocessing
 import multiprocessing.connection
 import os
@@ -5,7 +6,9 @@ import signal
 import struct
 import threading
 import time
+from functools import cache
 from multiprocessing.reduction import ForkingPickler
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -506,7 +509,7 @@ def sequential_pretrain(model, scenes, scan_config, structural, augment_config,
         return TrainResult(model, np.zeros(0))
     opt = seg._Descent(model, train_config)
     losses = np.zeros(train_config.iterations)
-    plan_of = seg._lazy_plans(scenes, scan_config, structural)
+    plan_of = cache(lambda i: scansim.plan_scan(scenes[i], scan_config, structural))
     for it in range(train_config.iterations):
         picks = rng.integers(0, len(scenes), size=train_config.batch_size)
         grad_w = np.zeros_like(opt.model.weights)
@@ -542,7 +545,7 @@ def sequential_selftrain(model, source_scenes, target_scenes, scan_config, struc
     lam = train_config.source_loss_weight
     opt = seg._Descent(model, train_config)
     losses = np.zeros(train_config.iterations)
-    plan_of = seg._lazy_plans(source_scenes, scan_config, structural)
+    plan_of = cache(lambda i: scansim.plan_scan(source_scenes[i], scan_config, structural))
     for it in range(train_config.iterations):
         if (
             train_config.regen_every > 0
@@ -808,6 +811,92 @@ class TestBatchTransport:
             assert min(np.add.reduceat(drawn, [0, 3, 6])) > 4000
 
 
+# Where a process can start: outside segmenter._Child the package refers
+# to none of these, so every child shares one transport and one error.
+_PROCESS_STARTS = (
+    "multiprocessing", "concurrent.futures.process", "ProcessPoolExecutor", "os.fork",
+)
+
+
+def _process_starts(tree):
+    """The sorted (line, name) of each reference in ``tree`` to one of
+    ``_PROCESS_STARTS``, outside any class named _Child."""
+    inside = {id(node) for cls in ast.walk(tree)
+              if isinstance(cls, ast.ClassDef) and cls.name == "_Child" for node in ast.walk(cls)}
+    found = set()
+    for node in ast.walk(tree):
+        if id(node) in inside:
+            continue
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        elif isinstance(node, (ast.Name, ast.Attribute)):
+            names = [ast.unparse(node)]
+        else:
+            continue
+        found.update((node.lineno, start) for name in names for start in _PROCESS_STARTS
+                     if f".{start}." in f".{name}.")
+    return sorted(found)
+
+
+class TestChildTransport:
+    def test_an_unpicklable_trainer_error_arrives_typed(self, monkeypatch):
+        class Local(Exception):
+            pass
+
+        def raise_local(*args):
+            raise Local("not importable by name")
+
+        scenes = pretrain_scenes()
+        monkeypatch.setattr(seg, "extract_features", raise_local)
+        with pytest.raises(TrainerError) as err:
+            run_pretrain(train_pretrain, scenes, ScanSimConfig(), 1)
+        assert str(err.value) == "Local: not importable by name"
+        # the trainer's traceback is the cause of the error it sent
+        trace = str(err.value.__cause__)
+        assert "in _trainer" in trace and "in raise_local" in trace
+        assert trace.rstrip().endswith("Local: not importable by name")
+        assert trainers() == []
+
+    def test_only_the_child_primitive_starts_a_process(self):
+        package = Path(seg.__file__).resolve().parent
+        modules = sorted(package.glob("*.py"))
+        assert len(modules) > 5, package
+        assert [p.name for p in modules if "class _Child" in p.read_text()] == ["segmenter.py"]
+        found = [
+            f"{path.name}:{lineno}: {name}"
+            for path in modules
+            for lineno, name in _process_starts(ast.parse(path.read_text(), str(path)))
+        ]
+        assert found == []
+
+    def test_process_start_guard_bites(self):
+        code = """
+import multiprocessing.connection
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+import concurrent.futures.process
+from os import fork
+
+
+def f(os, concurrent):
+    with ThreadPoolExecutor() as pool:
+        pool.map(print, [])
+    concurrent.futures.ProcessPoolExecutor()
+    return os.fork(), multiprocessing.Pipe()
+
+
+class _Child:
+    def __init__(self):
+        import multiprocessing
+        multiprocessing.get_context("fork").Process().start()
+"""
+        assert _process_starts(ast.parse(code)) == [
+            (2, "multiprocessing"), (3, "ProcessPoolExecutor"), (4, "concurrent.futures.process"),
+            (5, "os.fork"), (11, "ProcessPoolExecutor"), (12, "multiprocessing"), (12, "os.fork"),
+        ]
+
+
 # --- neighbour reuse ---------------------------------------------------------
 
 # the draws that reuse their scene's candidate pairs: source-only
@@ -892,7 +981,7 @@ class TestReusedNeighbours:
         scan, augment = DRAW_KINDS[kind]
         clean, draw, kept, perm, heads, tails = planted_draw(scan, augment, angle, seed=len(kind))
         radius = PLANTED.radius + seg._pair_margin(scan, augment)
-        candidates = seg._lazy_candidates([clean], radius)(0)
+        candidates = seg._candidates(clean.positions, radius)
         got = seg._reused_features(draw, PLANTED, candidates, kept, perm)
         assert got.tobytes() == extract_features(draw, PLANTED).tobytes()
         # the planted pairs fall on both sides of r, by cKDTree's own test
@@ -909,10 +998,8 @@ class TestReusedNeighbours:
         # and a fresh neighbour search against the private ones and reuse
         scan, augment = DRAW_KINDS[kind]
         scenes = pretrain_scenes()
-        plans = seg._lazy_plans(scenes, scan, TOY_STRUCTURAL)
-        candidates_of = seg._lazy_candidates(
-            scenes, FEATURES.radius + seg._pair_margin(scan, augment)
-        )
+        plans = cache(lambda i: scansim.plan_scan(scenes[i], scan, TOY_STRUCTURAL))
+        radius = FEATURES.radius + seg._pair_margin(scan, augment)
         plain, reused = RandomStream(8), RandomStream(8)
         for k in range(9):
             si = k % len(scenes)
@@ -926,7 +1013,8 @@ class TestReusedNeighbours:
                 got, perm = seg._standard_augment(got, augment, reused)
             assert got.positions.tobytes() == want.positions.tobytes()
             assert np.array_equal(got.labels, want.labels)
-            features = seg._reused_features(got, FEATURES, candidates_of(si), kept, perm)
+            candidates = seg._candidates(scenes[si].positions, radius)
+            features = seg._reused_features(got, FEATURES, candidates, kept, perm)
             assert features.tobytes() == extract_features(want, FEATURES).tobytes()
 
     def test_a_dropped_point_near_a_kept_one(self):
@@ -944,7 +1032,7 @@ class TestReusedNeighbours:
         perm = gen.permutation(len(kept))
         shuffled = cloud_of(pos[kept[perm]] + gen.uniform(-0.01, 0.01, size=(len(kept), 3)))
         radius = PLANTED.radius + 2.0 * np.sqrt(3.0) * 0.01
-        a, b, n = seg._lazy_candidates([clean], radius)(0)
+        a, b, n = seg._candidates(pos, radius)
         assert n == len(pos)
         assert set(zip(range(200), range(1500, 1700))) <= set(zip(a.tolist(), b.tolist()))
         for order, draw in ((perm, shuffled), (None, cloud_of(pos[kept]))):
@@ -954,22 +1042,22 @@ class TestReusedNeighbours:
     def test_a_draw_that_neither_drops_nor_shuffles(self):
         scan, augment = None, AugmentConfig(elastic=False, shuffle=False)
         scenes = pretrain_scenes()
-        candidates_of = seg._lazy_candidates(
-            scenes, FEATURES.radius + seg._pair_margin(scan, augment)
-        )
+        radius = FEATURES.radius + seg._pair_margin(scan, augment)
         rng = RandomStream(22)
-        for si, scene in enumerate(scenes):
+        for scene in scenes:
             draw, perm = seg._standard_augment(scene, augment, rng)
             assert perm is None
-            got = seg._reused_features(draw, FEATURES, candidates_of(si), None, None)
+            candidates = seg._candidates(scene.positions, radius)
+            got = seg._reused_features(draw, FEATURES, candidates, None, None)
             assert got.tobytes() == extract_features(draw, FEATURES).tobytes()
 
     def test_a_scanned_draw_without_shuffle(self):
         # self-training's source draw: the scan drops points, nothing shuffles
         scan = ScanSimConfig()
         scenes = pretrain_scenes()
-        plans = seg._lazy_plans(scenes, scan, TOY_STRUCTURAL)
-        candidates_of = seg._lazy_candidates(scenes, FEATURES.radius + seg._pair_margin(scan, None))
+        plans = cache(lambda i: scansim.plan_scan(scenes[i], scan, TOY_STRUCTURAL))
+        radius = FEATURES.radius + seg._pair_margin(scan, None)
+        candidates_of = cache(lambda i: seg._candidates(scenes[i].positions, radius))
         rng = RandomStream(23)
         for si in (0, 1, 2, 0):
             draw, kept = seg._scan_and_jitter(scenes[si], scan, TOY_STRUCTURAL, rng, plans(si))
@@ -983,8 +1071,8 @@ class TestReusedNeighbours:
             assert seg._pair_margin(scan, AugmentConfig(elastic=False)) is not None
 
     def test_candidates_are_stored_narrow(self):
-        small = seg._lazy_candidates([random_cloud(TOY_TAXONOMY, n=300, seed=1)], 0.2)(0)
-        large = seg._lazy_candidates([random_cloud(TOY_TAXONOMY, n=70_000, seed=2)], 0.01)(0)
+        small = seg._candidates(random_cloud(TOY_TAXONOMY, n=300, seed=1).positions, 0.2)
+        large = seg._candidates(random_cloud(TOY_TAXONOMY, n=70_000, seed=2).positions, 0.01)
         assert small[0].dtype == small[1].dtype == np.uint16
         assert large[0].dtype == large[1].dtype == np.uint32
 
