@@ -264,13 +264,20 @@ def _write_losses(path, losses: np.ndarray) -> None:
     _write_file(path, "".join(f"{float(value)!r}\n" for value in losses))
 
 
-def _load_domain(manifest_path, role: str, taxonomy: ClassTaxonomy):
+def _checked_manifest(manifest_path, role: str, taxonomy: ClassTaxonomy):
+    """The manifest at ``manifest_path``; ParseError at its first line
+    unless it declares ``role`` and ``taxonomy``."""
     manifest = load_manifest(manifest_path)
     if manifest.role != role:
         raise ParseError(manifest_path, f"manifest role {manifest.role!r} != {role!r}", line=1)
     if manifest.taxonomy_name != taxonomy.name:
         message = f"manifest taxonomy {manifest.taxonomy_name!r} != {taxonomy.name!r}"
         raise ParseError(manifest_path, message, line=1)
+    return manifest
+
+
+def _load_domain(manifest_path, role: str, taxonomy: ClassTaxonomy):
+    manifest = _checked_manifest(manifest_path, role, taxonomy)
     return manifest, load_scenes(manifest, taxonomy)
 
 
@@ -339,7 +346,7 @@ def stage_pseudo_label(config: PipelineConfig, threads: int = 1) -> Path:
 
 
 def _load_pseudo_scenes(config: PipelineConfig):
-    tgt_manifest = load_manifest(config.target_manifest)
+    tgt_manifest = _checked_manifest(config.target_manifest, "target", config.taxonomy)
     pseudo_dir = config.out_dir / "pseudo"
     scenes = []
     for scene_id, _path in tgt_manifest.entries:
@@ -528,8 +535,8 @@ def run_pipeline(config: PipelineConfig, threads: int = 1) -> dict[str, float]:
     mious: dict[str, float] = {}
     try:
         with _stage("load"):
-            src_manifest = load_manifest(config.source_manifest)
-            tgt_manifest = load_manifest(config.target_manifest)
+            src_manifest = _checked_manifest(config.source_manifest, "source", config.taxonomy)
+            tgt_manifest = _checked_manifest(config.target_manifest, "target", config.taxonomy)
         n_source, n_target = len(src_manifest), len(tgt_manifest)
         _pretrain_both(config)
         stage_pseudo_label(config, threads)

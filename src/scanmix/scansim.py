@@ -6,7 +6,8 @@ view, removes occluded points with a spherical depth buffer, unions the
 surviving points over all cameras, and finally jitters coordinates to
 mimic sensing noise. Everything that depends only on the scene is a
 ScanPlan, built once and reusable across draws. An exact O(n^2) ray-cast oracle is provided to
-validate the depth-buffer approximation.
+validate the depth-buffer approximation; one field-of-view routine,
+``_in_fov``, culls for both.
 """
 
 from __future__ import annotations
@@ -264,41 +265,34 @@ def _camera_components(cloud, pose):
     return q @ f, q @ up, q @ right
 
 
-def _angles(qf, qu, qr) -> tuple[np.ndarray, np.ndarray]:
-    """Azimuth and elevation in degrees from camera-frame components."""
-    return np.degrees(np.arctan2(qr, qf)), np.degrees(np.arctan2(qu, np.hypot(qf, qr)))
-
-
-def _fov_mask(qf, qu, qr, fov: FovConfig) -> np.ndarray:
+def _in_fov(qf, qu, qr, fov: FovConfig):
+    """The ascending indices of the points inside ``fov``, from their
+    camera-frame components, with their azimuths and elevations in degrees.
+    The fixed mode takes the azimuth only of the points a conservative
+    prefilter admits, and the elevation only where the azimuth passed; the
+    other modes take both only for the points their frustum test keeps."""
     if fov.mode == "fixed":
-        az, el = _angles(qf, qu, qr)
-        return (np.abs(az) <= fov.alpha_h / 2) & (np.abs(el) <= fov.alpha_v / 2)
+        if fov.alpha_h <= 180.0:
+            # |azimuth| <= 90 needs qf >= 0 up to rounding (qf = -1e-17, qr = 1
+            # has azimuth 90.0); a point this drops is more than 5.7e-8
+            # degrees past 90, far beyond that rounding
+            idx = np.flatnonzero(qf >= -1e-9 * np.abs(qr))
+        else:
+            idx = np.arange(len(qf))
+        az = np.degrees(np.arctan2(qr[idx], qf[idx]))
+        keep = np.flatnonzero(np.abs(az) <= fov.alpha_h / 2)
+        idx, az = idx[keep], az[keep]
+        el = np.degrees(np.arctan2(qu[idx], np.hypot(qf[idx], qr[idx])))
+        keep = np.flatnonzero(np.abs(el) <= fov.alpha_v / 2)
+        return idx[keep], az[keep], el[keep]
     th = np.tan(np.radians(fov.alpha_h / 2))
     tv = np.tan(np.radians(fov.alpha_v / 2))
-    ahead = qf > 0
-    if fov.mode == "perspective":
-        return ahead & (np.abs(qr) <= qf * th) & (np.abs(qu) <= qf * tv)
-    return ahead & (np.abs(qr) <= fov.d_ref * th) & (np.abs(qu) <= fov.d_ref * tv)
-
-
-def _fixed_fov(qf, qu, qr, fov):
-    """The fixed mode's in-FOV indices with their azimuths and elevations,
-    the bytes ``_angles`` and ``_fov_mask`` give, computed only where they
-    can pass: the azimuth of the points a conservative prefilter admits,
-    the elevation where the azimuth passed."""
-    if fov.alpha_h <= 180.0:
-        # |azimuth| <= 90 needs qf >= 0 up to rounding (qf = -1e-17, qr = 1
-        # has azimuth 90.0); a point this drops is more than 5.7e-8
-        # degrees past 90, far beyond that rounding
-        idx = np.flatnonzero(qf >= -1e-9 * np.abs(qr))
-    else:
-        idx = np.arange(len(qf))
-    az = np.degrees(np.arctan2(qr[idx], qf[idx]))
-    keep = np.flatnonzero(np.abs(az) <= fov.alpha_h / 2)
-    idx, az = idx[keep], az[keep]
-    el = np.degrees(np.arctan2(qu[idx], np.hypot(qf[idx], qr[idx])))
-    keep = np.flatnonzero(np.abs(el) <= fov.alpha_v / 2)
-    return idx[keep], az[keep], el[keep]
+    # the half-widths grow with the forward distance in perspective mode
+    # and stay those at d_ref in parallel mode
+    d = qf if fov.mode == "perspective" else fov.d_ref
+    idx = np.flatnonzero((qf > 0) & (np.abs(qr) <= d * th) & (np.abs(qu) <= d * tv))
+    qf, qu, qr = qf[idx], qu[idx], qr[idx]
+    return idx, np.degrees(np.arctan2(qr, qf)), np.degrees(np.arctan2(qu, np.hypot(qf, qr)))
 
 
 def visible_range_mask(
@@ -313,7 +307,9 @@ def visible_range_mask(
     |up/forward| bounded by tan of the half-angles. parallel: in front of
     the camera inside a slab of half-width d_ref * tan(half-angle).
     """
-    return _fov_mask(*_camera_components(cloud, pose), fov)
+    mask = np.zeros(cloud.n, dtype=bool)
+    mask[_in_fov(*_camera_components(cloud, pose), fov)[0]] = True
+    return mask
 
 
 def visible_points(
@@ -327,17 +323,12 @@ def visible_points(
     point survives iff its range is within ``eps_d`` of its bin's minimum.
     """
     qf, qu, qr = _camera_components(cloud, pose)
-    if config.fov.mode == "fixed":
-        idx, az, el = _fixed_fov(qf, qu, qr, config.fov)
-    else:
-        idx = np.flatnonzero(_fov_mask(qf, qu, qr, config.fov))
+    idx, az, el = _in_fov(qf, qu, qr, config.fov)
     out = np.zeros(cloud.n, dtype=bool)
     if len(idx) == 0:
         return out
     qf, qu, qr = qf[idx], qu[idx], qr[idx]
     r = np.sqrt(qf * qf + qu * qu + qr * qr)
-    if config.fov.mode != "fixed":
-        az, el = _angles(qf, qu, qr)
     a_bin = np.floor(az / config.theta_bin).astype(np.int64)
     e_bin = np.floor(el / config.theta_bin).astype(np.int64)
     # one integer per (azimuth, elevation) bin pair
@@ -368,8 +359,7 @@ def visibility_oracle(
     """
     if r_pt <= 0:
         raise ValueError("r_pt must be positive")
-    mask = visible_range_mask(cloud, pose, fov)
-    cand = np.flatnonzero(mask)
+    cand = _in_fov(*_camera_components(cloud, pose), fov)[0]
     out = np.zeros(cloud.n, dtype=bool)
     if len(cand) == 0:
         return out

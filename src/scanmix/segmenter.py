@@ -297,8 +297,8 @@ def _gradients(model, batch, feature_config, candidates_of):
         if reuse is None:
             features = extract_features(cloud, feature_config)
         else:
-            i, kept, perm = reuse
-            features = _reused_features(cloud, feature_config, candidates_of(i), kept, perm)
+            i, source = reuse
+            features = _reused_features(cloud, feature_config, candidates_of(i), source)
         yield _scene_gradient(model, cloud, features)
 
 
@@ -334,12 +334,11 @@ def _candidates(pos, radius):
     return pairs[order, 0].astype(dtype), pairs[order, 1].astype(dtype), len(pos)
 
 
-def _reused_features(cloud, config, candidates, kept, perm):
+def _reused_features(cloud, config, candidates, source):
     """``extract_features(cloud, config)`` of a draw from a clean scene,
     from that scene's ``_candidates``, found with a radius of at least
     ``config.radius`` plus the draw's ``_pair_margin``.
-    Draw point j is clean point ``kept[perm[j]]``; ``kept`` None keeps
-    every point and ``perm`` None keeps their order.
+    Draw point j is clean point ``source[j]``.
 
     The draw's positions are put back in the clean scene's order, NaN where
     the scan dropped a point, and the candidates are kept where they pass
@@ -347,13 +346,8 @@ def _reused_features(cloud, config, candidates, kept, perm):
     the pairs are those ``query_pairs(config.radius)`` finds, and the
     features are the same bytes."""
     a, b, n = candidates
-    if kept is None and perm is None:
-        source = None
-        coords = np.ascontiguousarray(cloud.positions.T)
-    else:
-        source = kept if perm is None else perm if kept is None else kept[perm]
-        coords = np.full((3, n), np.nan)
-        coords[:, source] = cloud.positions.T
+    coords = np.full((3, n), np.nan)
+    coords[:, source] = cloud.positions.T
     # the sum runs from 0.0 through x, y, z
     dist2 = np.zeros(len(a))
     for coord in coords:
@@ -365,9 +359,7 @@ def _reused_features(cloud, config, candidates, kept, perm):
     # the kept pairs as intp, on which ufunc.at takes its fast path
     a, b = a.take(near).astype(np.intp), b.take(near).astype(np.intp)
     stats = _neighbour_stats(coords[2], a, b, config.voxel_size)
-    if source is not None:
-        stats = [stat.take(source) for stat in stats]
-    return _pair_features(cloud, stats)
+    return _pair_features(cloud, [stat.take(source) for stat in stats])
 
 
 class _ChildTraceback(Exception):
@@ -457,10 +449,10 @@ def _batch_of(view, layout):
 
     batch = []
     for scene, taxonomy, entries in layout:
-        positions, labels, kept, perm = map(array, entries)
+        positions, labels, source = map(array, entries)
         cloud = object.__new__(LabeledPointCloud)
         cloud.__dict__.update(positions=positions, labels=labels, taxonomy=taxonomy)
-        batch.append((cloud, None if scene is None else (scene, kept, perm)))
+        batch.append((cloud, None if scene is None else (scene, source)))
     return batch
 
 
@@ -520,9 +512,9 @@ class _Trainer(_Child):
         they do not fit, and send the trainer their layout."""
         layout, arrays, end = [], [], 0
         for cloud, reuse in batch:
-            scene, kept, perm = (None, None, None) if reuse is None else reuse
+            scene, source = (None, None) if reuse is None else reuse
             entries = []
-            for a in (cloud.positions, cloud.labels, kept, perm):
+            for a in (cloud.positions, cloud.labels, source):
                 if a is None:
                     entries.append(None)
                     continue
@@ -552,75 +544,71 @@ class _Trainer(_Child):
         os.close(self.fd)
 
 
-def _train(model, train_config, feature_config, weights, norm, draw, candidates_of=None,
-           drain=None, on_batch=None):
+def _train(model, train_config, feature_config, weights, norm, draw, candidates_of=None):
     """Descend on (sum of weights[i] * CE_i) / norm, in a trainer process
     one iteration behind the draws.
 
     ``draw(it, submit, model)`` takes every random draw of iteration ``it``
     in this process and passes each finished cloud to ``submit``; CE_i is
     the i-th submitted cloud's cross-entropy, summed in that order.
-    ``submit(cloud, reuse)`` with ``reuse = (i, kept, perm)`` has the
-    trainer compute the features by ``_reused_features`` from
-    ``candidates_of(i)`` instead of a fresh neighbour search.
-    ``on_batch(it, clouds)`` sees the clouds of iteration ``it`` just
-    before they go to the trainer.
+    ``submit(cloud, reuse)`` with ``reuse = (i, source)``, where cloud
+    point j is point ``source[j]`` of scene i, has the trainer compute the
+    features by ``_reused_features`` from ``candidates_of(i)`` instead of
+    a fresh neighbour search. ``model()`` waits for the pending step and
+    returns the stepped model; a draw that reads the model, or must not
+    run ahead of a step that fails, calls it before its first submit.
 
     The trainer is forked at the start of each call, so it inherits the
     scenes and ``candidates_of``, whose tables it fills itself. It computes
     the features, gradients and descent steps; this process keeps every
     random draw. Iteration t is drawn here while the trainer works on t-1;
     then this process waits for t-1's step, which sends back the stepped
-    model, calls ``on_batch(t)`` and sends t. Features are pure, and draws
-    and steps keep their order, so the result is that of the plain loop.
+    model, and sends t. Features are pure, and draws and steps keep their
+    order, so the result is that of the plain loop.
 
     What crosses the pipe is small and does not grow with the clouds: the
     iteration, whether the batch is whole, the size of a shared memory map
     created before the fork, and per cloud its scene index (None for a
     fresh search), its taxonomy and a (dtype, shape, offset) entry for each
-    of its positions, labels, kept indices and shuffle. The arrays
-    themselves are copied into the map, which this process grows when a
-    batch does not fit; the trainer reads them in place and this process
-    rewrites the map only after the trainer has answered.
+    of its positions, labels and clean indices. The arrays themselves are
+    copied into the map, which this process grows when a batch does not
+    fit; the trainer reads them in place and this process rewrites the map
+    only after the trainer has answered.
 
     Errors come out in the plain loop's order: when the draw of t fails,
     t-1 is stepped first, then the gradients of the clouds t had already
-    drawn, and only then is the draw's error re-raised. ``drain(it)`` true
-    waits for t-1's step before t is drawn, for a draw that reads the
-    model. Every path joins the trainer and closes the map.
+    drawn, and only then is the draw's error re-raised. Every path joins
+    the trainer and closes the map.
     """
     if train_config.iterations == 0:
         return TrainResult(model, np.zeros(0))
     losses = np.zeros(train_config.iterations)
     current = model.copy()
+    pending = None
 
-    def settle(it):
-        losses[it], current.weights, current.bias = trainer.receive()
+    def stepped():
+        nonlocal pending
+        if pending is not None:
+            it, pending = pending, None
+            losses[it], current.weights, current.bias = trainer.receive()
+        return current
 
     opt = _Descent(model, train_config)
     with _Trainer(opt, weights, norm, feature_config, candidates_of) as trainer:
-        pending = None
         for it in range(train_config.iterations):
-            if pending is not None and drain is not None and drain(it):
-                settle(pending)
-                pending = None
             batch = []
             try:
-                draw(it, lambda cloud, reuse=None: batch.append((cloud, reuse)), current)
+                draw(it, lambda cloud, reuse=None: batch.append((cloud, reuse)), stepped)
             except Exception:
-                if pending is not None:
-                    settle(pending)
+                stepped()
                 if batch:
                     trainer.send(it, batch, False)
                     trainer.receive()
                 raise
-            if pending is not None:
-                settle(pending)
-            if on_batch is not None:
-                on_batch(it, [cloud for cloud, _ in batch])
+            stepped()
             trainer.send(it, batch, True)
             pending = it
-        settle(pending)
+        stepped()
     return TrainResult(current, losses)
 
 
@@ -657,14 +645,16 @@ def train_pretrain(
     def draw(it, submit, model):
         for si in rng.integers(0, len(scenes), size=batch_size):
             si = int(si)
-            scene, kept = scenes[si], None
-            if scan_config is not None:
-                scene, kept = _scan_and_jitter(scene, scan_config, structural, rng, plan_of(si))
+            scene = scenes[si]
+            if scan_config is None:
+                source = np.arange(scene.n)
+            else:
+                scene, source = _scan_and_jitter(scene, scan_config, structural, rng, plan_of(si))
             scene, perm = _standard_augment(scene, augment_config, rng)
             if margin is None:
                 submit(scene)
             else:
-                submit(scene, (si, kept, perm))
+                submit(scene, (si, source if perm is None else source[perm]))
 
     return _train(model, train_config, feature_config, [1.0] * batch_size, batch_size, draw,
                   candidates_of)
@@ -696,7 +686,8 @@ def train_selftrain(
     every that many iterations; ``regen_every == 0`` keeps the initial
     labels.
     As in ``train_pretrain``, a trainer process steps one iteration behind
-    the draws; a refresh first waits for the pending iteration's step.
+    the draws; a refresh and ``on_mixed`` first wait for the pending
+    iteration's step.
     """
     if not source_scenes or not target_scenes:
         raise EmptyInputError("self-training needs source and target scenes")
@@ -709,16 +700,14 @@ def train_selftrain(
     plan_of = cache(lambda i: plan_scan(source_scenes[i], scan_config, structural))
     radius = feature_config.radius + _pair_margin(scan_config, None)
     candidates_of = cache(lambda i: _candidates(source_scenes[i].positions, radius))
-
-    def refresh_due(it):
-        every = train_config.regen_every
-        return every > 0 and it > 0 and it % every == 0
+    every = train_config.regen_every
 
     def draw(it, submit, model):
         nonlocal target_scenes, ratios
-        if refresh_due(it):
+        if every > 0 and it > 0 and it % every == 0:
+            current = model()
             target_scenes = [
-                t.with_labels(pseudo_label(model, t, feature_config, pseudo_config))
+                t.with_labels(pseudo_label(current, t, feature_config, pseudo_config))
                 for t in target_scenes
             ]
             ratios = class_ratio(
@@ -726,15 +715,16 @@ def train_selftrain(
             )
         tgt = target_scenes[int(rng.integers(0, len(target_scenes)))]
         si = int(rng.integers(0, len(source_scenes)))
-        src, kept = _scan_and_jitter(source_scenes[si], scan_config, structural, rng, plan_of(si))
-        result = compose_mixed_scene(src, tgt, ratios, mix_config, queue, rng)
-        submit(result.mixed.cloud)
-        submit(src, (si, kept, None))
+        src, source = _scan_and_jitter(source_scenes[si], scan_config, structural, rng, plan_of(si))
+        mixed = compose_mixed_scene(src, tgt, ratios, mix_config, queue, rng).mixed.cloud
+        if on_mixed is not None:
+            model()
+            on_mixed(it, mixed)
+        submit(mixed)
+        submit(src, (si, source))
 
-    on_batch = None if on_mixed is None else lambda it, clouds: on_mixed(it, clouds[0])
     weights = [1.0, train_config.source_loss_weight]
-    return _train(model, train_config, feature_config, weights, 1, draw, candidates_of,
-                  refresh_due, on_batch)
+    return _train(model, train_config, feature_config, weights, 1, draw, candidates_of)
 
 
 def save_checkpoint(model: SegmenterModel, path) -> None:

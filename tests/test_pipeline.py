@@ -467,6 +467,43 @@ class TestRunPipeline:
         assert (cause.path, cause.line) == (str(want), 1)
         assert "'target'" in str(cause) and "'source'" in str(cause)
 
+    @pytest.mark.parametrize("stage", [stage_selftrain, stage_mix], ids=["selftrain", "mix"])
+    def test_a_source_manifest_as_the_pseudo_labels_target_rejected(self, tmp_path, stage):
+        # the pseudo labels exist, so both stages read the target manifest
+        # only for its scene ids
+        config = tiny_benchmark(tmp_path)
+        stage_pretrain(config, with_scan_sim=True)
+        stage_pseudo_label(config)
+        config.target_manifest = config.source_manifest
+        with pytest.raises(StageError) as err:
+            stage(config)
+        assert err.value.stage == stage.__name__.removeprefix("stage_")
+        cause = err.value.cause
+        assert isinstance(cause, ParseError)
+        assert (cause.path, cause.line) == (str(config.source_manifest), 1)
+        assert "'target'" in str(cause) and "'source'" in str(cause)
+        assert not (config.out_dir / "checkpoint_final.bin").exists()
+        assert not (config.out_dir / "mixed").exists()
+
+    def test_swapped_manifests_fail_as_load_before_any_fork(self, tmp_path, monkeypatch):
+        config = tiny_benchmark(tmp_path)
+        config.source_manifest, config.target_manifest = config.target_manifest, config.source_manifest
+        forks = []
+
+        def no_fork():
+            forks.append(None)
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        with pytest.raises(StageError) as err:
+            run_pipeline(config)
+        assert err.value.stage == "load"
+        assert isinstance(err.value.cause, ParseError)
+        assert (err.value.cause.path, err.value.cause.line) == (str(config.source_manifest), 1)
+        assert "failed_stage=load" in (config.out_dir / "report.txt").read_text()
+        assert forks == []
+        assert not multiprocessing.active_children()
+
     def test_selftrain_before_pseudo_fails_tagged(self, tmp_path):
         config = tiny_benchmark(tmp_path)
         stage_pretrain(config, with_scan_sim=True)

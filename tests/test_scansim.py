@@ -29,7 +29,7 @@ from scanmix import (
 )
 from scanmix.errors import DegeneratePoseError, NoFreeSpaceError, NoWallPointsError
 import scanmix.scansim as scansim
-from scanmix.scansim import _angles, _camera_components, camera_frame
+from scanmix.scansim import _camera_components, camera_frame
 
 
 def empty_room_cloud(size=4.0, cell=0.5):
@@ -187,6 +187,26 @@ def range_mask_oracle(cloud, pose, fov):
                 and abs(qu) <= fov.d_ref * math.tan(math.radians(fov.alpha_v / 2))
             )
     return out
+
+
+def angles(qf, qu, qr):
+    """Reference: azimuth and elevation in degrees from camera-frame
+    components, of every point."""
+    return np.degrees(np.arctan2(qr, qf)), np.degrees(np.arctan2(qu, np.hypot(qf, qr)))
+
+
+def fov_mask(qf, qu, qr, fov):
+    """Reference: the field-of-view rules over the full arrays, the fixed
+    mode taking the angles of every point."""
+    if fov.mode == "fixed":
+        az, el = angles(qf, qu, qr)
+        return (np.abs(az) <= fov.alpha_h / 2) & (np.abs(el) <= fov.alpha_v / 2)
+    th = np.tan(np.radians(fov.alpha_h / 2))
+    tv = np.tan(np.radians(fov.alpha_v / 2))
+    ahead = qf > 0
+    if fov.mode == "perspective":
+        return ahead & (np.abs(qr) <= qf * th) & (np.abs(qu) <= qf * tv)
+    return ahead & (np.abs(qr) <= fov.d_ref * th) & (np.abs(qu) <= fov.d_ref * tv)
 
 
 class TestVisibleRange:
@@ -443,7 +463,9 @@ class TestOneProjectionEquivalence:
             got = _camera_components(cloud, pose)
             for a, b in zip(got, want):
                 assert np.array_equal(a, b)
-            az, el = _angles(*got)
+            # a full view keeps every point, so its angles are every point's
+            idx, az, el = scansim._in_fov(*got, FovConfig(360.0, 180.0))
+            assert np.array_equal(idx, np.arange(n))
             assert np.array_equal(az, np.degrees(np.arctan2(want[2], want[0])))
             assert np.array_equal(el, np.degrees(np.arctan2(want[1], np.hypot(want[0], want[2]))))
 
@@ -616,14 +638,14 @@ def gathered_angle_visible_points(cloud, pose, config):
     angles of every point and gathering the in-view ones, the other modes
     taking the angles of the in-view points."""
     qf, qu, qr = _camera_components(cloud, pose)
-    idx = np.flatnonzero(visible_range_mask(cloud, pose, config.fov))
+    idx = np.flatnonzero(fov_mask(qf, qu, qr, config.fov))
     out = np.zeros(cloud.n, dtype=bool)
     if len(idx) == 0:
         return out
     if config.fov.mode == "fixed":
-        az, el = (a[idx] for a in _angles(qf, qu, qr))
+        az, el = (a[idx] for a in angles(qf, qu, qr))
     else:
-        az, el = _angles(qf[idx], qu[idx], qr[idx])
+        az, el = angles(qf[idx], qu[idx], qr[idx])
     qf, qu, qr = qf[idx], qu[idx], qr[idx]
     r = np.sqrt(qf * qf + qu * qu + qr * qr)
     a_bin = np.floor(az / config.theta_bin).astype(np.int64)
@@ -636,13 +658,14 @@ def gathered_angle_visible_points(cloud, pose, config):
     return out
 
 
-def assert_fixed_fov_gathers(cloud, pose, fov):
-    # the fixed mode's subset angles against every point's, gathered
+def assert_in_fov_gathers(cloud, pose, fov):
+    # the in-view indices and their angles against the full-array
+    # reference's mask and every point's angles, gathered
     q = _camera_components(cloud, pose)
-    idx, az, el = scansim._fixed_fov(*q, fov)
-    want = np.flatnonzero(scansim._fov_mask(*q, fov))
+    idx, az, el = scansim._in_fov(*q, fov)
+    want = np.flatnonzero(fov_mask(*q, fov))
     assert np.array_equal(idx, want)
-    want_az, want_el = _angles(*q)
+    want_az, want_el = angles(*q)
     assert az.tobytes() == want_az[want].tobytes()
     assert el.tobytes() == want_el[want].tobytes()
 
@@ -658,8 +681,7 @@ class TestSubsetAngles:
             for pose in sample_camera_poses(cloud, plan, config, RandomStream(k)):
                 got = visible_points(cloud, pose, config)
                 assert np.array_equal(got, gathered_angle_visible_points(cloud, pose, config))
-                if mode == "fixed":
-                    assert_fixed_fov_gathers(cloud, pose, config.fov)
+                assert_in_fov_gathers(cloud, pose, config.fov)
 
     @pytest.mark.parametrize("alpha_h", [90.0, 100.0, 180.0, 181.0, 360.0])
     @pytest.mark.parametrize("mode", ["fixed", "parallel", "perspective"])
@@ -674,8 +696,8 @@ class TestSubsetAngles:
         config = ScanSimConfig(fov=FovConfig(alpha_h, 90.0, mode))
         got = visible_points(cloud, pose, config)
         assert np.array_equal(got, gathered_angle_visible_points(cloud, pose, config))
+        assert_in_fov_gathers(cloud, pose, config.fov)
         if mode == "fixed":
-            assert_fixed_fov_gathers(cloud, pose, config.fov)
             in_view = visible_range_mask(cloud, pose, config.fov)[:2].tolist()
             # at 180 degrees -1e-17 rounds to an azimuth of 90.0, -1e-16 past it
             assert in_view == {90.0: [False, False], 100.0: [False, False],
@@ -700,13 +722,14 @@ def at_angles(r, az, el):
 def pair_binned_visible(cloud, pose, config):
     """visible_points with each depth-buffer bin named by its (azimuth,
     elevation) index pair instead of one integer key."""
-    idx = np.flatnonzero(visible_range_mask(cloud, pose, config.fov))
+    qf, qu, qr = _camera_components(cloud, pose)
+    idx = np.flatnonzero(fov_mask(qf, qu, qr, config.fov))
     out = np.zeros(cloud.n, dtype=bool)
     if len(idx) == 0:
         return out
-    qf, qu, qr = (q[idx] for q in _camera_components(cloud, pose))
+    qf, qu, qr = qf[idx], qu[idx], qr[idx]
     r = np.sqrt(qf * qf + qu * qu + qr * qr)
-    az, el = _angles(qf, qu, qr)
+    az, el = angles(qf, qu, qr)
     bins = np.column_stack([np.floor(az / config.theta_bin), np.floor(el / config.theta_bin)])
     _, inverse = np.unique(bins, axis=0, return_inverse=True)
     inverse = inverse.reshape(-1)
@@ -722,7 +745,7 @@ class TestDepthBufferKey:
         pose = CameraPose(np.zeros(3), np.array([1.0, 0.0, 0.0]))
         far, near = at_angles(3.0, 5.5e-4, -59.99995), at_angles(1.0, 4.5e-4, 44.85765)
         cloud = LabeledPointCloud(np.array([far, near]), np.array([0, 0]), TOY_TAXONOMY)
-        az, el = _angles(*_camera_components(cloud, pose))
+        az, el = angles(*_camera_components(cloud, pose))
         a_bin = np.floor(az / config.theta_bin).astype(np.int64)
         e_bin = np.floor(el / config.theta_bin).astype(np.int64)
         assert a_bin.tolist() == [5, 4] and e_bin.tolist() == [-600000, 448576]

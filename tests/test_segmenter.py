@@ -909,6 +909,14 @@ DRAW_KINDS = {
 PLANTED = FeatureConfig(voxel_size=0.02, radius=0.2)
 
 
+def source_of(kept, perm, n):
+    """Each draw point's index in its clean scene of n points: draw point j
+    is clean point kept[perm[j]], kept None keeping every point and perm
+    None their order."""
+    source = np.arange(n) if kept is None else kept
+    return source if perm is None else source[perm]
+
+
 def cloud_of(positions):
     return LabeledPointCloud(positions, np.zeros(len(positions), dtype=int), TOY_TAXONOMY)
 
@@ -982,7 +990,7 @@ class TestReusedNeighbours:
         clean, draw, kept, perm, heads, tails = planted_draw(scan, augment, angle, seed=len(kind))
         radius = PLANTED.radius + seg._pair_margin(scan, augment)
         candidates = seg._candidates(clean.positions, radius)
-        got = seg._reused_features(draw, PLANTED, candidates, kept, perm)
+        got = seg._reused_features(draw, PLANTED, candidates, source_of(kept, perm, clean.n))
         assert got.tobytes() == extract_features(draw, PLANTED).tobytes()
         # the planted pairs fall on both sides of r, by cKDTree's own test
         d = draw.positions[tails] - draw.positions[heads]
@@ -1014,7 +1022,7 @@ class TestReusedNeighbours:
             assert got.positions.tobytes() == want.positions.tobytes()
             assert np.array_equal(got.labels, want.labels)
             candidates = seg._candidates(scenes[si].positions, radius)
-            features = seg._reused_features(got, FEATURES, candidates, kept, perm)
+            features = seg._reused_features(got, FEATURES, candidates, source_of(kept, perm, scenes[si].n))
             assert features.tobytes() == extract_features(want, FEATURES).tobytes()
 
     def test_a_dropped_point_near_a_kept_one(self):
@@ -1036,7 +1044,7 @@ class TestReusedNeighbours:
         assert n == len(pos)
         assert set(zip(range(200), range(1500, 1700))) <= set(zip(a.tolist(), b.tolist()))
         for order, draw in ((perm, shuffled), (None, cloud_of(pos[kept]))):
-            got = seg._reused_features(draw, PLANTED, (a, b, n), kept, order)
+            got = seg._reused_features(draw, PLANTED, (a, b, n), source_of(kept, order, n))
             assert got.tobytes() == extract_features(draw, PLANTED).tobytes()
 
     def test_a_draw_that_neither_drops_nor_shuffles(self):
@@ -1048,7 +1056,7 @@ class TestReusedNeighbours:
             draw, perm = seg._standard_augment(scene, augment, rng)
             assert perm is None
             candidates = seg._candidates(scene.positions, radius)
-            got = seg._reused_features(draw, FEATURES, candidates, None, None)
+            got = seg._reused_features(draw, FEATURES, candidates, source_of(None, None, scene.n))
             assert got.tobytes() == extract_features(draw, FEATURES).tobytes()
 
     def test_a_scanned_draw_without_shuffle(self):
@@ -1062,7 +1070,7 @@ class TestReusedNeighbours:
         for si in (0, 1, 2, 0):
             draw, kept = seg._scan_and_jitter(scenes[si], scan, TOY_STRUCTURAL, rng, plans(si))
             assert len(kept) < scenes[si].n
-            got = seg._reused_features(draw, FEATURES, candidates_of(si), kept, None)
+            got = seg._reused_features(draw, FEATURES, candidates_of(si), source_of(kept, None, scenes[si].n))
             assert got.tobytes() == extract_features(draw, FEATURES).tobytes()
 
     def test_elastic_distortion_has_no_margin(self):
