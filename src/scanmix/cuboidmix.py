@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import LabeledPointCloud, RandomStream, _narrow_reduce
-from .errors import DegeneratePartitionError, EmptyInputError, ShapeMismatchError
+from .errors import DegeneratePartitionError, DimensionError, EmptyInputError, ShapeMismatchError
 
 PROV_SOURCE, PROV_TARGET, PROV_QUEUE = 0, 1, 2
 PROVENANCE_NAMES = ("source", "target", "queue")
@@ -73,25 +73,64 @@ class Cuboid:
 
 @dataclass
 class CuboidSet:
-    """A partitioned scene: boundary arrays plus cuboids in cell order. A
-    mixed scene is one too, over the target's grid; its cuboids' bounds
-    follow the cuboids that were moved in."""
+    """A partitioned scene as arrays: the boundary arrays, each point's flat
+    cell index ``cell`` ((i * ny + j) * nz + k, in the narrowest unsigned
+    dtype that holds it), and per cell its ``bounds`` (ncells, 6) and
+    ``provenance`` (ncells,). A mixed scene is one too, over the target's
+    grid; its cells' bounds follow the cuboids that were moved in."""
 
     cloud: LabeledPointCloud
     xb: np.ndarray
     yb: np.ndarray
     zb: np.ndarray
-    cuboids: list[Cuboid]
+    cell: np.ndarray
+    bounds: np.ndarray
+    provenance: np.ndarray
 
     @property
     def shape(self) -> tuple[int, int, int]:
         return (len(self.xb) - 1, len(self.yb) - 1, len(self.zb) - 1)
 
-    def grid_cell_bounds(self, cell: tuple[int, int, int]) -> np.ndarray:
-        i, j, k = cell
-        return np.array(
-            [self.xb[i], self.yb[j], self.zb[k], self.xb[i + 1], self.yb[j + 1], self.zb[k + 1]]
-        )
+    @property
+    def cuboids(self) -> list[Cuboid]:
+        """One ``Cuboid`` per cell in cell order, built from the arrays on
+        each read."""
+        order, offsets = _members(self.cell, len(self.bounds))
+        return [
+            Cuboid(cell, bounds, members, prov)
+            for cell, bounds, members, prov in zip(
+                np.ndindex(self.shape), self.bounds.copy(), np.split(order, offsets[1:-1]),
+                self.provenance.tolist(),
+            )
+        ]
+
+
+def _members(cell: np.ndarray, ncells: int) -> tuple[np.ndarray, np.ndarray]:
+    """Point indices grouped by cell in cell order, ascending int64 within
+    each cell, and the (ncells + 1,) offsets of the groups."""
+    order = np.argsort(cell, kind="stable").astype(np.int64, copy=False)
+    offsets = np.zeros(ncells + 1, dtype=np.intp)
+    np.cumsum(np.bincount(cell, minlength=ncells), out=offsets[1:])
+    return order, offsets
+
+
+def _cell_dtype(ncells: int):
+    """The narrowest unsigned dtype that holds every cell index; numpy sorts
+    8- and 16-bit keys stably by radix."""
+    if ncells <= 1 << 8:
+        return np.uint8
+    return np.uint16 if ncells <= 1 << 16 else np.intp
+
+
+def _grid_bounds(xb: np.ndarray, yb: np.ndarray, zb: np.ndarray) -> np.ndarray:
+    """(ncells, 6) grid bounds of every cell in cell order."""
+    shape = (len(xb) - 1, len(yb) - 1, len(zb) - 1)
+    i, j, k = np.unravel_index(np.arange(shape[0] * shape[1] * shape[2]), shape)
+    return np.column_stack([xb[i], yb[j], zb[k], xb[i + 1], yb[j + 1], zb[k + 1]])
+
+
+def _centers(bounds: np.ndarray) -> np.ndarray:
+    return 0.5 * (bounds[:, :3] + bounds[:, 3:])
 
 
 def _axis_boundaries(lo: float, hi: float, n: int, delta: float, rng: RandomStream) -> np.ndarray:
@@ -125,8 +164,8 @@ def partition_cuboids(
     """Partition a scene into nx * ny * nz cuboids.
 
     Cells are half-open on the upper faces except the last cell per axis,
-    so the member index sets are disjoint and exhaustive. Boundary draw
-    order is x, then y, then z.
+    so every point lies in exactly one cell. Boundary draw order is x, then
+    y, then z.
     """
     if cloud.n == 0:
         raise EmptyInputError("cannot partition an empty cloud")
@@ -140,83 +179,78 @@ def partition_cuboids(
     ix = np.searchsorted(xb[1:-1], pos[:, 0], side="right")
     iy = np.searchsorted(yb[1:-1], pos[:, 1], side="right")
     iz = np.searchsorted(zb[1:-1], pos[:, 2], side="right")
-    # a stable sort by flat cell id (cell order) keeps each cell's members ascending
-    cell_id = (ix * config.ny + iy) * config.nz + iz
-    counts = np.bincount(cell_id, minlength=config.nx * config.ny * config.nz)
-    members = np.split(np.argsort(cell_id, kind="stable"), np.cumsum(counts)[:-1])
-
-    cset = CuboidSet(cloud, xb, yb, zb, [])
-    cset.cuboids = [
-        Cuboid(cell, cset.grid_cell_bounds(cell), m, provenance)
-        for cell, m in zip(_cells_in_order(config.shape), members)
-    ]
-    return cset
-
-
-def _cells_in_order(shape) -> list[tuple[int, int, int]]:
-    nx, ny, nz = shape
-    return [(i, j, k) for i in range(nx) for j in range(ny) for k in range(nz)]
+    ncells = config.nx * config.ny * config.nz
+    cell = ((ix * config.ny + iy) * config.nz + iz).astype(_cell_dtype(ncells))
+    prov = np.full(ncells, provenance, dtype=np.int8)
+    return CuboidSet(cloud, xb, yb, zb, cell, _grid_bounds(xb, yb, zb), prov)
 
 
 def permute_cuboids(cset: CuboidSet, rho_s: float, rng: RandomStream) -> CuboidSet:
     """With probability ``rho_s`` (one draw per scene), rigidly translate
     every cuboid so its bounds center lands on a uniformly permuted cell's
     grid center; otherwise return the set unchanged."""
-    ncells = len(cset.cuboids)
+    ncells = len(cset.bounds)
     if rng.random() >= rho_s:
         return cset
     perm = rng.permutation(ncells)
-    cells = _cells_in_order(cset.shape)
-    positions = cset.cloud.positions.copy()
-    new_cuboids: list[Cuboid | None] = [None] * ncells
-    for pos_idx, cub in enumerate(cset.cuboids):
-        dest = int(perm[pos_idx])
-        dest_bounds = cset.grid_cell_bounds(cells[dest])
-        shift = 0.5 * (dest_bounds[:3] + dest_bounds[3:]) - cub.center
-        positions[cub.members] += shift
-        moved = np.concatenate([cub.bounds[:3] + shift, cub.bounds[3:] + shift])
-        new_cuboids[dest] = Cuboid(cells[dest], moved, cub.members, cub.provenance)
-    cloud = cset.cloud.with_positions(positions)
-    return CuboidSet(cloud, cset.xb, cset.yb, cset.zb, list(new_cuboids))
+    # row c: the shift that takes cell c's cuboid onto cell perm[c]'s grid center
+    shift = _centers(_grid_bounds(cset.xb, cset.yb, cset.zb)[perm]) - _centers(cset.bounds)
+    bounds = np.empty_like(cset.bounds)
+    bounds[perm] = cset.bounds + np.tile(shift, 2)
+    provenance = np.empty_like(cset.provenance)
+    provenance[perm] = cset.provenance
+    # take, not fancy indexing: numpy indexes with a narrow dtype slowly
+    cloud = cset.cloud.with_positions(cset.cloud.positions + shift.take(cset.cell, axis=0))
+    cell = perm.astype(cset.cell.dtype).take(cset.cell)
+    return CuboidSet(cloud, cset.xb, cset.yb, cset.zb, cell, bounds, provenance)
+
+
+def _check_taxonomies(source: LabeledPointCloud, target: LabeledPointCloud) -> None:
+    if source.taxonomy != target.taxonomy:
+        raise ShapeMismatchError(
+            f"taxonomies differ: {source.taxonomy.name!r} vs {target.taxonomy.name!r}"
+        )
 
 
 def _mix(
-    source: CuboidSet, target: CuboidSet, take_source, injected: dict[int, QueuedCuboid]
+    source: CuboidSet, target: CuboidSet, take_source: np.ndarray, injected: dict[int, QueuedCuboid]
 ) -> CuboidSet:
     """Fill each cell of the target grid with its occupant: the target
-    cuboid, or where ``take_source`` the source cuboid of the same cell
-    translated so its bounds center lands on the target cell's grid center.
+    cuboid, or where the boolean ``take_source`` is set the source cuboid
+    of the same cell translated so its bounds center lands on the target
+    cell's grid center.
     A queue entry ``injected[c]`` replaces the occupant of cell ``c``,
     centered where the occupant's bounds were centered."""
-    chunks_p, chunks_l, cuboids = [], [], []
-    offset = 0
-    for c, cell in enumerate(_cells_in_order(target.shape)):
-        if take_source[c]:
-            cub, cloud, prov = source.cuboids[c], source.cloud, PROV_SOURCE
-            grid = target.grid_cell_bounds(cell)
-            shift = 0.5 * (grid[:3] + grid[3:]) - cub.center
-            bounds = np.concatenate([cub.bounds[:3] + shift, cub.bounds[3:] + shift])
-        else:
-            cub, cloud, prov = target.cuboids[c], target.cloud, PROV_TARGET
-            bounds = cub.bounds.copy()
-        if c in injected:
-            entry = injected[c]
-            origin = 0.5 * (bounds[:3] + bounds[3:]) - 0.5 * entry.size
-            pts, labs, prov = entry.positions + origin, entry.labels, PROV_QUEUE
-            bounds = np.concatenate([origin, origin + entry.size])
-        else:
-            pts, labs = cloud.positions[cub.members], cloud.labels[cub.members]
-            if take_source[c]:
-                pts = pts + shift
-        chunks_p.append(pts)
-        chunks_l.append(labs)
-        members = np.arange(offset, offset + len(pts), dtype=np.int64)
-        cuboids.append(Cuboid(cell, bounds, members, prov))
-        offset += len(pts)
+    shift = _centers(_grid_bounds(target.xb, target.yb, target.zb)) - _centers(source.bounds)
+    bounds = np.where(take_source[:, None], source.bounds + np.tile(shift, 2), target.bounds)
+    provenance = np.where(take_source, PROV_SOURCE, PROV_TARGET).astype(np.int8)
+    from_queue = np.zeros(len(bounds), dtype=bool)
+    from_queue[list(injected)] = True
+    src = np.flatnonzero((take_source & ~from_queue).take(source.cell))
+    tgt = np.flatnonzero((~take_source & ~from_queue).take(target.cell))
+    src_cell, tgt_cell = source.cell.take(src), target.cell.take(tgt)
+    chunks_p = [
+        source.cloud.positions.take(src, axis=0) + shift.take(src_cell, axis=0),
+        target.cloud.positions.take(tgt, axis=0),
+    ]
+    chunks_l = [source.cloud.labels.take(src), target.cloud.labels.take(tgt)]
+    chunks_c = [src_cell, tgt_cell]
+    for c, entry in injected.items():
+        origin = _centers(bounds[c : c + 1])[0] - 0.5 * entry.size
+        bounds[c] = np.concatenate([origin, origin + entry.size])
+        provenance[c] = PROV_QUEUE
+        chunks_p.append(entry.positions + origin)
+        chunks_l.append(entry.labels)
+        chunks_c.append(np.full(len(entry.labels), c, dtype=target.cell.dtype))
+    # one occupant per cell, so a stable sort by cell keeps its points in order
+    cell = np.concatenate(chunks_c)
+    order = np.argsort(cell, kind="stable")
     cloud = LabeledPointCloud(
-        np.concatenate(chunks_p), np.concatenate(chunks_l), target.cloud.taxonomy
+        np.concatenate(chunks_p).take(order, axis=0),
+        np.concatenate(chunks_l).take(order),
+        target.cloud.taxonomy,
     )
-    return CuboidSet(cloud, target.xb, target.yb, target.zb, cuboids)
+    return CuboidSet(cloud, target.xb, target.yb, target.zb, cell.take(order), bounds, provenance)
 
 
 def mix_cuboids(
@@ -231,7 +265,8 @@ def mix_cuboids(
     cell's grid center. Labels travel with their cuboids."""
     if source.shape != target.shape:
         raise ShapeMismatchError(f"partition shapes differ: {source.shape} vs {target.shape}")
-    return _mix(source, target, rng.random(len(target.cuboids)) < rho_m, {})
+    _check_taxonomies(source.cloud, target.cloud)
+    return _mix(source, target, rng.random(len(target.bounds)) < rho_m, {})
 
 
 def tail_classes_of(ratios: np.ndarray, n_tail: int) -> np.ndarray:
@@ -243,25 +278,33 @@ def tail_classes_of(ratios: np.ndarray, n_tail: int) -> np.ndarray:
     return order[: min(n_tail, len(order))]
 
 
+def _checked_ratios(ratios, taxonomy) -> np.ndarray:
+    ratios = np.asarray(ratios, dtype=np.float64)
+    if ratios.shape != (taxonomy.count,) or not np.isfinite(ratios).all():
+        raise DimensionError(
+            f"ratios must be a finite ({taxonomy.count},) vector, got shape {ratios.shape}"
+        )
+    return ratios
+
+
 def classify_tail_cuboids(scene: CuboidSet, ratios: np.ndarray, n_tail: int) -> np.ndarray:
     """Flag cuboids whose own labeled-point fraction of some tail class
     strictly exceeds that class's dataset ratio."""
+    taxonomy = scene.cloud.taxonomy
+    ratios = _checked_ratios(ratios, taxonomy)
     tails = tail_classes_of(ratios, n_tail)
-    labels = scene.cloud.labels
-    ignore = scene.cloud.taxonomy.ignore_index
-    flags = np.zeros(len(scene.cuboids), dtype=bool)
+    ncells = len(scene.bounds)
     if len(tails) == 0:
-        return flags
-    for idx, cub in enumerate(scene.cuboids):
-        sub = labels[cub.members]
-        sub = sub[sub != ignore]
-        if len(sub) == 0:
-            continue
-        for t in tails:
-            if np.count_nonzero(sub == t) / len(sub) > ratios[t]:
-                flags[idx] = True
-                break
-    return flags
+        return np.zeros(ncells, dtype=bool)
+    labels = scene.cloud.labels
+    labeled = labels != taxonomy.ignore_index
+    pairs = scene.cell[labeled].astype(np.intp) * taxonomy.count + labels[labeled]
+    counts = np.bincount(pairs, minlength=ncells * taxonomy.count).reshape(ncells, taxonomy.count)
+    # a float64 quotient of exact counts is Python's correctly rounded
+    # int / int; a cell with no labeled point counts 0 of 1, which exceeds
+    # no tail class's positive ratio
+    total = np.maximum(counts.sum(axis=1), 1)
+    return (counts[:, tails] / total[:, None] > ratios[tails]).any(axis=1)
 
 
 @dataclass(frozen=True)
@@ -299,18 +342,16 @@ def update_tail_queue(queue: TailCuboidQueue, cset: CuboidSet, flags: np.ndarray
     """Append deep copies of the flagged cuboids (translated to the
     canonical frame) to ``queue`` in cell order; oldest entries fall out
     first."""
-    labels = cset.cloud.labels
-    positions = cset.cloud.positions
-    for cub, flagged in zip(cset.cuboids, flags):
-        if not flagged:
-            continue
-        queue.push(
-            QueuedCuboid(
-                positions[cub.members] - cub.bounds[:3],
-                labels[cub.members].copy(),
-                cub.size.copy(),
-            )
-        )
+    flagged = np.flatnonzero(flags)
+    if len(flagged) == 0:
+        return
+    order, offsets = _members(cset.cell, len(cset.bounds))
+    positions, labels = cset.cloud.positions, cset.cloud.labels
+    for c in flagged:
+        members = order[offsets[c] : offsets[c + 1]]
+        lo, hi = cset.bounds[c, :3], cset.bounds[c, 3:]
+        entry = QueuedCuboid(positions.take(members, axis=0) - lo, labels.take(members), hi - lo)
+        queue.push(entry)
 
 
 @dataclass
@@ -340,12 +381,17 @@ def compose_mixed_scene(
     flag is the donor's. Queue draws are distinct when the queue is large
     enough, otherwise repeats are allowed. Draw order: source partition,
     target partition, source permute, target permute, mix, injection.
+    Before the first draw, raises ShapeMismatchError if the two scenes'
+    taxonomies differ and DimensionError unless ``ratios`` is a finite
+    vector with one entry per class.
     """
+    _check_taxonomies(source, target)
+    _checked_ratios(ratios, target.taxonomy)
     src_set = partition_cuboids(source, config, rng, provenance=PROV_SOURCE)
     tgt_set = partition_cuboids(target, config, rng, provenance=PROV_TARGET)
     src_set = permute_cuboids(src_set, config.rho_s, rng)
     tgt_set = permute_cuboids(tgt_set, config.rho_s, rng)
-    take_source = rng.random(len(tgt_set.cuboids)) < config.rho_m
+    take_source = rng.random(len(tgt_set.bounds)) < config.rho_m
 
     n_tail = config.n_tail_classes
     tgt_flags = classify_tail_cuboids(tgt_set, ratios, n_tail)

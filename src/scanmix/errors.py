@@ -76,11 +76,12 @@ class DegeneratePartitionError(ScanmixError):
 
 
 class ShapeMismatchError(ScanmixError):
-    """Two cuboid sets do not share the same partition shape."""
+    """Two scenes to be mixed do not share the same partition shape or taxonomy."""
 
 
 class DimensionError(ScanmixError):
-    """Array dimensions are inconsistent with the model or each other."""
+    """Array dimensions are inconsistent with the model or each other, or an
+    array that must be finite is not."""
 
 
 class NoSupervisionError(ScanmixError):

@@ -1,18 +1,27 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.spatial.distance import pdist
 
 from scanmix import (
+    TOY_TAXONOMY,
+    ClassTaxonomy,
     CuboidMixConfig,
     LabeledPointCloud,
     RandomStream,
     TailCuboidQueue,
+    class_ratio,
     classify_tail_cuboids,
     mix_cuboids,
     partition_cuboids,
     permute_cuboids,
     compose_mixed_scene,
+    load_config,
+    load_manifest,
+    load_scenes,
+    make_toy_benchmark,
     update_tail_queue,
 )
 from scanmix.cuboidmix import (
@@ -20,11 +29,11 @@ from scanmix.cuboidmix import (
     PROV_SOURCE,
     PROV_TARGET,
     Cuboid,
-    CuboidSet,
     QueuedCuboid,
     _axis_boundaries,
+    tail_classes_of,
 )
-from scanmix.errors import DegeneratePartitionError, ShapeMismatchError
+from scanmix.errors import DegeneratePartitionError, DimensionError, ShapeMismatchError
 
 from conftest import random_cloud
 
@@ -183,6 +192,12 @@ class TestPermute:
         assert abs(permuted / 1000 - 0.5) <= 0.05
 
 
+# not a finite vector with one entry per class of the 3-class taxonomy
+BAD_RATIOS = [
+    [0.5, 0.5], [0.2] * 5, [[0.5, 0.3, 0.2]], [0.5, np.nan, 0.5], [0.5, np.inf, 0.0],
+]
+
+
 class TestClassifyTail:
     def test_zero_tail_points_not_tail(self, taxonomy):
         cloud = LabeledPointCloud(np.random.default_rng(0).random((50, 3)), np.zeros(50, dtype=int), taxonomy)
@@ -204,6 +219,12 @@ class TestClassifyTail:
         cset = partition_cuboids(cloud, CuboidMixConfig(nx=1, ny=1, nz=1, min_tail_cuboids=1), RandomStream(0))
         # class 2 fraction among labeled = 1.0 > 0.2
         assert classify_tail_cuboids(cset, np.array([0.5, 0.3, 0.2]), 2).all()
+
+    @pytest.mark.parametrize("ratios", BAD_RATIOS)
+    def test_bad_ratios_rejected(self, taxonomy, ratios):
+        cset = partition_cuboids(random_cloud(taxonomy, n=100, seed=3), CuboidMixConfig(), RandomStream(0))
+        with pytest.raises(DimensionError):
+            classify_tail_cuboids(cset, ratios, 2)
 
     def test_matches_brute_force(self, taxonomy):
         ratios = np.array([0.55, 0.35, 0.10])
@@ -321,6 +342,13 @@ class TestMix:
         with pytest.raises(ShapeMismatchError):
             mix_cuboids(a, b, 0.5, RandomStream(0))
 
+    def test_taxonomy_mismatch(self, taxonomy):
+        other = ClassTaxonomy("other", taxonomy.names, taxonomy.ignore_index)
+        a = partition_cuboids(random_cloud(other, n=100, seed=5, scale=3.0), CuboidMixConfig(), RandomStream(0))
+        b = partition_cuboids(random_cloud(taxonomy, n=100, seed=6, scale=3.0), CuboidMixConfig(), RandomStream(0))
+        with pytest.raises(ShapeMismatchError):
+            mix_cuboids(a, b, 0.5, RandomStream(0))
+
     def test_mean_replaced_cells(self, taxonomy):
         src_set, tgt_set = self.make_pair(taxonomy, seed=8)
         total = 0
@@ -418,6 +446,26 @@ class TestCompose:
         assert result.injected_cells == []
         assert result.tail_flags.sum() == 0
 
+    def assert_rejected(self, source, target, ratios, error):
+        # rejected before any draw and before the queue is touched
+        queue, rng = TailCuboidQueue(8), RandomStream(3)
+        queue.push(QueuedCuboid(np.zeros((3, 3)), np.full(3, 2, dtype=int), np.ones(3)))
+        with pytest.raises(error):
+            compose_mixed_scene(source, target, ratios, CuboidMixConfig(), queue, rng)
+        assert len(queue) == 1 and rng.random() == RandomStream(3).random()
+
+    def test_taxonomy_mismatch_rejected(self, taxonomy):
+        other = ClassTaxonomy("other", taxonomy.names, taxonomy.ignore_index)
+        src = self.all_class0_cloud(other, 200, 1)
+        tgt = self.all_class0_cloud(taxonomy, 200, 2)
+        self.assert_rejected(src, tgt, np.array([0.9, 0.05, 0.05]), ShapeMismatchError)
+
+    @pytest.mark.parametrize("ratios", BAD_RATIOS)
+    def test_bad_ratios_rejected(self, taxonomy, ratios):
+        src = self.all_class0_cloud(taxonomy, 200, 1)
+        tgt = self.all_class0_cloud(taxonomy, 200, 2)
+        self.assert_rejected(src, tgt, ratios, DimensionError)
+
     def test_queue_updated_from_target_tails(self, taxonomy):
         gen = RandomStream(12)
         src = self.all_class0_cloud(taxonomy, 200, 13)
@@ -430,7 +478,24 @@ class TestCompose:
         assert len(result.queue) > 0
 
 
-# --- the two-pass mixer the one-pass compose replaced, kept as a reference ---
+# --- the per-cuboid two-pass mixer the array compose replaced, kept as a reference ---
+
+@dataclass
+class ReferenceSet:
+    """A partitioned scene as a list of ``Cuboid``s in cell order."""
+
+    cloud: LabeledPointCloud
+    xb: np.ndarray
+    yb: np.ndarray
+    zb: np.ndarray
+    cuboids: list
+
+    def grid_cell_bounds(self, cell):
+        i, j, k = cell
+        return np.array(
+            [self.xb[i], self.yb[j], self.zb[k], self.xb[i + 1], self.yb[j + 1], self.zb[k + 1]]
+        )
+
 
 def flatnonzero_partition(cloud, config, rng, provenance):
     """Reference partition: one flatnonzero per cell."""
@@ -449,7 +514,55 @@ def flatnonzero_partition(cloud, config, rng, provenance):
                 members = np.flatnonzero((ix == i) & (iy == j) & (iz == k))
                 bounds = np.array([xb[i], yb[j], zb[k], xb[i + 1], yb[j + 1], zb[k + 1]])
                 cuboids.append(Cuboid((i, j, k), bounds, members, provenance))
-    return CuboidSet(cloud, xb, yb, zb, cuboids)
+    return ReferenceSet(cloud, xb, yb, zb, cuboids)
+
+
+def per_cuboid_permute(cset, rho_s, rng):
+    """Reference permutation: one translation per cuboid."""
+    ncells = len(cset.cuboids)
+    if rng.random() >= rho_s:
+        return cset
+    perm = rng.permutation(ncells)
+    cells = [c.cell for c in cset.cuboids]
+    positions = cset.cloud.positions.copy()
+    new_cuboids = [None] * ncells
+    for pos_idx, cub in enumerate(cset.cuboids):
+        dest = int(perm[pos_idx])
+        dest_bounds = cset.grid_cell_bounds(cells[dest])
+        shift = 0.5 * (dest_bounds[:3] + dest_bounds[3:]) - cub.center
+        positions[cub.members] += shift
+        moved = np.concatenate([cub.bounds[:3] + shift, cub.bounds[3:] + shift])
+        new_cuboids[dest] = Cuboid(cells[dest], moved, cub.members, cub.provenance)
+    return ReferenceSet(cset.cloud.with_positions(positions), cset.xb, cset.yb, cset.zb, new_cuboids)
+
+
+def per_cuboid_classify(scene, ratios, n_tail):
+    """Reference tail rule: one label count per cuboid and tail class."""
+    tails = tail_classes_of(ratios, n_tail)
+    labels = scene.cloud.labels
+    ignore = scene.cloud.taxonomy.ignore_index
+    flags = np.zeros(len(scene.cuboids), dtype=bool)
+    for idx, cub in enumerate(scene.cuboids):
+        sub = labels[cub.members]
+        sub = sub[sub != ignore]
+        if len(sub) == 0:
+            continue
+        for t in tails:
+            if np.count_nonzero(sub == t) / len(sub) > ratios[t]:
+                flags[idx] = True
+                break
+    return flags
+
+
+def per_cuboid_queue_update(queue, cset, flags):
+    """Reference queue update: one entry per flagged cuboid."""
+    for cub, flagged in zip(cset.cuboids, flags):
+        if flagged:
+            queue.push(QueuedCuboid(
+                cset.cloud.positions[cub.members] - cub.bounds[:3],
+                cset.cloud.labels[cub.members].copy(),
+                cub.size.copy(),
+            ))
 
 
 def _build(cells, parts, grid):
@@ -463,7 +576,7 @@ def _build(cells, parts, grid):
         np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts]),
         grid.cloud.taxonomy,
     )
-    return CuboidSet(cloud, grid.xb, grid.yb, grid.zb, cuboids)
+    return ReferenceSet(cloud, grid.xb, grid.yb, grid.zb, cuboids)
 
 
 def two_pass_mix(source, target, rho_m, rng):
@@ -512,15 +625,16 @@ def two_pass_compose(source, target, ratios, config, queue, rng):
     """Mix, classify the mixed scene, then rebuild it if the queue injects."""
     src_set = flatnonzero_partition(source, config, rng, PROV_SOURCE)
     tgt_set = flatnonzero_partition(target, config, rng, PROV_TARGET)
-    src_set = permute_cuboids(src_set, config.rho_s, rng)
-    tgt_set = permute_cuboids(tgt_set, config.rho_s, rng)
+    src_set = per_cuboid_permute(src_set, config.rho_s, rng)
+    tgt_set = per_cuboid_permute(tgt_set, config.rho_s, rng)
     mixed = two_pass_mix(src_set, tgt_set, config.rho_m, rng)
-    flags = classify_tail_cuboids(mixed, ratios, config.n_tail_classes)
+    flags = per_cuboid_classify(mixed, ratios, config.n_tail_classes)
     injected = []
     need = config.min_tail_cuboids - int(flags.sum())
     if need > 0 and len(queue) > 0:
         mixed, flags, injected = two_pass_inject(mixed, flags, queue, need, rng)
-    update_tail_queue(queue, tgt_set, classify_tail_cuboids(tgt_set, ratios, config.n_tail_classes))
+    tgt_flags = per_cuboid_classify(tgt_set, ratios, config.n_tail_classes)
+    per_cuboid_queue_update(queue, tgt_set, tgt_flags)
     return mixed, flags, injected
 
 
@@ -534,6 +648,62 @@ def mixing_cloud(taxonomy, gen, thin=False):
     labels = gen.choice(taxonomy.count, size=n, p=gen.dirichlet(np.ones(taxonomy.count)))
     labels[gen.random(n) < 0.05] = taxonomy.ignore_index
     return LabeledPointCloud(pos, labels, taxonomy)
+
+
+def assert_same_bytes(a, b):
+    # np.array_equal takes -0.0 for +0.0; the bytes tell them apart
+    assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def assert_same_compose(got, want, ours, theirs, rng_ours, rng_theirs):
+    """One compose against the reference: mixed cloud, cuboids, flags,
+    injected cells, queue and the stream state after the call."""
+    mixed, flags, injected = want
+    assert got.queue is ours
+    assert_same_bytes(got.mixed.cloud.positions, mixed.cloud.positions)
+    assert_same_bytes(got.mixed.cloud.labels, mixed.cloud.labels)
+    for axis in ("xb", "yb", "zb"):
+        assert_same_bytes(getattr(got.mixed, axis), getattr(mixed, axis))
+    got_cuboids = got.mixed.cuboids
+    assert len(got_cuboids) == len(mixed.cuboids)
+    for a, b in zip(got_cuboids, mixed.cuboids):
+        assert a.cell == b.cell and a.provenance == b.provenance
+        assert_same_bytes(a.bounds, b.bounds)
+        assert_same_bytes(a.members, b.members)
+    assert_same_bytes(got.tail_flags, flags)
+    assert got.injected_cells == injected
+    assert len(ours) == len(theirs)
+    for a, b in zip(ours.entries(), theirs.entries()):
+        assert_same_bytes(a.positions, b.positions)
+        assert_same_bytes(a.labels, b.labels)
+        assert_same_bytes(a.size, b.size)
+    assert rng_ours.random() == rng_theirs.random()
+
+
+@pytest.fixture(scope="module")
+def toy_scenes(tmp_path_factory):
+    """Toy benchmark scenes: clean sources and hidden-scan targets, with
+    about a third of the target labels replaced by the ignore label as
+    pseudo labels would be."""
+    toy = make_toy_benchmark(tmp_path_factory.mktemp("toy"), seed=0, n_source=3, n_target=3)
+    config = load_config(toy)
+    sources = load_scenes(load_manifest(config.source_manifest), TOY_TAXONOMY)
+    targets = load_scenes(load_manifest(config.target_manifest), TOY_TAXONOMY)
+    gen = np.random.default_rng(7)
+    targets = [
+        t.with_labels(np.where(gen.random(t.n) < 0.35, TOY_TAXONOMY.ignore_index, t.labels))
+        for t in targets
+    ]
+    return sources, targets
+
+
+def signed_zero_target(target):
+    """``target`` moved to the positive octant with every zero coordinate,
+    and the x of one point in ten, set to -0.0."""
+    pos = target.positions - target.positions.min(axis=0)
+    pos[::10, 0] = 0.0
+    pos[pos == 0.0] = -0.0
+    return target.with_positions(pos)
 
 
 class TestOnePassEquivalence:
@@ -557,28 +727,35 @@ class TestOnePassEquivalence:
                 thin_targets += thin
                 source, target = mixing_cloud(taxonomy, gen), mixing_cloud(taxonomy, gen, thin)
                 got = compose_mixed_scene(source, target, ratios, config, ours, rng_ours)
-                mixed, flags, injected = two_pass_compose(source, target, ratios, config, theirs, rng_theirs)
-                assert got.queue is ours
-                assert np.array_equal(got.mixed.cloud.positions, mixed.cloud.positions)
-                assert np.array_equal(got.mixed.cloud.labels, mixed.cloud.labels)
-                for axis in ("xb", "yb", "zb"):
-                    assert np.array_equal(getattr(got.mixed, axis), getattr(mixed, axis))
-                assert len(got.mixed.cuboids) == len(mixed.cuboids)
-                for a, b in zip(got.mixed.cuboids, mixed.cuboids):
-                    assert a.cell == b.cell and a.provenance == b.provenance
-                    assert np.array_equal(a.bounds, b.bounds)
-                    assert np.array_equal(a.members, b.members)
-                assert np.array_equal(got.tail_flags, flags)
-                assert got.injected_cells == injected
-                injected_cells += len(injected)
-                assert len(ours) == len(theirs)
-                for a, b in zip(ours.entries(), theirs.entries()):
-                    assert np.array_equal(a.positions, b.positions)
-                    assert np.array_equal(a.labels, b.labels)
-                    assert np.array_equal(a.size, b.size)
-                assert rng_ours.random() == rng_theirs.random()
+                want = two_pass_compose(source, target, ratios, config, theirs, rng_theirs)
+                assert_same_compose(got, want, ours, theirs, rng_ours, rng_theirs)
+                injected_cells += len(want[2])
         # the fixed draws inject 225 cells and build 208 thin targets
         assert injected_cells >= 200 and thin_targets >= 150
+
+    @pytest.mark.parametrize("config", [
+        CuboidMixConfig(nx=4, ny=4, nz=2, queue_cap=16, n_tail_classes=2, min_tail_cuboids=8),
+        CuboidMixConfig(),
+    ], ids=["4x4x2", "2x2x1"])
+    def test_matches_two_pass_mixer_on_toy_scenes(self, toy_scenes, config):
+        sources, targets = toy_scenes
+        targets = [*targets, signed_zero_target(targets[0])]
+        # under the sources' ratios the tail classes (chair, lamp) are rare
+        # in a cell, so the queue injects; under the targets' most cells are tail
+        ratios = class_ratio(np.concatenate([s.labels for s in sources]), TOY_TAXONOMY)
+        ours, theirs = TailCuboidQueue(config.queue_cap), TailCuboidQueue(config.queue_cap)
+        rng_ours, rng_theirs = RandomStream(0), RandomStream(0)
+        injected_cells = kept_negative_zeros = 0
+        for step in range(24):
+            source, target = sources[step % len(sources)], targets[step % len(targets)]
+            got = compose_mixed_scene(source, target, ratios, config, ours, rng_ours)
+            want = two_pass_compose(source, target, ratios, config, theirs, rng_theirs)
+            assert_same_compose(got, want, ours, theirs, rng_ours, rng_theirs)
+            injected_cells += len(want[2])
+            pos = want[0].cloud.positions
+            kept_negative_zeros += int(((pos == 0.0) & np.signbit(pos)).sum())
+        # the queue fills and injects, and the planted -0.0 reach the output
+        assert injected_cells > 0 and kept_negative_zeros > 0
 
     @pytest.mark.parametrize("shape", [(1, 1, 1), (2, 3, 1), (4, 4, 2), (3, 1, 2)])
     def test_partition_members_match_flatnonzero(self, taxonomy, shape):
