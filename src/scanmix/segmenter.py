@@ -130,43 +130,50 @@ def _neighbour_stats(z, a, b, voxel_size):
     return count, z_hi - z_lo, planar_num / count
 
 
-@dataclass
 class SegmenterModel:
-    """Linear softmax classifier over the feature columns."""
+    """Linear softmax classifier over the feature columns. Its parameters
+    are one fresh float64 vector, ``params``: the (c, FEATURE_DIM) weights
+    row-major, then the (c,) bias, as in a checkpoint's payload. ``weights``
+    and ``bias`` are read-only views into it. Other shapes and non-finite
+    parameters raise DimensionError."""
 
-    weights: np.ndarray          # (c, d)
-    bias: np.ndarray             # (c,)
-    taxonomy: ClassTaxonomy
+    def __init__(self, weights: np.ndarray, bias: np.ndarray, taxonomy: ClassTaxonomy):
+        c = taxonomy.count
+        if np.shape(weights) != (c, FEATURE_DIM) or np.shape(bias) != (c,):
+            raise DimensionError(f"weights {np.shape(weights)} and bias {np.shape(bias)} "
+                                 f"must be ({c}, {FEATURE_DIM}) and ({c},)")
+        self.taxonomy = taxonomy
+        self.params = self._join(weights, bias)
+        if not np.isfinite(self.params).all():
+            raise DimensionError("model parameters must be finite")
 
-    def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=np.float64)
-        self.bias = np.asarray(self.bias, dtype=np.float64)
-        if self.weights.shape != (self.taxonomy.count, self.weights.shape[1]):
-            raise DimensionError("weights must be (c, d)")
-        if self.bias.shape != (self.taxonomy.count,):
-            raise DimensionError("bias must be (c,)")
-        if not (np.isfinite(self.weights).all() and np.isfinite(self.bias).all()):
-            raise ValueError("model parameters must be finite")
+    @staticmethod
+    def _join(weights, bias):
+        """The layout of ``params`` and of its gradient; ``_split`` undoes it."""
+        return np.concatenate([np.reshape(weights, -1), bias], dtype=np.float64)
+
+    @staticmethod
+    def _split(params, c):
+        view = params.view()
+        view.flags.writeable = False
+        return view[: c * FEATURE_DIM].reshape(c, FEATURE_DIM), view[c * FEATURE_DIM :]
+
+    weights = property(lambda self: self._split(self.params, self.taxonomy.count)[0])
+    bias = property(lambda self: self._split(self.params, self.taxonomy.count)[1])
 
     @classmethod
     def zeros(cls, taxonomy: ClassTaxonomy) -> "SegmenterModel":
         return cls(np.zeros((taxonomy.count, FEATURE_DIM)), np.zeros(taxonomy.count), taxonomy)
 
     def copy(self) -> "SegmenterModel":
-        return SegmenterModel(self.weights.copy(), self.bias.copy(), self.taxonomy)
-
-    @property
-    def d(self) -> int:
-        return self.weights.shape[1]
+        return SegmenterModel(self.weights, self.bias, self.taxonomy)
 
 
 def forward_scores(model: SegmenterModel, features: np.ndarray) -> np.ndarray:
     """Row-wise softmax of W f + b, stabilized by max subtraction."""
     features = np.asarray(features, dtype=np.float64)
-    if features.ndim != 2 or features.shape[1] != model.d:
-        raise DimensionError(
-            f"features are {features.shape}, model expects (*, {model.d})"
-        )
+    if features.ndim != 2 or features.shape[1] != FEATURE_DIM:
+        raise DimensionError(f"features are {features.shape}, model expects (*, {FEATURE_DIM})")
     logits = features @ model.weights.T + model.bias
     logits -= _narrow_reduce(np.maximum, logits, axis=1)[:, None]
     e = np.exp(logits)
@@ -271,22 +278,21 @@ class _Descent:
         self.decay = config.lr_decay_power
         self.total = max(config.iterations, 1)
         self.t = 0
-        self.vel_w = np.zeros_like(self.model.weights)
-        self.vel_b = np.zeros_like(self.model.bias)
+        self.velocity = np.zeros_like(self.model.params)
 
-    def step(self, grad_w, grad_b):
+    def step(self, grad):
         lr = self.base_lr * (1.0 - self.t / self.total) ** self.decay
         self.t += 1
-        self.vel_w = self.momentum * self.vel_w + grad_w
-        self.vel_b = self.momentum * self.vel_b + grad_b
-        self.model.weights -= lr * self.vel_w
-        self.model.bias -= lr * self.vel_b
+        self.velocity = self.momentum * self.velocity + grad
+        self.model.params -= lr * self.velocity
 
 
 def _scene_gradient(model, cloud, features):
+    """The cross-entropy of ``model`` on ``cloud`` and its gradient with
+    respect to ``model.params``."""
     scores = forward_scores(model, features)
     loss, grad_logits = cross_entropy(scores, cloud.labels, cloud.taxonomy.ignore_index)
-    return loss, grad_logits.T @ features, grad_logits.sum(axis=0)
+    return loss, SegmenterModel._join(grad_logits.T @ features, grad_logits.sum(axis=0))
 
 
 def _gradients(model, batch, feature_config, candidates_of):
@@ -472,18 +478,16 @@ def _trainer(conn, fd, opt, weights, norm, feature_config, candidates_of):
             grads = _gradients(opt.model, batch, feature_config, candidates_of)
             reply = None
             if whole:
-                grad_w = np.zeros_like(opt.model.weights)
-                grad_b = np.zeros_like(opt.model.bias)
+                grad = np.zeros_like(opt.model.params)
                 total = 0.0
-                for weight, (loss, gw, gb) in zip(weights, grads):
-                    grad_w += weight * gw
-                    grad_b += weight * gb
+                for weight, (loss, g) in zip(weights, grads):
+                    grad += weight * g
                     total += weight * loss
                 total /= norm
                 if not np.isfinite(total):
                     raise DivergenceError(f"non-finite loss at iteration {it}")
-                opt.step(grad_w / norm, grad_b / norm)
-                reply = (total, opt.model.weights, opt.model.bias)
+                opt.step(grad / norm)
+                reply = (total, opt.model.params)
             else:
                 for _ in grads:
                     pass
@@ -590,7 +594,7 @@ def _train(model, train_config, feature_config, weights, norm, draw, candidates_
         nonlocal pending
         if pending is not None:
             it, pending = pending, None
-            losses[it], current.weights, current.bias = trainer.receive()
+            losses[it], current.params = trainer.receive()
         return current
 
     opt = _Descent(model, train_config)
@@ -728,15 +732,10 @@ def train_selftrain(
 
 
 def save_checkpoint(model: SegmenterModel, path) -> None:
-    """One ascii header line (d, c, taxonomy name) followed by row-major
-    little-endian float64 weights, then the bias."""
-    c, d = model.weights.shape
-    _write_file(
-        path,
-        (_header_line(_CHECKPOINT_HEADER, (d, c, model.taxonomy.name)) + "\n").encode("ascii")
-        + model.weights.astype("<f8").tobytes(order="C")
-        + model.bias.astype("<f8").tobytes(),
-    )
+    """One ascii header line (d, c, taxonomy name) followed by the model's
+    ``params`` as little-endian float64."""
+    header = _header_line(_CHECKPOINT_HEADER, (FEATURE_DIM, model.taxonomy.count, model.taxonomy.name))
+    _write_file(path, (header + "\n").encode("ascii") + model.params.astype("<f8").tobytes())
 
 
 def load_checkpoint(path, taxonomy: ClassTaxonomy) -> SegmenterModel:
@@ -764,9 +763,8 @@ def load_checkpoint(path, taxonomy: ClassTaxonomy) -> SegmenterModel:
     need = (c * d + c) * 8
     if len(payload) != need:
         raise ParseError(path, f"expected {need} payload bytes, found {len(payload)}")
-    weights = np.frombuffer(payload[: c * d * 8], dtype="<f8").reshape(c, d)
-    bias = np.frombuffer(payload[c * d * 8 :], dtype="<f8")
+    params = np.frombuffer(payload, dtype="<f8")
     try:
-        return SegmenterModel(weights.copy(), bias.copy(), taxonomy)
-    except ValueError as exc:
+        return SegmenterModel(*SegmenterModel._split(params, c), taxonomy)
+    except DimensionError as exc:
         raise ParseError(path, str(exc), offset=end + 1) from None

@@ -6,16 +6,20 @@ keyword arguments of ``TrainConfig``, ...). Running its mix-fine and
 label-dense set-ups here, and mix-fine's first operations with their
 checks, makes a rename of any of them fail these tests rather than the
 benchmark. Its tracer records spans only at public function names, so
-a traced mix-fine run here keeps the mixing steps visible to it.
+a traced mix-fine run here keeps the mixing steps visible to it. Its own
+checkpoint reader, through which label-dense's check scores, must read
+what ``save_checkpoint`` writes.
 """
 
 import importlib
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import scanmix
+from scanmix import TOY_TAXONOMY
 
 BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
 
@@ -31,6 +35,16 @@ def _import(name):
 @pytest.fixture(scope="module")
 def workloads():
     return _import("workloads")
+
+
+def test_checkpoint_reader_reads_saved_parameters(tmp_path):
+    gen = scanmix.RandomStream(21)
+    model = scanmix.SegmenterModel(gen.normal(size=(6, 7)), gen.normal(size=6), TOY_TAXONOMY)
+    scanmix.save_checkpoint(model, tmp_path / "model.bin")
+    weights, bias = _import("checks").read_checkpoint(tmp_path / "model.bin")
+    for got, want in ((weights, model.weights), (bias, model.bias)):
+        assert got.shape == want.shape and got.dtype == np.dtype("<f8")
+        assert got.tobytes() == want.tobytes()
 
 
 def test_mix_fine_operations_pass_their_checks(workloads, tmp_path):

@@ -243,6 +243,67 @@ class TestForward:
         assert got.tobytes() == want.tobytes()
 
 
+def payload_halves(vector):
+    """The (c, 7) weights part and the (c,) bias part of a vector in the
+    checkpoint payload's layout: the weights row-major, then the bias."""
+    c = len(vector) // 8
+    return vector[: 7 * c].reshape(c, 7), vector[7 * c :]
+
+
+class TestModel:
+    @pytest.mark.parametrize(
+        "weights, bias",
+        [
+            (np.zeros(6), np.zeros(6)),            # weights not a matrix
+            (np.zeros((6, 5)), np.zeros(6)),       # not the feature width, so its
+                                                   # checkpoint would not load
+            (np.zeros((6, 8)), np.zeros(6)),
+            (np.zeros((5, 7)), np.zeros(6)),       # not the class count
+            (np.zeros((6, 7)), np.zeros((6, 1))),
+            (np.zeros((6, 7)), np.zeros(5)),
+        ],
+    )
+    def test_bad_shape_is_a_dimension_error(self, weights, bias):
+        with pytest.raises(DimensionError):
+            SegmenterModel(weights, bias, TOY_TAXONOMY)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("part", ["weights", "bias"])
+    def test_non_finite_parameter_is_a_dimension_error(self, value, part):
+        weights, bias = np.zeros((6, 7)), np.zeros(6)
+        {"weights": weights, "bias": bias}[part].reshape(-1)[3] = value
+        with pytest.raises(DimensionError, match="finite"):
+            SegmenterModel(weights, bias, TOY_TAXONOMY)
+
+    def test_keeps_no_reference_to_the_callers_arrays(self):
+        weights, bias = np.zeros((6, 7)), np.zeros(6)
+        model = SegmenterModel(weights, bias, TOY_TAXONOMY)
+        weights[0, 0] = np.nan
+        bias[1] = np.inf
+        assert np.isfinite(model.weights).all() and np.isfinite(model.bias).all()
+        assert not np.shares_memory(model.params, weights)
+        assert not np.shares_memory(model.params, bias)
+        copy = model.copy()
+        copy.params += 1.0
+        assert not model.params.any()
+
+    def test_weights_and_bias_are_views_of_params_in_payload_order(self):
+        gen = RandomStream(8)
+        weights, bias = gen.normal(size=(6, 7)), gen.normal(size=6)
+        model = SegmenterModel(weights, bias, TOY_TAXONOMY)
+        assert model.params.dtype == np.float64 and model.params.shape == (48,)
+        assert model.params.tobytes() == weights.tobytes() + bias.tobytes()
+        for view, want in zip(payload_halves(model.params), (model.weights, model.bias)):
+            assert want.ctypes.data == view.ctypes.data and want.shape == view.shape
+        # a step of params shows through both views, which cannot be written
+        model.params -= 1.0
+        assert np.array_equal(model.weights, weights - 1.0)
+        assert np.array_equal(model.bias, bias - 1.0)
+        for view in (model.weights, model.bias):
+            with pytest.raises(ValueError, match="read-only"):
+                view[0] = 0.0
+
+
 def row_sum_scores(model, features):
     """Reference: forward_scores as it was, normalising by numpy's row sum."""
     logits = features @ model.weights.T + model.bias
@@ -438,8 +499,10 @@ class TestSelftrain:
         src = scan_and_jitter(src, scan, TOY_STRUCTURAL, rng)
         result = compose_mixed_scene(src, tgt, ratios, mix_cfg, queue, rng)
         mixed = result.mixed.cloud
-        loss_m, gw_m, gb_m = _scene_gradient(model, mixed, extract_features(mixed, feat))
-        loss_s, gw_s, gb_s = _scene_gradient(model, src, extract_features(src, feat))
+        loss_m, grad_m = _scene_gradient(model, mixed, extract_features(mixed, feat))
+        loss_s, grad_s = _scene_gradient(model, src, extract_features(src, feat))
+        gw_m, gb_m = payload_halves(grad_m)
+        gw_s, gb_s = payload_halves(grad_s)
         lr = 0.05
         weights = model.weights - lr * (gw_m + lam * gw_s)
         bias = model.bias - lr * (gb_m + lam * gb_s)
@@ -512,8 +575,7 @@ def sequential_pretrain(model, scenes, scan_config, structural, augment_config,
     plan_of = cache(lambda i: scansim.plan_scan(scenes[i], scan_config, structural))
     for it in range(train_config.iterations):
         picks = rng.integers(0, len(scenes), size=train_config.batch_size)
-        grad_w = np.zeros_like(opt.model.weights)
-        grad_b = np.zeros_like(opt.model.bias)
+        grad = np.zeros_like(opt.model.params)
         total = 0.0
         for si in picks:
             scene = scenes[int(si)]
@@ -521,15 +583,14 @@ def sequential_pretrain(model, scenes, scan_config, structural, augment_config,
                 scene = scansim.scan_and_jitter(scene, scan_config, structural, rng, plan_of(int(si)))
             scene = core.standard_augment(scene, augment_config, rng)
             feats = seg.extract_features(scene, feature_config)
-            loss, gw, gb = seg._scene_gradient(opt.model, scene, feats)
-            grad_w += gw
-            grad_b += gb
+            loss, g = seg._scene_gradient(opt.model, scene, feats)
+            grad += g
             total += loss
         total /= train_config.batch_size
         if not np.isfinite(total):
             raise DivergenceError(f"non-finite loss at iteration {it}")
         losses[it] = total
-        opt.step(grad_w / train_config.batch_size, grad_b / train_config.batch_size)
+        opt.step(grad / train_config.batch_size)
     return TrainResult(opt.model, losses)
 
 
@@ -572,14 +633,14 @@ def sequential_selftrain(model, source_scenes, target_scenes, scan_config, struc
         if on_mixed is not None:
             on_mixed(it, mixed_cloud)
         feats_m = seg.extract_features(mixed_cloud, feature_config)
-        loss_m, gw_m, gb_m = seg._scene_gradient(opt.model, mixed_cloud, feats_m)
+        loss_m, grad_m = seg._scene_gradient(opt.model, mixed_cloud, feats_m)
         feats_s = seg.extract_features(src, feature_config)
-        loss_s, gw_s, gb_s = seg._scene_gradient(opt.model, src, feats_s)
+        loss_s, grad_s = seg._scene_gradient(opt.model, src, feats_s)
         total = loss_m + lam * loss_s
         if not np.isfinite(total):
             raise DivergenceError(f"non-finite loss at iteration {it}")
         losses[it] = total
-        opt.step(gw_m + lam * gw_s, gb_m + lam * gb_s)
+        opt.step(grad_m + lam * grad_s)
     return TrainResult(opt.model, losses)
 
 
@@ -1087,17 +1148,18 @@ class TestReusedNeighbours:
 
 class BranchedDescent:
     """Reference: ``_Descent`` as it was, taking momentum and decay only
-    when they are positive."""
+    when they are positive, and stepping its own weights and bias."""
 
     def __init__(self, model, config):
-        self.model = model.copy()
         self.base_lr = config.learning_rate
         self.momentum = config.momentum
         self.decay = config.lr_decay_power
         self.total = max(config.iterations, 1)
         self.t = 0
-        self.vel_w = np.zeros_like(self.model.weights)
-        self.vel_b = np.zeros_like(self.model.bias)
+        self.weights = model.weights.copy()
+        self.bias = model.bias.copy()
+        self.vel_w = np.zeros_like(self.weights)
+        self.vel_b = np.zeros_like(self.bias)
 
     def step(self, grad_w, grad_b):
         lr = self.base_lr
@@ -1108,8 +1170,8 @@ class BranchedDescent:
             self.vel_w = self.momentum * self.vel_w + grad_w
             self.vel_b = self.momentum * self.vel_b + grad_b
             grad_w, grad_b = self.vel_w, self.vel_b
-        self.model.weights -= lr * grad_w
-        self.model.bias -= lr * grad_b
+        self.weights -= lr * grad_w
+        self.bias -= lr * grad_b
 
 
 def signed_zero_gradient(gen, shape):
@@ -1132,10 +1194,10 @@ class TestDescent:
             grad_w = signed_zero_gradient(gen, new.model.weights.shape)
             grad_b = signed_zero_gradient(gen, new.model.bias.shape)
             planted += int(np.signbit(grad_w[grad_w == 0]).sum())
-            new.step(grad_w, grad_b)
+            new.step(np.concatenate([grad_w.reshape(-1), grad_b]))
             old.step(grad_w, grad_b)
-            assert new.model.weights.tobytes() == old.model.weights.tobytes()
-            assert new.model.bias.tobytes() == old.model.bias.tobytes()
+            assert new.model.weights.tobytes() == old.weights.tobytes()
+            assert new.model.bias.tobytes() == old.bias.tobytes()
         assert planted > 0
         assert not np.array_equal(new.model.weights, model.weights)
 
