@@ -322,7 +322,9 @@ class DatasetManifest:
 
 def load_manifest(path) -> DatasetManifest:
     """Read a manifest; entries keep file order, paths resolve against the
-    manifest's directory. Duplicate ids and missing files are errors."""
+    manifest's directory. Duplicate ids and missing files are errors, and
+    so is an id that is not a plain file name (empty, ``.``, ``..``, or
+    holding ``/`` or ``\\``)."""
     path = Path(path)
     lines = _read_text(path).splitlines()
     if not lines:
@@ -337,6 +339,9 @@ def load_manifest(path) -> DatasetManifest:
         if "\t" not in line:
             raise ParseError(path, "expected scene_id<TAB>relative_path", line=lineno)
         scene_id, rel = line.split("\t", 1)
+        if scene_id in ("", ".", "..") or "/" in scene_id or "\\" in scene_id:
+            # ids name the files the stages write, inside their own directory
+            raise ParseError(path, f"scene id {scene_id!r} is not a file name", line=lineno)
         if scene_id in seen:
             raise DuplicateSceneError(f"{path}:{lineno}: duplicate scene id {scene_id!r}")
         seen.add(scene_id)

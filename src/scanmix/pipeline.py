@@ -41,7 +41,7 @@ from .io import (
     write_point_file,
 )
 from .metrics import ConfusionMatrix, accumulate_confusion, compute_iou, write_iou_csv
-from .pseudo import PseudoLabelConfig, class_ratio
+from .pseudo import PseudoLabelConfig, class_counts, class_ratio, ratio_of_counts
 from .scansim import FovConfig, ScanSimConfig, scan_and_jitter
 from .scenegen import (
     TOY_STRUCTURAL,
@@ -281,6 +281,10 @@ def _load_domain(manifest_path, role: str, taxonomy: ClassTaxonomy):
     return manifest, load_scenes(manifest, taxonomy)
 
 
+def _read_scene(path, taxonomy: ClassTaxonomy):
+    return read_point_file(path, detect_format(path), taxonomy)
+
+
 @contextmanager
 def _stage(name: str):
     """Re-raise any failure inside the block as a StageError tagged ``name``;
@@ -325,21 +329,29 @@ def stage_pretrain(config: PipelineConfig, with_scan_sim: bool = True) -> Path:
 
 def stage_pseudo_label(config: PipelineConfig, threads: int = 1) -> Path:
     """Score target scenes with the pretrained model and write pseudo-label
-    files (plus the class-ratio summary); returns the pseudo directory."""
+    files (plus the class-ratio summary); returns the pseudo directory.
+    Each scene is read, scored and written in one step, so at most
+    ``threads`` target scenes are in memory at once."""
     _check_threads(threads)
     with _stage("pseudo-label"):
         model = load_checkpoint(config.out_dir / CKPT_SCAN_PRETRAIN, config.taxonomy)
-        tgt_manifest, scenes = _load_domain(config.target_manifest, "target", config.taxonomy)
+        tgt_manifest = _checked_manifest(config.target_manifest, "target", config.taxonomy)
         pseudo_dir = config.out_dir / "pseudo"
         _make_dir(pseudo_dir)
-        labels = _map_scenes(
-            lambda s: pseudo_label(model, s, config.features, config.pseudo), scenes, threads
-        )
-        for (scene_id, _path), scene, lab in zip(tgt_manifest.entries, scenes, labels):
+
+        def label_scene(entry):
+            scene_id, path = entry
+            scene = _read_scene(path, config.taxonomy)
+            labels = pseudo_label(model, scene, config.features, config.pseudo)
             write_point_file(
-                scene.with_labels(lab), pseudo_dir / f"{scene_id}.ply", FileFormat.PLY_BINARY_LE
+                scene.with_labels(labels), pseudo_dir / f"{scene_id}.ply", FileFormat.PLY_BINARY_LE
             )
-        ratios = class_ratio(np.concatenate(labels), config.taxonomy)
+            return class_counts(labels, config.taxonomy)
+
+        # int64 counts: the sum does not depend on the order of the scenes
+        counts = sum(_map_scenes(label_scene, tgt_manifest.entries, threads),
+                     np.zeros(config.taxonomy.count, dtype=np.int64))
+        ratios = ratio_of_counts(counts)
         rows = (f"{name}\t{float(value)!r}\n" for name, value in zip(config.taxonomy.names, ratios))
         _write_file(pseudo_dir / "ratios.txt", "".join(rows))
         return pseudo_dir
@@ -348,11 +360,8 @@ def stage_pseudo_label(config: PipelineConfig, threads: int = 1) -> Path:
 def _load_pseudo_scenes(config: PipelineConfig):
     tgt_manifest = _checked_manifest(config.target_manifest, "target", config.taxonomy)
     pseudo_dir = config.out_dir / "pseudo"
-    scenes = []
-    for scene_id, _path in tgt_manifest.entries:
-        p = pseudo_dir / f"{scene_id}.ply"
-        scenes.append(read_point_file(p, detect_format(p), config.taxonomy))
-    return scenes
+    return [_read_scene(pseudo_dir / f"{scene_id}.ply", config.taxonomy)
+            for scene_id, _path in tgt_manifest.entries]
 
 
 def stage_selftrain(config: PipelineConfig) -> Path:
@@ -398,11 +407,12 @@ _EVAL_TAGS = (
 
 def stage_evaluate(config: PipelineConfig, threads: int = 1) -> dict[str, float]:
     """Evaluate whichever checkpoints exist against target ground truth;
-    writes one metrics CSV per model and returns tag -> mIoU. Each scene's
-    features are computed once and scored by every model."""
+    writes one metrics CSV per model and returns tag -> mIoU. Each scene is
+    read, its features computed once and scored by every model in one step,
+    so at most ``threads`` target scenes are in memory at once."""
     _check_threads(threads)
     with _stage("evaluate"):
-        _, scenes = _load_domain(config.target_manifest, "target", config.taxonomy)
+        tgt_manifest = _checked_manifest(config.target_manifest, "target", config.taxonomy)
         models = {
             tag: load_checkpoint(config.out_dir / ckpt, config.taxonomy)
             for ckpt, tag in _EVAL_TAGS
@@ -411,7 +421,8 @@ def stage_evaluate(config: PipelineConfig, threads: int = 1) -> dict[str, float]
         if not models:
             return {}
 
-        def confusions(scene):
+        def confusions(entry):
+            scene = _read_scene(entry[1], config.taxonomy)
             features = extract_features(scene, config.features)
             return [
                 accumulate_confusion(
@@ -424,7 +435,7 @@ def stage_evaluate(config: PipelineConfig, threads: int = 1) -> dict[str, float]
 
         # int64 counts: the sum does not depend on the order of the scenes
         totals = [ConfusionMatrix.zeros(config.taxonomy) for _ in models]
-        for parts in _map_scenes(confusions, scenes, threads):
+        for parts in _map_scenes(confusions, tgt_manifest.entries, threads):
             for total, part in zip(totals, parts):
                 total.counts += part.counts
         mious: dict[str, float] = {}

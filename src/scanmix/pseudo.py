@@ -77,13 +77,25 @@ def generate_pseudo_labels(
     return np.where(conf > cut, pred, ignore_index).astype(np.int64)
 
 
+def class_counts(labels: np.ndarray, taxonomy: ClassTaxonomy) -> np.ndarray:
+    """Number of non-ignored points per class."""
+    labels = np.asarray(labels)
+    valid = labels[labels != taxonomy.ignore_index]
+    if len(valid) == 0:
+        return np.zeros(taxonomy.count, dtype=np.int64)
+    return np.bincount(valid, minlength=taxonomy.count)
+
+
+def ratio_of_counts(counts: np.ndarray) -> np.ndarray:
+    """Each class's share of ``counts``; zero vector when all are zero.
+    Counts summed over scenes give the ratio of the scenes together."""
+    total = counts.sum()
+    if total == 0:
+        return np.zeros(len(counts), dtype=np.float64)
+    return counts / total
+
+
 def class_ratio(labels: np.ndarray, taxonomy: ClassTaxonomy) -> np.ndarray:
     """Fraction of non-ignored points per class; zero vector when every
     point is ignored."""
-    labels = np.asarray(labels)
-    valid = labels[labels != taxonomy.ignore_index]
-    r = np.zeros(taxonomy.count, dtype=np.float64)
-    if len(valid) == 0:
-        return r
-    counts = np.bincount(valid, minlength=taxonomy.count)
-    return counts / len(valid)
+    return ratio_of_counts(class_counts(labels, taxonomy))

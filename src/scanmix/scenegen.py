@@ -43,7 +43,9 @@ class Rect:
 
     @property
     def area(self) -> float:
-        return float(np.linalg.norm(np.cross(self.edge_u, self.edge_v)))
+        # np.cross's products and differences, written out: the same bytes
+        (ux, uy, uz), (vx, vy, vz) = self.edge_u.tolist(), self.edge_v.tolist()
+        return float(np.linalg.norm(np.array([uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx])))
 
 
 def sample_primitive_surface(face: Rect, density: float, rng: RandomStream) -> np.ndarray:

@@ -1,4 +1,7 @@
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -281,3 +284,31 @@ def test_reduction_guard_bites():
         "    return a.min(axis=0), a.max(1)\n"
     )
     assert axis_reductions(source) == [1, 2, 3, 4]
+
+
+# The footprint: importing scanmix must not load scipy.interpolate, which
+# only elastic augmentation needs (about 14 MB resident and 0.2 s). A fresh
+# interpreter, because this one has loaded whatever other tests imported.
+_FOOTPRINT_SCRIPT = """
+import sys
+import numpy as np
+import scanmix
+print("scipy.interpolate" in sys.modules)
+cloud = scanmix.LabeledPointCloud(
+    np.random.default_rng(0).random((200, 3)), np.zeros(200, dtype=np.int64), scanmix.TOY_TAXONOMY
+)
+scanmix.standard_augment(cloud, scanmix.AugmentConfig(), scanmix.RandomStream(0))
+print("scipy.interpolate" in sys.modules)
+"""
+
+
+def test_scipy_interpolate_loads_only_for_elastic_augmentation():
+    assert AugmentConfig().elastic
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", _FOOTPRINT_SCRIPT], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False", "True"]

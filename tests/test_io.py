@@ -286,6 +286,25 @@ class TestManifest:
             load_manifest(tmp_path / "m.txt")
         assert (err.value.path, err.value.line) == (str(tmp_path / "m.txt"), 3)
 
+    # scene ids name the files the stages write (out/pseudo/<id>.ply)
+    @pytest.mark.parametrize(
+        "scene_id",
+        ["", ".", "..", "../escaped", "a/b", "a\\b", "../target/scenes/scene_0000"],
+        ids=["empty", "dot", "dot-dot", "parent", "slash", "backslash", "an-input-scene"],
+    )
+    def test_id_that_is_not_a_file_name_rejected(self, taxonomy, tmp_path, scene_id):
+        rows = self.make_files(tmp_path, taxonomy, ["s0"])
+        save_manifest(tmp_path / "m.txt", "target", taxonomy.name, rows + [(scene_id, "s0.ply")])
+        with pytest.raises(ParseError, match="scene id") as err:
+            load_manifest(tmp_path / "m.txt")
+        assert (err.value.path, err.value.line) == (str(tmp_path / "m.txt"), 3)
+
+    @pytest.mark.parametrize("scene_id", ["...", ".hidden", "a..b", "scene 1", "a:b"])
+    def test_id_with_dots_or_spaces_accepted(self, taxonomy, tmp_path, scene_id):
+        self.make_files(tmp_path, taxonomy, ["s0"])
+        save_manifest(tmp_path / "m.txt", "target", taxonomy.name, [(scene_id, "s0.ply")])
+        assert [sid for sid, _ in load_manifest(tmp_path / "m.txt").entries] == [scene_id]
+
     def test_written_bytes(self, tmp_path):
         save_manifest(tmp_path / "m.txt", "target", "toy6", [("a", "a.ply"), ("b", Path("x/b.ply"))])
         assert (tmp_path / "m.txt").read_bytes() == b"role=target taxonomy=toy6\na\ta.ply\nb\tx/b.ply\n"

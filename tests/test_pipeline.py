@@ -3,6 +3,7 @@ import multiprocessing
 import os
 import re
 import threading
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -14,9 +15,11 @@ from scanmix import (
     ClassTaxonomy,
     CuboidMixConfig,
     FeatureConfig,
+    PseudoLabelConfig,
     StructuralClasses,
     TOY_TAXONOMY,
     TrainConfig,
+    class_ratio,
     detect_format,
     generate_scene_set,
     load_config,
@@ -553,6 +556,117 @@ class TestAuxStages:
         par_pseudo = stage_pseudo_label(config, threads=3)
         assert hash_tree(par_pseudo) == seq_hashes
         assert stage_evaluate(config, threads=1) == stage_evaluate(config, threads=3)
+
+
+def count_live_clouds(monkeypatch):
+    """Count the clouds ``pipeline.read_point_file`` returns while they are
+    alive; the returned dict's ``peak`` is the most alive at once."""
+    live = {"now": 0, "peak": 0, "read": 0}
+    lock = threading.RLock()  # a finalizer may run inside the locked block
+    read = scanmix.pipeline.read_point_file
+
+    def died():
+        with lock:
+            live["now"] -= 1
+
+    def counted(*args, **kwargs):
+        cloud = read(*args, **kwargs)
+        with lock:
+            live["now"] += 1
+            live["read"] += 1
+            live["peak"] = max(live["peak"], live["now"])
+        weakref.finalize(cloud, died)
+        return cloud
+
+    monkeypatch.setattr(scanmix.pipeline, "read_point_file", counted)
+    return live
+
+
+def pseudo_ratios_text(config):
+    """``ratios.txt`` as written from the pseudo-label files: class_ratio of
+    all their labels together."""
+    labels = [
+        read_point_file(config.out_dir / "pseudo" / f"{sid}.ply", "ply_binary_le", config.taxonomy).labels
+        for sid, _ in load_manifest(config.target_manifest).entries
+    ]
+    ratios = class_ratio(np.concatenate(labels), config.taxonomy)
+    return "".join(f"{name}\t{float(value)!r}\n" for name, value in zip(config.taxonomy.names, ratios))
+
+
+class TestTargetStages:
+    """Pseudo-labelling and evaluation read, score and drop one target
+    scene at a time."""
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_at_most_threads_target_scenes_alive(self, tmp_path, monkeypatch, threads):
+        config_path = make_toy_benchmark(tmp_path / "bench", n_source=2, n_target=7, density=30.0)
+        config = load_config(config_path)
+        config.pretrain = TrainConfig(learning_rate=0.02, iterations=2, batch_size=1)
+        stage_pretrain(config, with_scan_sim=True)
+        for stage in (stage_pseudo_label, stage_evaluate):
+            live = count_live_clouds(monkeypatch)
+            stage(config, threads)
+            assert live["read"] == 7, stage.__name__
+            assert 1 <= live["peak"] <= threads, (stage.__name__, live)
+            monkeypatch.undo()
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    @pytest.mark.parametrize(
+        "stage, tag", [(stage_pseudo_label, "pseudo-label"), (stage_evaluate, "evaluate")],
+        ids=["pseudo-label", "evaluate"],
+    )
+    def test_corrupt_scene_fails_the_stage_naming_its_file(self, tmp_path, stage, tag, threads):
+        config = tiny_benchmark(tmp_path)
+        stage_pretrain(config, with_scan_sim=True)
+        ids = [sid for sid, _ in load_manifest(config.target_manifest).entries]
+        bad = load_manifest(config.target_manifest).entries[1][1]
+        bad.write_bytes(bad.read_bytes()[:-1])  # the payload one byte short
+        with pytest.raises(StageError) as err:
+            stage(config, threads)
+        assert err.value.stage == tag
+        assert isinstance(err.value.cause, ParseError)
+        assert err.value.cause.path == str(bad)
+        if stage is stage_pseudo_label:
+            pseudo = config.out_dir / "pseudo"
+            # the scene before the bad one is written; no summary is
+            assert (pseudo / f"{ids[0]}.ply").is_file()
+            assert not (pseudo / f"{ids[1]}.ply").exists()
+            assert not (pseudo / "ratios.txt").exists()
+            if threads == 1:
+                assert not (pseudo / f"{ids[2]}.ply").exists()
+
+    @pytest.mark.parametrize("all_ignored", [False, True], ids=["toy", "all-ignored"])
+    def test_ratios_file_is_class_ratio_of_all_pseudo_labels(self, tmp_path, all_ignored):
+        config = tiny_benchmark(tmp_path)
+        if all_ignored:
+            # no confidence exceeds 1
+            config.pseudo = PseudoLabelConfig(mode="global_threshold", threshold=1.0)
+        stage_pretrain(config, with_scan_sim=True)
+        pseudo = stage_pseudo_label(config)
+        text = (pseudo / "ratios.txt").read_text()
+        assert text == pseudo_ratios_text(config)
+        assert all(line.endswith("\t0.0") for line in text.splitlines()) == all_ignored
+
+    def test_evaluate_without_checkpoints_reads_no_scene(self, tmp_path):
+        config = tiny_benchmark(tmp_path)
+        config.out_dir.mkdir(parents=True, exist_ok=True)
+        for _sid, path in load_manifest(config.target_manifest).entries:
+            path.write_bytes(b"not a point file")
+        assert stage_evaluate(config, 3) == {}
+
+    def test_escaping_scene_id_rejected_before_any_write(self, tmp_path):
+        config = tiny_benchmark(tmp_path)
+        stage_pretrain(config, with_scan_sim=True)
+        text = config.target_manifest.read_text()
+        config.target_manifest.write_text(text.replace("scene_0001\t", "../escaped\t", 1))
+        with pytest.raises(StageError) as err:
+            stage_pseudo_label(config)
+        assert err.value.stage == "pseudo-label"
+        cause = err.value.cause
+        assert isinstance(cause, ParseError)
+        assert (cause.path, cause.line) == (str(config.target_manifest), 3)
+        assert not (config.out_dir / "escaped.ply").exists()
+        assert not (config.out_dir / "pseudo").exists()
 
 
 class TestCli:

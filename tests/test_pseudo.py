@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from scanmix import (
@@ -9,6 +10,7 @@ from scanmix import (
     generate_pseudo_labels,
     per_class_thresholds,
 )
+from scanmix.pseudo import class_counts, ratio_of_counts
 
 
 def random_scores(n, c, seed):
@@ -124,3 +126,18 @@ class TestClassRatio:
         for j in range(3):
             assert r[j] == np.count_nonzero(valid == j) / len(valid)
         assert abs(r.sum() - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("low", [-1, 0], ids=["some-ignored", "none-ignored"])
+    def test_is_the_ratio_of_the_counts(self, taxonomy, low):
+        labels = RandomStream(6).integers(low, 3, size=1000)
+        want = class_ratio(labels, taxonomy)
+        assert ratio_of_counts(class_counts(labels, taxonomy)).tobytes() == want.tobytes()
+        # counts summed over parts give the ratio of the whole
+        parts = np.split(labels, [100, 450, 451])
+        summed = sum(class_counts(part, taxonomy) for part in parts)
+        assert ratio_of_counts(summed).tobytes() == want.tobytes()
+
+    def test_counts_of_ignored_labels_are_zero(self, taxonomy):
+        counts = class_counts(np.full(10, -1), taxonomy)
+        assert counts.tolist() == [0, 0, 0]
+        assert ratio_of_counts(counts).tobytes() == class_ratio(np.full(10, -1), taxonomy).tobytes()

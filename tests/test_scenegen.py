@@ -1,4 +1,6 @@
 import hashlib
+import itertools
+import struct
 
 import numpy as np
 import pytest
@@ -52,6 +54,25 @@ class TestSurfaceSampling:
         expected = total / 6
         stat = ((counts - expected) ** 2 / expected).sum()
         assert stat < chi2.ppf(0.99, df=5)
+
+
+class TestRectArea:
+    @staticmethod
+    def assert_area_is_numpy_cross_norm(u, v):
+        want = float(np.linalg.norm(np.cross(u, v)))
+        assert struct.pack("<d", Rect((0, 0, 0), u, v).area) == struct.pack("<d", want), (u, v)
+
+    def test_random_edges_bit_for_bit(self):
+        gen = RandomStream(11)
+        scale = 10.0 ** gen.integers(-6, 7, size=(400, 2, 1))
+        for u, v in gen.normal(size=(400, 2, 3)) * scale:
+            self.assert_area_is_numpy_cross_norm(u, v)
+
+    def test_signed_zero_edges_bit_for_bit(self):
+        values = (0.0, -0.0, 1.0, -2.5)
+        for u in itertools.product(values, repeat=3):
+            for v in itertools.product(values, repeat=3):
+                self.assert_area_is_numpy_cross_norm(np.array(u), np.array(v))
 
 
 class TestGenerateScene:
