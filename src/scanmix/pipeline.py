@@ -41,7 +41,7 @@ from .io import (
     write_point_file,
 )
 from .metrics import ConfusionMatrix, accumulate_confusion, compute_iou, write_iou_csv
-from .pseudo import PseudoLabelConfig, class_counts, class_ratio, ratio_of_counts
+from .pseudo import PseudoLabelConfig, class_counts, ratio_of_counts
 from .scansim import FovConfig, ScanSimConfig, scan_and_jitter
 from .scenegen import (
     TOY_STRUCTURAL,
@@ -285,6 +285,12 @@ def _read_scene(path, taxonomy: ClassTaxonomy):
     return read_point_file(path, detect_format(path), taxonomy)
 
 
+def _ratio_of(counts, taxonomy: ClassTaxonomy) -> np.ndarray:
+    """The class ratios of the scenes whose per-class ``counts`` are given;
+    int64 counts, so the sum does not depend on the order of the scenes."""
+    return ratio_of_counts(sum(counts, np.zeros(taxonomy.count, dtype=np.int64)))
+
+
 @contextmanager
 def _stage(name: str):
     """Re-raise any failure inside the block as a StageError tagged ``name``;
@@ -348,20 +354,16 @@ def stage_pseudo_label(config: PipelineConfig, threads: int = 1) -> Path:
             )
             return class_counts(labels, config.taxonomy)
 
-        # int64 counts: the sum does not depend on the order of the scenes
-        counts = sum(_map_scenes(label_scene, tgt_manifest.entries, threads),
-                     np.zeros(config.taxonomy.count, dtype=np.int64))
-        ratios = ratio_of_counts(counts)
+        ratios = _ratio_of(_map_scenes(label_scene, tgt_manifest.entries, threads), config.taxonomy)
         rows = (f"{name}\t{float(value)!r}\n" for name, value in zip(config.taxonomy.names, ratios))
         _write_file(pseudo_dir / "ratios.txt", "".join(rows))
         return pseudo_dir
 
 
-def _load_pseudo_scenes(config: PipelineConfig):
+def _pseudo_paths(config: PipelineConfig) -> list[Path]:
     tgt_manifest = _checked_manifest(config.target_manifest, "target", config.taxonomy)
     pseudo_dir = config.out_dir / "pseudo"
-    return [_read_scene(pseudo_dir / f"{scene_id}.ply", config.taxonomy)
-            for scene_id, _path in tgt_manifest.entries]
+    return [pseudo_dir / f"{scene_id}.ply" for scene_id, _path in tgt_manifest.entries]
 
 
 def stage_selftrain(config: PipelineConfig) -> Path:
@@ -370,7 +372,7 @@ def stage_selftrain(config: PipelineConfig) -> Path:
     with _stage("selftrain"):
         model = load_checkpoint(config.out_dir / CKPT_SCAN_PRETRAIN, config.taxonomy)
         _, source = _load_domain(config.source_manifest, "source", config.taxonomy)
-        pseudo_scenes = _load_pseudo_scenes(config)
+        pseudo_scenes = [_read_scene(path, config.taxonomy) for path in _pseudo_paths(config)]
         samples_dir = config.out_dir / "mixed_samples"
         _make_dir(samples_dir)
 
@@ -465,24 +467,33 @@ def stage_scan(config: PipelineConfig) -> Path:
 
 def stage_mix(config: PipelineConfig, count: int = 5) -> Path:
     """Compose a few mixed scenes (source ground truth vs target labels or
-    pseudo labels when present) into out/mixed for inspection."""
+    pseudo labels when present) into out/mixed for inspection. The class
+    ratios are counted one target scene at a time; then only the first
+    ``count`` targets and the sources drawn for them are read, so at most
+    one source and one target scene are in memory at once."""
     if count < 0:
         raise ConfigError(f"count must be >= 0, got {count}")
     with _stage("mix"):
-        _, source = _load_domain(config.source_manifest, "source", config.taxonomy)
+        sources = _checked_manifest(config.source_manifest, "source", config.taxonomy).entries
         if _exists(config.out_dir / "pseudo"):
-            target = _load_pseudo_scenes(config)
+            targets = _pseudo_paths(config)
         else:
-            _, target = _load_domain(config.target_manifest, "target", config.taxonomy)
+            tgt_manifest = _checked_manifest(config.target_manifest, "target", config.taxonomy)
+            targets = [path for _, path in tgt_manifest.entries]
+        ratios = _ratio_of(
+            (class_counts(_read_scene(path, config.taxonomy).labels, config.taxonomy) for path in targets),
+            config.taxonomy,
+        )
         out = config.out_dir / "mixed"
         _make_dir(out)
         rng = RandomStream(config.seed).child(_TAG_MIX)
-        ratios = class_ratio(np.concatenate([s.labels for s in target]), config.taxonomy)
         queue = TailCuboidQueue(config.mix.queue_cap)
-        n = min(count, len(target))
-        for i in range(n):
-            src = source[int(rng.integers(0, len(source)))]
-            result = compose_mixed_scene(src, target[i], ratios, config.mix, queue, rng)
+        for i, path in enumerate(targets[:count]):
+            _, src_path = sources[int(rng.integers(0, len(sources)))]
+            result = compose_mixed_scene(
+                _read_scene(src_path, config.taxonomy), _read_scene(path, config.taxonomy),
+                ratios, config.mix, queue, rng,
+            )
             write_point_file(result.mixed.cloud, out / f"mixed_{i:03d}.ply", FileFormat.PLY_BINARY_LE)
         return out
 

@@ -50,8 +50,8 @@ class FovConfig:
             raise ValueError("alpha_v must be in (0, 180]")
         if self.mode not in FOV_MODES:
             raise ValueError(f"mode must be one of {FOV_MODES}")
-        if not self.d_ref > 0.0:
-            raise ValueError("d_ref must be positive")
+        if not (np.isfinite(self.d_ref) and self.d_ref > 0.0):
+            raise ValueError("d_ref must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -69,6 +69,8 @@ class ScanSimConfig:
     def __post_init__(self):
         if self.n_v < 1:
             raise ValueError("n_v must be >= 1")
+        if not np.isfinite([self.bev_cell, self.clearance, self.theta_bin, self.eps_d, self.delta_p]).all():
+            raise ValueError("bev_cell, clearance, theta_bin, eps_d and delta_p must be finite")
         if not self.bev_cell > 0:
             raise ValueError("bev_cell must be positive")
         if not self.clearance >= 0:

@@ -2,6 +2,7 @@ import hashlib
 import multiprocessing
 import os
 import re
+import shutil
 import threading
 import weakref
 from pathlib import Path
@@ -9,13 +10,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import scanmix.io
 import scanmix.pipeline
 from scanmix import (
     AugmentConfig,
     ClassTaxonomy,
     CuboidMixConfig,
     FeatureConfig,
+    FovConfig,
     PseudoLabelConfig,
+    ScanSimConfig,
     StructuralClasses,
     TOY_TAXONOMY,
     TrainConfig,
@@ -159,6 +163,15 @@ class TestConfig:
             (AugmentConfig, {"elastic_spacing": float("inf")}),
             (AugmentConfig, {"elastic_magnitude": float("nan")}),
             (CuboidMixConfig, {"delta_phi": float("nan")}),
+            (ScanSimConfig, {"eps_d": float("nan")}),
+            (ScanSimConfig, {"eps_d": float("inf")}),
+            (ScanSimConfig, {"delta_p": float("nan")}),
+            (ScanSimConfig, {"delta_p": float("inf")}),
+            (ScanSimConfig, {"bev_cell": float("inf")}),
+            (ScanSimConfig, {"clearance": float("inf")}),
+            (ScanSimConfig, {"theta_bin": float("inf")}),
+            (FovConfig, {"d_ref": float("inf")}),
+            (FovConfig, {"d_ref": float("nan")}),
         ],
     )
     def test_non_finite_section_value_rejected(self, section, values):
@@ -559,8 +572,9 @@ class TestAuxStages:
 
 
 def count_live_clouds(monkeypatch):
-    """Count the clouds ``pipeline.read_point_file`` returns while they are
-    alive; the returned dict's ``peak`` is the most alive at once."""
+    """Count the clouds ``read_point_file`` returns, to ``pipeline`` or
+    through ``io.load_scenes``, while they are alive; the returned dict's
+    ``peak`` is the most alive at once."""
     live = {"now": 0, "peak": 0, "read": 0}
     lock = threading.RLock()  # a finalizer may run inside the locked block
     read = scanmix.pipeline.read_point_file
@@ -579,6 +593,7 @@ def count_live_clouds(monkeypatch):
         return cloud
 
     monkeypatch.setattr(scanmix.pipeline, "read_point_file", counted)
+    monkeypatch.setattr(scanmix.io, "read_point_file", counted)
     return live
 
 
@@ -594,8 +609,8 @@ def pseudo_ratios_text(config):
 
 
 class TestTargetStages:
-    """Pseudo-labelling and evaluation read, score and drop one target
-    scene at a time."""
+    """Pseudo-labelling, evaluation and mixing read, use and drop one
+    target scene at a time."""
 
     @pytest.mark.parametrize("threads", [1, 3])
     def test_at_most_threads_target_scenes_alive(self, tmp_path, monkeypatch, threads):
@@ -646,6 +661,23 @@ class TestTargetStages:
         text = (pseudo / "ratios.txt").read_text()
         assert text == pseudo_ratios_text(config)
         assert all(line.endswith("\t0.0") for line in text.splitlines()) == all_ignored
+
+    @pytest.mark.parametrize("pseudo", [False, True], ids=["ground-truth", "pseudo"])
+    def test_mix_holds_one_source_and_one_target(self, tmp_path, monkeypatch, pseudo):
+        config = load_config(make_toy_benchmark(tmp_path / "bench", n_source=5, n_target=7, density=30.0))
+        if pseudo:
+            # the target scenes stand in for their pseudo-label files
+            pseudo_dir = config.out_dir / "pseudo"
+            pseudo_dir.mkdir(parents=True)
+            for sid, path in load_manifest(config.target_manifest).entries:
+                shutil.copy(path, pseudo_dir / f"{sid}.ply")
+        live = count_live_clouds(monkeypatch)
+        out = stage_mix(config, count=2)
+        assert len(list(out.glob("*.ply"))) == 2
+        # each target once for the class ratios, then two targets and the
+        # two sources drawn for them
+        assert live["read"] == 7 + 2 + 2
+        assert live["peak"] == 2
 
     def test_evaluate_without_checkpoints_reads_no_scene(self, tmp_path):
         config = tiny_benchmark(tmp_path)
