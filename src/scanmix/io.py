@@ -304,6 +304,27 @@ def _header_fields(path, line: str, keys) -> tuple[str, ...]:
     return tuple(fields[key] for key in keys)
 
 
+def _write_headed(path, keys, values, payload: bytes) -> None:
+    """Write one ascii :func:`_header_line` of ``keys`` and ``values``, a
+    newline, then the binary ``payload``."""
+    _write_file(path, (_header_line(keys, values) + "\n").encode("ascii") + payload)
+
+
+def _read_headed(path, keys, what: str):
+    """The header values (as :func:`_header_fields` gives them), the
+    payload and the payload's byte offset of a file :func:`_write_headed`
+    wrote; ``what`` names the kind of file in the errors."""
+    data = _read_bytes(path)
+    end = data.find(b"\n")
+    if end < 0:
+        raise ParseError(path, f"missing {what} header")
+    try:
+        header = data[:end].decode("ascii")
+    except UnicodeDecodeError:
+        raise ParseError(path, f"{what} header is not ascii", line=1) from None
+    return _header_fields(path, header, keys), memoryview(data)[end + 1 :], end + 1
+
+
 @dataclass(frozen=True)
 class DatasetManifest:
     """Ordered scene list for one domain (source or target)."""

@@ -57,10 +57,13 @@ from .segmenter import (
     SegmenterModel,
     TrainConfig,
     _Child,
-    extract_features,
+    _pair_features,
+    _pseudo_label,
+    _read_stats,
+    _write_stats,
     forward_scores,
     load_checkpoint,
-    pseudo_label,
+    neighbour_stats,
     save_checkpoint,
     train_pretrain,
     train_selftrain,
@@ -337,7 +340,10 @@ def stage_pseudo_label(config: PipelineConfig, threads: int = 1) -> Path:
     """Score target scenes with the pretrained model and write pseudo-label
     files (plus the class-ratio summary); returns the pseudo directory.
     Each scene is read, scored and written in one step, so at most
-    ``threads`` target scenes are in memory at once."""
+    ``threads`` target scenes are in memory at once. A scene's features
+    come from one neighbour search, whose ``neighbour_stats`` are written
+    next to its pseudo labels as ``<id>.stats`` for ``stage_evaluate``;
+    an existing statistics file is never read here."""
     _check_threads(threads)
     with _stage("pseudo-label"):
         model = load_checkpoint(config.out_dir / CKPT_SCAN_PRETRAIN, config.taxonomy)
@@ -348,10 +354,12 @@ def stage_pseudo_label(config: PipelineConfig, threads: int = 1) -> Path:
         def label_scene(entry):
             scene_id, path = entry
             scene = _read_scene(path, config.taxonomy)
-            labels = pseudo_label(model, scene, config.features, config.pseudo)
+            stats = neighbour_stats(scene, config.features)
+            labels = _pseudo_label(model, scene, stats, config.pseudo)
             write_point_file(
                 scene.with_labels(labels), pseudo_dir / f"{scene_id}.ply", FileFormat.PLY_BINARY_LE
             )
+            _write_stats(pseudo_dir / f"{scene_id}.stats", scene, config.features, stats)
             return class_counts(labels, config.taxonomy)
 
         ratios = _ratio_of(_map_scenes(label_scene, tgt_manifest.entries, threads), config.taxonomy)
@@ -411,7 +419,11 @@ def stage_evaluate(config: PipelineConfig, threads: int = 1) -> dict[str, float]
     """Evaluate whichever checkpoints exist against target ground truth;
     writes one metrics CSV per model and returns tag -> mIoU. Each scene is
     read, its features computed once and scored by every model in one step,
-    so at most ``threads`` target scenes are in memory at once."""
+    so at most ``threads`` target scenes are in memory at once. The
+    features come from the scene's ``out/pseudo/<id>.stats`` when
+    ``stage_pseudo_label`` wrote one for these positions and
+    ``config.features``, else from a neighbour search; this stage writes
+    no statistics file."""
     _check_threads(threads)
     with _stage("evaluate"):
         tgt_manifest = _checked_manifest(config.target_manifest, "target", config.taxonomy)
@@ -423,9 +435,15 @@ def stage_evaluate(config: PipelineConfig, threads: int = 1) -> dict[str, float]
         if not models:
             return {}
 
+        pseudo_dir = config.out_dir / "pseudo"
+
         def confusions(entry):
-            scene = _read_scene(entry[1], config.taxonomy)
-            features = extract_features(scene, config.features)
+            scene_id, path = entry
+            scene = _read_scene(path, config.taxonomy)
+            stats = _read_stats(pseudo_dir / f"{scene_id}.stats", scene, config.features)
+            if stats is None:
+                stats = neighbour_stats(scene, config.features)
+            features = _pair_features(scene, stats)
             return [
                 accumulate_confusion(
                     ConfusionMatrix.zeros(config.taxonomy),
@@ -450,15 +468,19 @@ def stage_evaluate(config: PipelineConfig, threads: int = 1) -> dict[str, float]
 
 def stage_scan(config: PipelineConfig) -> Path:
     """Apply the scan simulation once to every source scene; writes the
-    scanned clouds and a manifest into out/scanned."""
+    scanned clouds and a manifest into out/scanned. Each scene is read,
+    scanned and written in one step, so one source scene is in memory at
+    a time."""
     with _stage("scan"):
-        src_manifest, scenes = _load_domain(config.source_manifest, "source", config.taxonomy)
+        src_manifest = _checked_manifest(config.source_manifest, "source", config.taxonomy)
         out = config.out_dir / "scanned"
         _make_dir(out)
         rng = RandomStream(config.seed).child(_TAG_SCAN)
         entries = []
-        for i, ((scene_id, _), scene) in enumerate(zip(src_manifest.entries, scenes)):
-            scanned = scan_and_jitter(scene, config.scan, config.structural, rng.child(i))
+        for i, (scene_id, path) in enumerate(src_manifest.entries):
+            scanned = scan_and_jitter(
+                _read_scene(path, config.taxonomy), config.scan, config.structural, rng.child(i)
+            )
             write_point_file(scanned, out / f"{scene_id}.ply", FileFormat.PLY_BINARY_LE)
             entries.append((scene_id, f"{scene_id}.ply"))
         save_manifest(out / "manifest.txt", "source", config.taxonomy.name, entries)

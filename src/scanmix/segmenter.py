@@ -9,6 +9,7 @@ point, not the capacity of the classifier.
 
 from __future__ import annotations
 
+import hashlib
 import mmap
 import os
 import traceback
@@ -39,12 +40,19 @@ from .errors import (
     TrainerError,
     UnknownLabelError,
 )
-from .io import _header_fields, _header_line, _read_bytes, _write_file
+from .io import _exists, _read_headed, _write_headed
 from .pseudo import PseudoLabelConfig, class_ratio, generate_pseudo_labels
 from .scansim import ScanSimConfig, _scan_and_jitter, plan_scan
 
 FEATURE_DIM = 7
 _CHECKPOINT_HEADER = ("d", "c", "taxonomy")
+# A statistics file's header: what its payload holds, then the point count,
+# the feature config and the digest of the positions it was computed from.
+_STATS_HEADER = ("holds", "n", "radius", "voxel_size", "positions_sha256")
+_STATS_HOLDS = "count,z_extent,planar_count"
+# Its payload: each statistic of ``neighbour_stats`` in turn, one value a
+# point, in these little-endian dtypes.
+_STATS_DTYPES = ("<u4", "<f8", "<u4")
 
 
 @dataclass(frozen=True)
@@ -71,9 +79,15 @@ def extract_features(cloud: LabeledPointCloud, config: FeatureConfig) -> np.ndar
     5. planarity proxy: fraction of neighbors within +-voxel_size in z
     6. constant 1
     """
+    return _pair_features(cloud, neighbour_stats(cloud, config))
+
+
+def neighbour_stats(cloud: LabeledPointCloud, config: FeatureConfig):
+    """The ``_neighbour_stats`` of every point of ``cloud`` within
+    ``config.radius``, from one neighbour search; the columns of
+    ``extract_features`` that need the neighbours come from these."""
     pairs = _pairs_within(cloud.positions, config.radius)
-    stats = _neighbour_stats(cloud.positions[:, 2], pairs[:, 0], pairs[:, 1], config.voxel_size)
-    return _pair_features(cloud, stats)
+    return _neighbour_stats(cloud.positions[:, 2], pairs[:, 0], pairs[:, 1], config.voxel_size)
 
 
 def _pairs_within(pos, radius):
@@ -105,19 +119,19 @@ def _pair_features(cloud, stats):
         [pos[:, 0] - x_min, x_max - pos[:, 0], pos[:, 1] - y_min, y_max - pos[:, 1]]
     )
     return np.column_stack(
-        [height, norm_height, count, z_ext, boundary, planar, np.ones(n)]
+        [height, norm_height, count, z_ext, boundary, planar / count, np.ones(n)]
     )
 
 
 def _neighbour_stats(z, a, b, voxel_size):
-    """Neighbour count, z extent and planarity of each point of ``z``, from
-    its neighbour pairs: (a[k], b[k]) lists each unordered pair within the
-    radius once, in any order and either orientation. Every statistic is
-    an integer count or a min/max, so the result does not depend on that
-    order. Every point is its own neighbour, so counts start at one and
-    extents at zero."""
+    """Neighbour count, z extent and planar neighbour count (those within
+    ``voxel_size`` in z) of each point of ``z``, from its neighbour pairs:
+    (a[k], b[k]) lists each unordered pair within the radius once, in any
+    order and either orientation. Every statistic is an integer count or a
+    min/max, so the result does not depend on that order. Every point is
+    its own neighbour, so counts start at one and extents at zero."""
     n = len(z)
-    count = 1.0 + np.bincount(a, minlength=n) + np.bincount(b, minlength=n)
+    count = 1 + np.bincount(a, minlength=n) + np.bincount(b, minlength=n)
     z_lo = z.copy()
     z_hi = z.copy()
     za, zb = z[a], z[b]
@@ -126,8 +140,8 @@ def _neighbour_stats(z, a, b, voxel_size):
     np.maximum.at(z_hi, a, zb)
     np.maximum.at(z_hi, b, za)
     near = np.abs(za - zb) <= voxel_size
-    planar_num = 1.0 + np.bincount(a[near], minlength=n) + np.bincount(b[near], minlength=n)
-    return count, z_hi - z_lo, planar_num / count
+    planar = 1 + np.bincount(a[near], minlength=n) + np.bincount(b[near], minlength=n)
+    return count, z_hi - z_lo, planar
 
 
 class SegmenterModel:
@@ -223,7 +237,12 @@ def pseudo_label(model: SegmenterModel, cloud: LabeledPointCloud, feature_config
                  pseudo_config: PseudoLabelConfig) -> np.ndarray:
     """``model``'s predictions for ``cloud`` where they pass the confidence
     filter of ``pseudo_config``, the ignore index elsewhere."""
-    scores = forward_scores(model, extract_features(cloud, feature_config))
+    return _pseudo_label(model, cloud, neighbour_stats(cloud, feature_config), pseudo_config)
+
+
+def _pseudo_label(model, cloud, stats, pseudo_config):
+    """``pseudo_label`` from the ``neighbour_stats`` of ``cloud``."""
+    scores = forward_scores(model, _pair_features(cloud, stats))
     return generate_pseudo_labels(scores, pseudo_config, cloud.taxonomy.ignore_index)
 
 
@@ -688,7 +707,8 @@ def train_selftrain(
     With ``train_config.regen_every > 0`` the pseudo labels (and class
     ratios) are refreshed from the current model through ``pseudo_config``
     every that many iterations; ``regen_every == 0`` keeps the initial
-    labels.
+    labels. A refresh changes labels only, so each target's
+    ``neighbour_stats`` are computed at the first refresh and kept.
     As in ``train_pretrain``, a trainer process steps one iteration behind
     the draws; a refresh and ``on_mixed`` first wait for the pending
     iteration's step.
@@ -704,6 +724,7 @@ def train_selftrain(
     plan_of = cache(lambda i: plan_scan(source_scenes[i], scan_config, structural))
     radius = feature_config.radius + _pair_margin(scan_config, None)
     candidates_of = cache(lambda i: _candidates(source_scenes[i].positions, radius))
+    stats_of = cache(lambda i: neighbour_stats(target_scenes[i], feature_config))
     every = train_config.regen_every
 
     def draw(it, submit, model):
@@ -711,8 +732,8 @@ def train_selftrain(
         if every > 0 and it > 0 and it % every == 0:
             current = model()
             target_scenes = [
-                t.with_labels(pseudo_label(current, t, feature_config, pseudo_config))
-                for t in target_scenes
+                t.with_labels(_pseudo_label(current, t, stats_of(i), pseudo_config))
+                for i, t in enumerate(target_scenes)
             ]
             ratios = class_ratio(
                 np.concatenate([s.labels for s in target_scenes]), taxonomy
@@ -734,21 +755,13 @@ def train_selftrain(
 def save_checkpoint(model: SegmenterModel, path) -> None:
     """One ascii header line (d, c, taxonomy name) followed by the model's
     ``params`` as little-endian float64."""
-    header = _header_line(_CHECKPOINT_HEADER, (FEATURE_DIM, model.taxonomy.count, model.taxonomy.name))
-    _write_file(path, (header + "\n").encode("ascii") + model.params.astype("<f8").tobytes())
+    header = (FEATURE_DIM, model.taxonomy.count, model.taxonomy.name)
+    _write_headed(path, _CHECKPOINT_HEADER, header, model.params.astype("<f8").tobytes())
 
 
 def load_checkpoint(path, taxonomy: ClassTaxonomy) -> SegmenterModel:
     path = Path(path)
-    data = _read_bytes(path)
-    end = data.find(b"\n")
-    if end < 0:
-        raise ParseError(path, "missing checkpoint header")
-    try:
-        header = data[:end].decode("ascii")
-    except UnicodeDecodeError:
-        raise ParseError(path, "checkpoint header is not ascii", line=1) from None
-    d, c, name = _header_fields(path, header, _CHECKPOINT_HEADER)
+    (d, c, name), payload, offset = _read_headed(path, _CHECKPOINT_HEADER, "checkpoint")
     try:
         d, c = int(d), int(c)
     except ValueError as exc:
@@ -759,7 +772,6 @@ def load_checkpoint(path, taxonomy: ClassTaxonomy) -> SegmenterModel:
         raise ParseError(path, f"checkpoint has {c} classes, taxonomy {taxonomy.count}")
     if name != taxonomy.name:
         raise ParseError(path, f"checkpoint taxonomy {name!r} != {taxonomy.name!r}")
-    payload = data[end + 1 :]
     need = (c * d + c) * 8
     if len(payload) != need:
         raise ParseError(path, f"expected {need} payload bytes, found {len(payload)}")
@@ -767,4 +779,55 @@ def load_checkpoint(path, taxonomy: ClassTaxonomy) -> SegmenterModel:
     try:
         return SegmenterModel(*SegmenterModel._split(params, c), taxonomy)
     except DimensionError as exc:
-        raise ParseError(path, str(exc), offset=end + 1) from None
+        raise ParseError(path, str(exc), offset=offset) from None
+
+
+def _positions_digest(cloud):
+    return hashlib.sha256(np.ascontiguousarray(cloud.positions, dtype="<f8")).hexdigest()
+
+
+def _write_stats(path, cloud, config, stats) -> None:
+    """Write the ``neighbour_stats`` of ``cloud`` under ``config``: one
+    ascii ``_STATS_HEADER`` line (floats by ``repr``), then each statistic
+    as a column of its ``_STATS_DTYPES``."""
+    header = (_STATS_HOLDS, cloud.n, repr(config.radius), repr(config.voxel_size), _positions_digest(cloud))
+    payload = b"".join(stat.astype(dtype).tobytes() for stat, dtype in zip(stats, _STATS_DTYPES))
+    _write_headed(path, _STATS_HEADER, header, payload)
+
+
+def _read_stats(path, cloud, config):
+    """The ``neighbour_stats`` of ``cloud`` under ``config`` that
+    ``_write_stats`` wrote at ``path``; None when no file is there, or when
+    it holds other statistics, or those of another cloud or config.
+    ParseError when the file is malformed: a header that does not parse, a
+    payload of the wrong size, a count outside [1, n], a planar count
+    outside [1, count], or a z extent that is negative or not finite."""
+    if not _exists(path):
+        return None
+    (holds, n, radius, voxel_size, digest), payload, offset = _read_headed(path, _STATS_HEADER, "statistics")
+    try:
+        source = (holds, int(n), float(radius), float(voxel_size))
+    except ValueError as exc:
+        raise ParseError(path, f"bad header value: {exc}", line=1) from exc
+    if source != (_STATS_HOLDS, cloud.n, config.radius, config.voxel_size) or digest != _positions_digest(cloud):
+        return None
+    n = cloud.n
+    need = sum(np.dtype(dtype).itemsize for dtype in _STATS_DTYPES) * n
+    if len(payload) != need:
+        raise ParseError(path, f"expected {need} payload bytes, found {len(payload)}")
+    stats, start = [], 0
+    for dtype in _STATS_DTYPES:
+        stats.append(np.frombuffer(payload, dtype, n, start))
+        start += stats[-1].nbytes
+    count, z_ext, planar = stats
+    start = offset
+    for stat, bad, what in (
+        (count, (count < 1) | (count > n), "neighbour count outside [1, n]"),
+        (z_ext, ~np.isfinite(z_ext) | (z_ext < 0), "z extent negative or not finite"),
+        (planar, (planar < 1) | (planar > count), "planar count outside [1, count]"),
+    ):
+        if bad.any():
+            point = int(np.flatnonzero(bad)[0])
+            raise ParseError(path, f"point {point}: {what}", offset=start + stat.itemsize * point)
+        start += stat.nbytes
+    return stats

@@ -8,7 +8,8 @@ checks, makes a rename of any of them fail these tests rather than the
 benchmark. Its tracer records spans only at public function names, so
 a traced mix-fine run here keeps the mixing steps visible to it. Its own
 checkpoint reader, through which label-dense's check scores, must read
-what ``save_checkpoint`` writes.
+what ``save_checkpoint`` writes, and label-dense's first round must pass
+its checks.
 """
 
 import importlib
@@ -57,9 +58,19 @@ def test_mix_fine_operations_pass_their_checks(workloads, tmp_path):
 
 
 def test_label_dense_setup(workloads, tmp_path):
-    state = workloads.LabelDense().setup(tmp_path, 0)
+    workload = workloads.LabelDense()
+    state = workload.setup(tmp_path, 0)
     out_dir = state["config"].out_dir
     assert all((out_dir / ckpt).is_file() for ckpt in workloads.CHECKPOINTS.values())
+    # the first round, pseudo-labelling then evaluation, passes the
+    # benchmark's own checks with every file the stages write in place
+    for index, op in enumerate(workload.operations(state, 0)):
+        output = op()
+        assert workload.check(state, index, output) == []
+        assert len(workload.digest(state, index, output)) == 64
+    assert sorted(p.suffix for p in (out_dir / "pseudo").iterdir()) == (
+        [".ply"] * workloads.LABEL_TARGETS + [".stats"] * workloads.LABEL_TARGETS + [".txt"]
+    )
 
 
 def test_tracer_sees_the_mixing_steps(workloads, tmp_path):

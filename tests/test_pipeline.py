@@ -12,6 +12,7 @@ import pytest
 
 import scanmix.io
 import scanmix.pipeline
+import scanmix.segmenter
 from scanmix import (
     AugmentConfig,
     ClassTaxonomy,
@@ -19,6 +20,7 @@ from scanmix import (
     FeatureConfig,
     FovConfig,
     PseudoLabelConfig,
+    RandomStream,
     ScanSimConfig,
     StructuralClasses,
     TOY_TAXONOMY,
@@ -31,6 +33,7 @@ from scanmix import (
     make_toy_benchmark,
     read_point_file,
     run_pipeline,
+    scan_and_jitter,
     write_point_file,
 )
 from scanmix.cli import build_parser, main as cli_main
@@ -540,6 +543,24 @@ class TestAuxStages:
             original = read_point_file(src_path, detect_format(src_path), config.taxonomy)
             assert scanned.n <= original.n
 
+    def test_scan_holds_one_source_scene(self, tmp_path, monkeypatch):
+        config = tiny_benchmark(tmp_path)
+        entries = load_manifest(config.source_manifest).entries
+        rng = RandomStream(config.seed).child(scanmix.pipeline._TAG_SCAN)
+        want = [
+            scan_and_jitter(read_point_file(path, "ply_binary_le", config.taxonomy), config.scan,
+                            config.structural, rng.child(i))
+            for i, (_, path) in enumerate(entries)
+        ]
+        live = count_live_clouds(monkeypatch)
+        out = stage_scan(config)
+        assert (live["read"], live["peak"]) == (4, 1)
+        # scene i is scanned on child stream i, as when all were loaded first
+        for (sid, _), cloud in zip(entries, want):
+            got = read_point_file(out / f"{sid}.ply", "ply_binary_le", config.taxonomy)
+            assert got.positions.tobytes() == cloud.positions.astype(np.float32).astype(np.float64).tobytes()
+            assert np.array_equal(got.labels, cloud.labels)
+
     def test_mix_stage_without_pseudo(self, tmp_path):
         config = tiny_benchmark(tmp_path)
         out = stage_mix(config, count=2)
@@ -595,6 +616,36 @@ def count_live_clouds(monkeypatch):
     monkeypatch.setattr(scanmix.pipeline, "read_point_file", counted)
     monkeypatch.setattr(scanmix.io, "read_point_file", counted)
     return live
+
+
+def count_searches(monkeypatch):
+    """Count the neighbour searches of this process; returns the list that
+    each search appends to."""
+    calls, search = [], scanmix.segmenter._pairs_within
+
+    def counted(*args):
+        calls.append(None)
+        return search(*args)
+
+    monkeypatch.setattr(scanmix.segmenter, "_pairs_within", counted)
+    return calls
+
+
+def evaluated(config, threads=1):
+    """The mIoUs ``stage_evaluate`` returns and the bytes of its CSVs."""
+    mious = stage_evaluate(config, threads)
+    return mious, {p.name: p.read_bytes() for p in sorted(config.out_dir.glob("metrics_*.csv"))}
+
+
+def pseudo_labelled(tmp_path):
+    """A tiny benchmark with both pretrained checkpoints and its pseudo
+    labels, and the statistics files pseudo-labelling wrote."""
+    config = tiny_benchmark(tmp_path)
+    stage_pretrain(config, with_scan_sim=True)
+    stage_pretrain(config, with_scan_sim=False)
+    stage_pseudo_label(config)
+    ids = [sid for sid, _ in load_manifest(config.target_manifest).entries]
+    return config, [config.out_dir / "pseudo" / f"{sid}.stats" for sid in ids]
 
 
 def pseudo_ratios_text(config):
@@ -678,6 +729,77 @@ class TestTargetStages:
         # two sources drawn for them
         assert live["read"] == 7 + 2 + 2
         assert live["peak"] == 2
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_evaluate_reads_the_statistics_of_pseudo_labelling(self, tmp_path, monkeypatch, threads):
+        config, stats = pseudo_labelled(tmp_path)
+        assert all(path.is_file() for path in stats)
+        before = hash_tree(config.out_dir / "pseudo")
+        searches = count_searches(monkeypatch)
+        got = evaluated(config, threads)
+        assert searches == []
+        assert hash_tree(config.out_dir / "pseudo") == before
+        for path in stats:
+            path.unlink()
+        assert evaluated(config, threads) == got
+        assert len(searches) == len(stats)
+        assert set(got[0]) == {"source_only", "scan_only"}
+
+    def test_pseudo_labelling_searches_each_scene_once_and_reads_no_statistics(self, tmp_path, monkeypatch):
+        config, stats = pseudo_labelled(tmp_path)
+        for path in stats:
+            path.write_bytes(b"not a statistics file")
+        searches = count_searches(monkeypatch)
+        pseudo = hash_tree(stage_pseudo_label(config))
+        assert len(searches) == len(stats)
+        monkeypatch.undo()
+        shutil.rmtree(config.out_dir / "pseudo")
+        assert hash_tree(stage_pseudo_label(config)) == pseudo
+
+    @pytest.mark.parametrize("stale", ["moved-point", "radius"])
+    def test_stale_statistics_are_searched_again(self, tmp_path, monkeypatch, stale):
+        config, stats = pseudo_labelled(tmp_path)
+        if stale == "moved-point":
+            path = load_manifest(config.target_manifest).entries[1][1]
+            scene = read_point_file(path, "ply_binary_le", config.taxonomy)
+            positions = scene.positions.copy()
+            positions[0, 2] += 0.01
+            write_point_file(scene.with_positions(positions), path, "ply_binary_le")
+            stale_files = 1
+        else:
+            config.features = FeatureConfig(voxel_size=config.features.voxel_size, radius=0.25)
+            stale_files = len(stats)
+        searches = count_searches(monkeypatch)
+        got = evaluated(config)
+        assert len(searches) == stale_files
+        for path in stats:
+            path.unlink()
+        assert evaluated(config) == got
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    @pytest.mark.parametrize("corrupt", ["truncated", "bad-token", "count-0"])
+    def test_malformed_statistics_fail_evaluate_naming_the_file(self, tmp_path, corrupt, threads):
+        config, stats = pseudo_labelled(tmp_path)
+        bad = stats[1]
+        header, payload = bad.read_bytes().split(b"\n", 1)
+        if corrupt == "truncated":
+            payload = payload[:-1]
+        elif corrupt == "bad-token":
+            header = header.replace(b"voxel_size=", b"voxel_size:", 1)
+        else:
+            payload = bytes(4) + payload[4:]  # point 0's neighbour count
+        bad.write_bytes(header + b"\n" + payload)
+        with pytest.raises(StageError) as err:
+            stage_evaluate(config, threads)
+        assert err.value.stage == "evaluate"
+        assert isinstance(err.value.cause, ParseError)
+        assert err.value.cause.path == str(bad)
+
+    def test_evaluate_creates_no_pseudo_directory(self, tmp_path):
+        config = tiny_benchmark(tmp_path)
+        stage_pretrain(config, with_scan_sim=True)
+        assert set(stage_evaluate(config)) == {"scan_only"}
+        assert not (config.out_dir / "pseudo").exists()
 
     def test_evaluate_without_checkpoints_reads_no_scene(self, tmp_path):
         config = tiny_benchmark(tmp_path)

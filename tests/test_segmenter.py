@@ -188,6 +188,123 @@ class TestFeatures:
             assert (got[:, 2] == 1.0).all()
 
 
+def stats_clouds(taxonomy):
+    """Random clouds, a scanned scene with duplicate points, and clouds
+    with no pair within the default radius."""
+    clean = make_selftrain_inputs(seed=21)[1][0]
+    scene = scan_and_jitter(clean, ScanSimConfig(), TOY_STRUCTURAL, RandomStream(22))
+    grid = np.stack(np.meshgrid(*[np.arange(4.0)] * 3, indexing="ij"), axis=-1).reshape(-1, 3)
+    return {
+        "random-small": random_cloud(taxonomy, n=300, seed=5, scale=1.0),
+        "random-large": random_cloud(taxonomy, n=6_000, seed=6, scale=3.0),
+        "duplicates": LabeledPointCloud(
+            np.concatenate([scene.positions, scene.positions[::3]]),
+            np.concatenate([scene.labels, scene.labels[::3]]),
+            scene.taxonomy,
+        ),
+        "no-pairs": LabeledPointCloud(grid, np.zeros(len(grid), dtype=int), taxonomy),
+        "single": LabeledPointCloud(np.array([[1.0, 2.0, 3.0]]), np.array([0]), taxonomy),
+    }
+
+
+def written_stats(path, cloud, config):
+    seg._write_stats(path, cloud, config, seg.neighbour_stats(cloud, config))
+    return path
+
+
+class TestStatsFile:
+    @pytest.mark.parametrize("kind", ["random-small", "random-large", "duplicates", "no-pairs", "single"])
+    def test_features_from_the_file_are_the_same_bytes(self, taxonomy, tmp_path, kind):
+        cloud = stats_clouds(taxonomy)[kind]
+        config = FeatureConfig()
+        path = written_stats(tmp_path / "s.stats", cloud, config)
+        header, payload = path.read_bytes().split(b"\n", 1)
+        assert header.decode("ascii").split()[:4] == [
+            "holds=count,z_extent,planar_count", f"n={cloud.n}", "radius=0.15", "voxel_size=0.02"
+        ]
+        assert len(payload) == 16 * cloud.n
+        stats = seg._read_stats(path, cloud, config)
+        assert seg._pair_features(cloud, stats).tobytes() == extract_features(cloud, config).tobytes()
+        if kind == "no-pairs":
+            assert (stats[0] == 1).all() and (stats[2] == 1).all() and (stats[1] == 0).all()
+
+    def test_stats_are_integer_counts_and_extents(self, taxonomy):
+        cloud = random_cloud(taxonomy, n=500, seed=8)
+        count, z_ext, planar = seg.neighbour_stats(cloud, FeatureConfig(radius=0.2))
+        assert count.dtype.kind == planar.dtype.kind == "i"
+        assert (1 <= planar).all() and (planar <= count).all() and (z_ext >= 0).all()
+        assert count.max() > 1
+
+    @pytest.mark.parametrize("change", ["moved-point", "radius", "voxel_size", "holds", "point-count"])
+    def test_a_file_for_another_cloud_or_config_is_ignored(self, taxonomy, tmp_path, change):
+        cloud = random_cloud(taxonomy, n=200, seed=9)
+        config = FeatureConfig()
+        path = written_stats(tmp_path / "s.stats", cloud, config)
+        if change == "moved-point":
+            positions = cloud.positions.copy()
+            positions[17, 2] += 1e-9
+            cloud = cloud.with_positions(positions)
+        elif change == "radius":
+            config = FeatureConfig(radius=0.2)
+        elif change == "voxel_size":
+            config = FeatureConfig(voxel_size=0.03)
+        elif change == "holds":
+            path.write_bytes(path.read_bytes().replace(b"holds=count,", b"holds=other,", 1))
+        else:
+            cloud = cloud.select(np.arange(199))
+        assert seg._read_stats(path, cloud, config) is None
+
+    def test_no_file_is_none(self, taxonomy, tmp_path):
+        assert seg._read_stats(tmp_path / "none.stats", random_cloud(taxonomy), FeatureConfig()) is None
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            "truncated", "extra-byte", "bad-token", "bad-n", "bad-radius", "unknown-key",
+            "no-newline", "not-ascii", "count-0", "count-above-n", "planar-0",
+            "planar-above-count", "z-negative", "z-nan", "z-inf",
+        ],
+    )
+    def test_malformed_file_raises_parse_error_naming_it(self, taxonomy, tmp_path, corrupt):
+        cloud = random_cloud(taxonomy, n=50, seed=10)
+        config = FeatureConfig(radius=0.5)
+        path = written_stats(tmp_path / "s.stats", cloud, config)
+        header, payload = path.read_bytes().split(b"\n", 1)
+        # the columns: 50 uint32 counts, 50 float64 extents, 50 uint32 planar counts
+        count, z_ext, planar = bytearray(payload[:200]), bytearray(payload[200:600]), bytearray(payload[600:])
+        assert struct.unpack_from("<I", count, 4 * 7)[0] > 1
+        edits = {
+            "count-0": (count, "<I", 0), "count-above-n": (count, "<I", 51),
+            "planar-0": (planar, "<I", 0), "planar-above-count": (planar, "<I", 51),
+            "z-negative": (z_ext, "<d", -0.5), "z-nan": (z_ext, "<d", float("nan")),
+            "z-inf": (z_ext, "<d", float("inf")),
+        }
+        if corrupt in edits:
+            column, fmt, value = edits[corrupt]
+            struct.pack_into(fmt, column, struct.calcsize(fmt) * 7, value)
+            payload = bytes(count + z_ext + planar)
+        elif corrupt == "truncated":
+            payload = payload[:-1]
+        elif corrupt == "extra-byte":
+            payload += b"\0"
+        else:
+            header = {
+                "bad-token": header.replace(b"n=50", b"n50"),
+                "bad-n": header.replace(b"n=50", b"n=fifty"),
+                "bad-radius": header.replace(b"radius=0.5", b"radius=half"),
+                "unknown-key": header + b" extra=1",
+                "no-newline": None,
+                "not-ascii": header.replace(b"holds=", "h\u00f6lds=".encode("utf-8")),
+            }[corrupt]
+        path.write_bytes(payload if header is None else header + b"\n" + payload)
+        with pytest.raises(ParseError) as err:
+            seg._read_stats(path, cloud, config)
+        assert err.value.path == str(path)
+        if corrupt in edits:
+            what = {"count": "neighbour count", "planar": "planar count", "z": "z extent"}
+            assert f"point 7: {what[corrupt.split('-')[0]]}" in str(err.value)
+
+
 class TestForward:
     def test_zero_model_uniform(self, taxonomy):
         model = SegmenterModel.zeros(taxonomy)
@@ -719,6 +836,24 @@ class TestRunAheadEquivalence:
         for (_, a), (_, b) in zip(seen["ahead"], seen["plain"]):
             assert np.array_equal(a.positions, b.positions)
             assert np.array_equal(a.labels, b.labels)
+        assert trainers() == []
+
+    def test_refreshes_search_each_target_once(self, monkeypatch):
+        # the drawing process searches neighbours only for the refreshes;
+        # the trainer's searches (mixed clouds, source candidates) run in
+        # its own process
+        source, target = selftrain_scenes()
+        calls, original = [], seg._pairs_within
+
+        def counted(*args):
+            calls.append(os.getpid())
+            return original(*args)
+
+        monkeypatch.setattr(seg, "_pairs_within", counted)
+        for regen_every, refreshes in ((0, 0), (2, 2), (1, 5)):
+            calls.clear()
+            run_selftrain(train_selftrain, source, target, regen_every)
+            assert calls.count(os.getpid()) == (len(target) if refreshes else 0), regen_every
         assert trainers() == []
 
     def test_regen_refresh_changes_the_run(self):
