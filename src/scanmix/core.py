@@ -205,7 +205,9 @@ def _narrow_reduce(ufunc, a: np.ndarray, axis: int = 0) -> np.ndarray:
     times the column-by-column cost on 4,750 x 3 points. Along axis 0, with
     two or more columns, the result is numpy's byte for byte: numpy folds
     the rows in order and a tie between -0.0 and +0.0 keeps the later one,
-    so a zero result takes the sign of its column's last zero. Along axis 1
+    so a zero result takes the sign of its column's last zero. Only a
+    column that holds a -0.0 is searched for it: in any other, every zero is
+    +0.0 and so is the column's own reduction. Along axis 1
     the columns are folded in order, and the sign of a zero result is not
     promised; np.add so folded is numpy's row sum byte for byte for fewer
     than eight columns, which numpy adds in order.
@@ -217,7 +219,9 @@ def _narrow_reduce(ufunc, a: np.ndarray, axis: int = 0) -> np.ndarray:
         return out
     out = np.array([ufunc.reduce(a[:, j]) for j in range(a.shape[1])])
     for j in np.flatnonzero(out == 0):
-        out[j] = a[np.flatnonzero(a[:, j] == 0)[-1], j]
+        col = a[:, j]
+        if np.signbit(col).any():
+            out[j] = col[np.flatnonzero(col == 0)[-1]]
     return out
 
 
@@ -308,9 +312,10 @@ def _standard_augment(cloud, config, rng):
     if config.rotate:
         angle = rng.uniform(0.0, 2.0 * np.pi)
         c, s = np.cos(angle), np.sin(angle)
-        xy = pos[:, :2] - center[:2]
-        pos[:, 0] = c * xy[:, 0] - s * xy[:, 1] + center[0]
-        pos[:, 1] = s * xy[:, 0] + c * xy[:, 1] + center[1]
+        # one column at a time: an (n, 2) - (2,) broadcast pays per row
+        x, y = pos[:, 0] - center[0], pos[:, 1] - center[1]
+        pos[:, 0] = c * x - s * y + center[0]
+        pos[:, 1] = s * x + c * y + center[1]
     if config.flip:
         if rng.random() < 0.5:
             pos[:, 0] = 2.0 * center[0] - pos[:, 0]

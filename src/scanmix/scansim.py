@@ -30,6 +30,13 @@ FOV_MODES = ("fixed", "parallel", "perspective")
 _MIN_THETA_BIN = 1e-6
 # Relative slack that rounds a cell reach within rounding of an integer up.
 _ROUNDING_SLACK = 1e-9
+# visible_points indexes its depth buffer by bin key while the key span is at
+# most this many bins per in-view point, and sorts the keys beyond it, so the
+# buffer stays O(in-view points) at any theta_bin. Timed on the bin keys of
+# 360 draws over the six templates at 15, 45 and 185 pts/m^2: below 64 bins
+# a point the table took 0.20-0.62 (median) and at most 0.76 of the sort's
+# time; from 64 to 128 it was even (median 1.01).
+_DENSE_BINS_PER_POINT = 64
 
 
 @dataclass(frozen=True)
@@ -101,8 +108,18 @@ class BevGrid:
         return np.argwhere(~self.blocked)
 
 
+def _minus(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``a - v`` for an (n, k) ``a`` and a (k,) ``v``, byte for byte, taken
+    column by column: numpy's broadcast over a short row pays per row, about
+    three times the cost on 21k x 3 points."""
+    out = np.empty(a.shape)
+    for j, x in enumerate(v.tolist()):
+        np.subtract(a[:, j], x, out=out[:, j])
+    return out
+
+
 def _xy_cells(xy: np.ndarray, origin: np.ndarray, cell: float, shape) -> np.ndarray:
-    idx = np.floor((xy - origin) / cell).astype(np.int64)
+    idx = np.floor(_minus(xy, origin) / cell).astype(np.int64)
     # Points exactly on the max boundary fall into the last cell.
     return np.clip(idx, 0, np.asarray(shape) - 1)
 
@@ -263,13 +280,14 @@ def sample_camera_poses(
 
 def _camera_components(cloud, pose):
     f, up, right = camera_frame(pose)
-    q = cloud.positions - pose.position
+    q = _minus(cloud.positions, pose.position)
     return q @ f, q @ up, q @ right
 
 
 def _in_fov(qf, qu, qr, fov: FovConfig):
     """The ascending indices of the points inside ``fov``, from their
-    camera-frame components, with their azimuths and elevations in degrees.
+    camera-frame components, with their azimuths and elevations in degrees
+    and their components, each gathered once.
     The fixed mode takes the azimuth only of the points a conservative
     prefilter admits, and the elevation only where the azimuth passed; the
     other modes take both only for the points their frustum test keeps."""
@@ -284,9 +302,10 @@ def _in_fov(qf, qu, qr, fov: FovConfig):
         az = np.degrees(np.arctan2(qr[idx], qf[idx]))
         keep = np.flatnonzero(np.abs(az) <= fov.alpha_h / 2)
         idx, az = idx[keep], az[keep]
-        el = np.degrees(np.arctan2(qu[idx], np.hypot(qf[idx], qr[idx])))
+        q = qf[idx], qu[idx], qr[idx]
+        el = np.degrees(np.arctan2(q[1], np.hypot(q[0], q[2])))
         keep = np.flatnonzero(np.abs(el) <= fov.alpha_v / 2)
-        return idx[keep], az[keep], el[keep]
+        return idx[keep], az[keep], el[keep], tuple(c[keep] for c in q)
     th = np.tan(np.radians(fov.alpha_h / 2))
     tv = np.tan(np.radians(fov.alpha_v / 2))
     # the half-widths grow with the forward distance in perspective mode
@@ -294,7 +313,8 @@ def _in_fov(qf, qu, qr, fov: FovConfig):
     d = qf if fov.mode == "perspective" else fov.d_ref
     idx = np.flatnonzero((qf > 0) & (np.abs(qr) <= d * th) & (np.abs(qu) <= d * tv))
     qf, qu, qr = qf[idx], qu[idx], qr[idx]
-    return idx, np.degrees(np.arctan2(qr, qf)), np.degrees(np.arctan2(qu, np.hypot(qf, qr)))
+    az, el = np.degrees(np.arctan2(qr, qf)), np.degrees(np.arctan2(qu, np.hypot(qf, qr)))
+    return idx, az, el, (qf, qu, qr)
 
 
 def visible_range_mask(
@@ -324,22 +344,23 @@ def visible_points(
     Points are binned by (azimuth, elevation) at ``theta_bin`` degrees; a
     point survives iff its range is within ``eps_d`` of its bin's minimum.
     """
-    qf, qu, qr = _camera_components(cloud, pose)
-    idx, az, el = _in_fov(qf, qu, qr, config.fov)
+    idx, az, el, (qf, qu, qr) = _in_fov(*_camera_components(cloud, pose), config.fov)
     out = np.zeros(cloud.n, dtype=bool)
     if len(idx) == 0:
         return out
-    qf, qu, qr = qf[idx], qu[idx], qr[idx]
     r = np.sqrt(qf * qf + qu * qu + qr * qr)
     a_bin = np.floor(az / config.theta_bin).astype(np.int64)
     e_bin = np.floor(el / config.theta_bin).astype(np.int64)
-    # one integer per (azimuth, elevation) bin pair
+    # one integer per (azimuth, elevation) bin pair, the first at 0
     e_lo = e_bin.min()
     key = a_bin * (e_bin.max() - e_lo + 1) + (e_bin - e_lo)
-    _, inverse = np.unique(key, return_inverse=True)
-    nearest = np.full(inverse.max() + 1, np.inf)
-    np.minimum.at(nearest, inverse, r)
-    out[idx[r <= nearest[inverse] + config.eps_d]] = True
+    key -= key.min()
+    if key.max() >= _DENSE_BINS_PER_POINT * len(key):
+        # too sparse a view for a table over the span: number the bins in use
+        key = np.unique(key, return_inverse=True)[1]
+    nearest = np.full(key.max() + 1, np.inf)
+    np.minimum.at(nearest, key, r)
+    out[idx[r <= nearest.take(key) + config.eps_d]] = True
     return out
 
 

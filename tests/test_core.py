@@ -223,6 +223,30 @@ class TestNarrowReduce:
             for ufunc, want in ((np.minimum, a.min(axis=1)), (np.maximum, a.max(axis=1))):
                 assert np.array_equal(_narrow_reduce(ufunc, a, axis=1), want)
 
+    @pytest.mark.parametrize("zeros", ["+", "-", "+-", "-+"])
+    def test_zero_minimum_takes_the_last_zeros_sign(self, monkeypatch, zeros):
+        # column 0 has a zero minimum whose zeros are only +0.0, only -0.0,
+        # or both with the last of either sign; column 1 has none
+        gen = np.random.default_rng(len(zeros))
+        a = np.abs(gen.normal(size=(500, 2))) + 0.5
+        rows = np.sort(gen.choice(500, size=40, replace=False))
+        a[rows[:-1], 0] = float(zeros[0] + "0")
+        a[rows[-1], 0] = float(zeros[-1] + "0")
+        searches = []
+        real = np.flatnonzero
+
+        def counting(x):
+            searches.append(len(x))
+            return real(x)
+
+        monkeypatch.setattr(np, "flatnonzero", counting)
+        got = _narrow_reduce(np.minimum, a)
+        monkeypatch.undo()
+        assert got.tobytes() == a.min(axis=0).tobytes()
+        assert np.signbit(got[0]) == (zeros[-1] == "-")
+        # the column of zero minimum is searched only when it holds a -0.0
+        assert searches == [2] + ([500] if "-" in zeros else [])
+
     def test_callers_keep_numpy_bounds(self, taxonomy):
         gen = RandomStream(16)
         for _ in range(50):

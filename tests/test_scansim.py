@@ -464,8 +464,10 @@ class TestOneProjectionEquivalence:
             for a, b in zip(got, want):
                 assert np.array_equal(a, b)
             # a full view keeps every point, so its angles are every point's
-            idx, az, el = scansim._in_fov(*got, FovConfig(360.0, 180.0))
+            idx, az, el, q = scansim._in_fov(*got, FovConfig(360.0, 180.0))
             assert np.array_equal(idx, np.arange(n))
+            for a, b in zip(q, want):
+                assert a.tobytes() == b.tobytes()
             assert np.array_equal(az, np.degrees(np.arctan2(want[2], want[0])))
             assert np.array_equal(el, np.degrees(np.arctan2(want[1], np.hypot(want[0], want[2]))))
 
@@ -662,9 +664,11 @@ def assert_in_fov_gathers(cloud, pose, fov):
     # the in-view indices and their angles against the full-array
     # reference's mask and every point's angles, gathered
     q = _camera_components(cloud, pose)
-    idx, az, el = scansim._in_fov(*q, fov)
+    idx, az, el, gathered = scansim._in_fov(*q, fov)
     want = np.flatnonzero(fov_mask(*q, fov))
     assert np.array_equal(idx, want)
+    for a, b in zip(gathered, q):
+        assert a.tobytes() == b[want].tobytes()
     want_az, want_el = angles(*q)
     assert az.tobytes() == want_az[want].tobytes()
     assert el.tobytes() == want_el[want].tobytes()
@@ -767,6 +771,95 @@ class TestDepthBufferKey:
     def test_bins_finer_than_the_key_allows_rejected(self, theta_bin):
         with pytest.raises(ValueError, match="theta_bin"):
             ScanSimConfig(theta_bin=theta_bin)
+
+
+def unique_calls(monkeypatch, fn, *args):
+    """``fn(*args)`` and how many times it called np.unique."""
+    calls = []
+    real = np.unique
+
+    def counting(*a, **kw):
+        calls.append(1)
+        return real(*a, **kw)
+
+    monkeypatch.setattr(np, "unique", counting)
+    try:
+        return fn(*args), len(calls)
+    finally:
+        monkeypatch.undo()
+
+
+class TestDenseDepthBuffer:
+    # the buffer is a table over the bin-key span unless that span exceeds
+    # _DENSE_BINS_PER_POINT bins per in-view point; both ways must give the
+    # np.unique references' masks byte for byte
+    @pytest.mark.parametrize("theta_bin", [scansim._MIN_THETA_BIN, 1e-3, 0.05])
+    @pytest.mark.parametrize("mode", ["fixed", "parallel", "perspective"])
+    def test_sparse_view_takes_the_sort(self, monkeypatch, mode, theta_bin):
+        gen = np.random.default_rng(int(theta_bin * 1e6) + len(mode))
+        pos = gen.uniform(-3.0, 3.0, size=(300, 3))
+        cloud = LabeledPointCloud(pos, np.zeros(len(pos), dtype=int), TOY_TAXONOMY)
+        config = ScanSimConfig(fov=FovConfig(170.0, 150.0, mode, d_ref=3.0), theta_bin=theta_bin, eps_d=0.5)
+        for pose in random_poses(gen, -0.5, 0.5, 3):
+            assert visible_range_mask(cloud, pose, config.fov).sum() > 20
+            got, sorts = unique_calls(monkeypatch, visible_points, cloud, pose, config)
+            assert sorts == 1
+            assert got.tobytes() == two_pass_visible_points(cloud, pose, config).tobytes()
+            assert got.tobytes() == gathered_angle_visible_points(cloud, pose, config).tobytes()
+
+    @pytest.mark.parametrize("mode", ["fixed", "parallel", "perspective"])
+    def test_dense_view_takes_the_table(self, monkeypatch, mode):
+        config = ScanSimConfig(fov=FovConfig(mode=mode))
+        for k, name in enumerate(("cluttered", "two_room")):
+            cloud = template_cloud(name, 50 + k, density=185.0)
+            plan = plan_scan(cloud, config, TOY_STRUCTURAL)
+            for pose in sample_camera_poses(cloud, plan, config, RandomStream(k)):
+                got, sorts = unique_calls(monkeypatch, visible_points, cloud, pose, config)
+                assert sorts == 0
+                assert got.tobytes() == gathered_angle_visible_points(cloud, pose, config).tobytes()
+
+    @pytest.mark.parametrize("last_bin, sorts", [(191, 0), (192, 1)])
+    def test_bound_is_bins_per_in_view_point(self, monkeypatch, last_bin, sorts):
+        # three points in one elevation bin: a far one behind a near one in
+        # azimuth bin 0, and one in bin last_bin, so the key spans
+        # last_bin + 1 bins, against 64 * 3 = 192 allowed
+        assert scansim._DENSE_BINS_PER_POINT == 64
+        config = ScanSimConfig(fov=FovConfig(alpha_h=180.0, alpha_v=180.0), theta_bin=0.1)
+        pose = CameraPose(np.zeros(3), np.array([1.0, 0.0, 0.0]))
+        pos = [at_angles(1.0, 0.05, 0.05), at_angles(3.0, 0.05, 0.05), at_angles(2.0, 0.1 * last_bin + 0.05, 0.05)]
+        cloud = LabeledPointCloud(np.array(pos), np.zeros(3, dtype=int), TOY_TAXONOMY)
+        got, calls = unique_calls(monkeypatch, visible_points, cloud, pose, config)
+        assert calls == sorts
+        assert got.tolist() == [True, False, True]
+
+
+class TestColumnOffsets:
+    @staticmethod
+    def signed_zero_cloud(gen, n, offset):
+        pos = offset + gen.normal(size=(n, 3))
+        pos[gen.random((n, 3)) < 0.2] = 0.0
+        pos[gen.random((n, 3)) < 0.2] = -0.0
+        return pos
+
+    @pytest.mark.parametrize("offset", [0.0, 1e6, -3e7])
+    def test_components_match_the_broadcast(self, offset):
+        gen = np.random.default_rng(int(abs(offset)) % 1000)
+        pos = self.signed_zero_cloud(gen, 2000, offset)
+        cloud = LabeledPointCloud(pos, np.zeros(len(pos), dtype=int), TOY_TAXONOMY)
+        for v in ([-0.0, 0.0, 1.0], [0.0, -0.0, -0.0], [offset + 0.5, -0.0, offset - 2.0]):
+            pose = CameraPose(np.array(v), np.array(v) + gen.normal(size=3))
+            q = pos - pose.position
+            for got, axis in zip(_camera_components(cloud, pose), camera_frame(pose)):
+                assert got.tobytes() == (q @ axis).tobytes()
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_minus_matches_the_broadcast(self, k):
+        gen = np.random.default_rng(k)
+        for offset in (0.0, 1e6, -3e7):
+            pos = self.signed_zero_cloud(gen, 500, offset)
+            a = pos[:, :k]                            # strided, as _xy_cells gets it
+            for v in (np.zeros(k), -np.zeros(k), offset + gen.normal(size=k)):
+                assert scansim._minus(a, v).tobytes() == (a - v).tobytes()
 
 
 @pytest.mark.parametrize("d_ref", [0.0, -1.0, np.nan])
