@@ -12,7 +12,7 @@ through :class:`RandomStream` so results are reproducible from a seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Mapping
 
 import numpy as np
@@ -245,6 +245,15 @@ def map_labels(
     return LabeledPointCloud(cloud.positions, out, condensed)
 
 
+def _check_finite_floats(section) -> None:
+    """ValueError naming the first ``float`` field of the config or spec
+    dataclass ``section`` whose value (numpy floats included) is not
+    finite. Each section runs this before its own range checks."""
+    for f in fields(section):
+        if f.type in ("float", float) and not np.isfinite(getattr(section, f.name)):
+            raise ValueError(f"{f.name} must be finite")
+
+
 @dataclass(frozen=True)
 class AugmentConfig:
     """Flags and parameters for the standard training augmentations."""
@@ -259,8 +268,7 @@ class AugmentConfig:
     jitter_range: float = 0.005
 
     def __post_init__(self):
-        if not np.isfinite([self.elastic_spacing, self.elastic_magnitude, self.jitter_range]).all():
-            raise ValueError("elastic_spacing, elastic_magnitude and jitter_range must be finite")
+        _check_finite_floats(self)
         if not self.elastic_spacing > 0:
             raise ValueError("elastic_spacing must be positive")
         if self.jitter_range < 0:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LabeledPointCloud, RandomStream, _narrow_reduce
+from .core import LabeledPointCloud, RandomStream, _check_finite_floats, _narrow_reduce
 from .errors import DegeneratePartitionError, DimensionError, EmptyInputError, ShapeMismatchError
 
 PROV_SOURCE, PROV_TARGET, PROV_QUEUE = 0, 1, 2
@@ -36,10 +36,11 @@ class CuboidMixConfig:
     min_tail_cuboids: int = 2
 
     def __post_init__(self):
+        _check_finite_floats(self)
         if min(self.nx, self.ny, self.nz) < 1:
             raise ValueError("partition counts must be >= 1")
-        if not (np.isfinite(self.delta_phi) and self.delta_phi >= 0):
-            raise ValueError("delta_phi must be finite and >= 0")
+        if not self.delta_phi >= 0:
+            raise ValueError("delta_phi must be >= 0")
         if not (0.0 <= self.rho_s <= 1.0 and 0.0 <= self.rho_m <= 1.0):
             raise ValueError("rho_s and rho_m must be in [0, 1]")
         if min(self.queue_cap, self.n_tail_classes, self.min_tail_cuboids) < 0:

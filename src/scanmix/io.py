@@ -163,18 +163,18 @@ def _parse_ply_header(path: Path, data: bytes):
         if end < 0:
             raise ParseError(path, "unterminated PLY header", offset=offset)
         line = data[offset:end].decode("ascii", errors="replace").strip()
-        lines.append((line, offset))
+        lines.append(line)
         offset = end + 1
         if line == "end_header":
             break
         if len(lines) > 100:
             raise ParseError(path, "header too long or end_header missing")
-    if not lines or lines[0][0] != "ply":
+    if lines[0] != "ply":
         raise ParseError(path, "missing 'ply' magic", line=1)
     fmt = None
     count = None
     props = []
-    for i, (line, _off) in enumerate(lines[1:], start=2):
+    for i, line in enumerate(lines[1:], start=2):
         parts = line.split()
         if not parts or line == "end_header" or parts[0] == "comment":
             continue

@@ -244,8 +244,6 @@ CKPT_FINAL = "checkpoint_final.bin"
 
 # Fixed child-stream tags per stage keep stage subcommands and run-all in
 # agreement about which draws each stage sees.
-_TAG_SOURCE_ONLY = 0x501
-_TAG_PRETRAIN = 0x502
 _TAG_SELFTRAIN = 0x504
 _TAG_SCAN = 0x505
 _TAG_MIX = 0x506
@@ -267,21 +265,32 @@ def _write_losses(path, losses: np.ndarray) -> None:
     _write_file(path, "".join(f"{float(value)!r}\n" for value in losses))
 
 
-def _checked_manifest(manifest_path, role: str, taxonomy: ClassTaxonomy):
-    """The manifest at ``manifest_path``; ParseError at its first line
-    unless it declares ``role`` and ``taxonomy``."""
-    manifest = load_manifest(manifest_path)
+def _manifest(config: PipelineConfig, role: str):
+    """The ``role`` ("source" or "target") manifest of ``config``;
+    ParseError at its first line unless it declares ``role`` and the
+    config's taxonomy."""
+    path = {"source": config.source_manifest, "target": config.target_manifest}[role]
+    manifest = load_manifest(path)
     if manifest.role != role:
-        raise ParseError(manifest_path, f"manifest role {manifest.role!r} != {role!r}", line=1)
-    if manifest.taxonomy_name != taxonomy.name:
-        message = f"manifest taxonomy {manifest.taxonomy_name!r} != {taxonomy.name!r}"
-        raise ParseError(manifest_path, message, line=1)
+        raise ParseError(path, f"manifest role {manifest.role!r} != {role!r}", line=1)
+    if manifest.taxonomy_name != config.taxonomy.name:
+        message = f"manifest taxonomy {manifest.taxonomy_name!r} != {config.taxonomy.name!r}"
+        raise ParseError(path, message, line=1)
     return manifest
 
 
-def _load_domain(manifest_path, role: str, taxonomy: ClassTaxonomy):
-    manifest = _checked_manifest(manifest_path, role, taxonomy)
-    return manifest, load_scenes(manifest, taxonomy)
+def _pseudo_file(config: PipelineConfig, scene_id: str | None = None, stats: bool = False) -> Path:
+    """A file pseudo-labelling writes into ``out/pseudo``: a target scene's
+    pseudo-labelled cloud ``<id>.ply``, with ``stats`` its neighbour
+    statistics ``<id>.stats``, and without ``scene_id`` the class ratios
+    ``ratios.txt``. The directory is the ``.parent`` of any of them."""
+    name = "ratios.txt" if scene_id is None else f"{scene_id}.{'stats' if stats else 'ply'}"
+    return config.out_dir / "pseudo" / name
+
+
+def _pseudo_clouds(config: PipelineConfig) -> list[Path]:
+    """The pseudo-labelled cloud of every target scene, in manifest order."""
+    return [_pseudo_file(config, scene_id) for scene_id, _path in _manifest(config, "target").entries]
 
 
 def _read_scene(path, taxonomy: ClassTaxonomy):
@@ -309,28 +318,25 @@ def _stage(name: str):
 # --- stages -----------------------------------------------------------------
 
 
+# Each pretrained model, by with_scan_sim: (stage name, child-stream tag,
+# scan config of the run config, checkpoint).
+_PRETRAIN_MODELS = {
+    True: ("pretrain", 0x502, attrgetter("scan"), CKPT_SCAN_PRETRAIN),
+    False: ("source-only", 0x501, lambda config: None, CKPT_SOURCE_ONLY),
+}
+
+
 def stage_pretrain(config: PipelineConfig, with_scan_sim: bool = True) -> Path:
     """Train a model on the source scenes; returns the checkpoint path."""
-    stage = "pretrain" if with_scan_sim else "source-only"
+    stage, tag, scan, checkpoint = _PRETRAIN_MODELS[with_scan_sim]
     with _stage(stage):
-        _, source = _load_domain(config.source_manifest, "source", config.taxonomy)
-        rng = RandomStream(config.seed).child(
-            _TAG_PRETRAIN if with_scan_sim else _TAG_SOURCE_ONLY
-        )
-        model = SegmenterModel.zeros(config.taxonomy)
+        source = load_scenes(_manifest(config, "source"), config.taxonomy)
         result = train_pretrain(
-            model,
-            source,
-            config.scan if with_scan_sim else None,
-            config.structural,
-            config.augment,
-            config.features,
-            config.pretrain,
-            rng,
+            SegmenterModel.zeros(config.taxonomy), source, scan(config), config.structural,
+            config.augment, config.features, config.pretrain, RandomStream(config.seed).child(tag),
         )
         _make_dir(config.out_dir)
-        name = CKPT_SCAN_PRETRAIN if with_scan_sim else CKPT_SOURCE_ONLY
-        path = config.out_dir / name
+        path = config.out_dir / checkpoint
         save_checkpoint(result.model, path)
         _write_losses(config.out_dir / f"losses_{stage.replace('-', '_')}.txt", result.losses)
         return path
@@ -347,9 +353,9 @@ def stage_pseudo_label(config: PipelineConfig, threads: int = 1) -> Path:
     _check_threads(threads)
     with _stage("pseudo-label"):
         model = load_checkpoint(config.out_dir / CKPT_SCAN_PRETRAIN, config.taxonomy)
-        tgt_manifest = _checked_manifest(config.target_manifest, "target", config.taxonomy)
-        pseudo_dir = config.out_dir / "pseudo"
-        _make_dir(pseudo_dir)
+        tgt_manifest = _manifest(config, "target")
+        ratios_path = _pseudo_file(config)
+        _make_dir(ratios_path.parent)
 
         def label_scene(entry):
             scene_id, path = entry
@@ -357,21 +363,15 @@ def stage_pseudo_label(config: PipelineConfig, threads: int = 1) -> Path:
             stats = neighbour_stats(scene, config.features)
             labels = _pseudo_label(model, scene, stats, config.pseudo)
             write_point_file(
-                scene.with_labels(labels), pseudo_dir / f"{scene_id}.ply", FileFormat.PLY_BINARY_LE
+                scene.with_labels(labels), _pseudo_file(config, scene_id), FileFormat.PLY_BINARY_LE
             )
-            _write_stats(pseudo_dir / f"{scene_id}.stats", scene, config.features, stats)
+            _write_stats(_pseudo_file(config, scene_id, stats=True), scene, config.features, stats)
             return class_counts(labels, config.taxonomy)
 
         ratios = _ratio_of(_map_scenes(label_scene, tgt_manifest.entries, threads), config.taxonomy)
         rows = (f"{name}\t{float(value)!r}\n" for name, value in zip(config.taxonomy.names, ratios))
-        _write_file(pseudo_dir / "ratios.txt", "".join(rows))
-        return pseudo_dir
-
-
-def _pseudo_paths(config: PipelineConfig) -> list[Path]:
-    tgt_manifest = _checked_manifest(config.target_manifest, "target", config.taxonomy)
-    pseudo_dir = config.out_dir / "pseudo"
-    return [pseudo_dir / f"{scene_id}.ply" for scene_id, _path in tgt_manifest.entries]
+        _write_file(ratios_path, "".join(rows))
+        return ratios_path.parent
 
 
 def stage_selftrain(config: PipelineConfig) -> Path:
@@ -379,8 +379,8 @@ def stage_selftrain(config: PipelineConfig) -> Path:
     target scenes; writes the final checkpoint and three mixed samples."""
     with _stage("selftrain"):
         model = load_checkpoint(config.out_dir / CKPT_SCAN_PRETRAIN, config.taxonomy)
-        _, source = _load_domain(config.source_manifest, "source", config.taxonomy)
-        pseudo_scenes = [_read_scene(path, config.taxonomy) for path in _pseudo_paths(config)]
+        source = load_scenes(_manifest(config, "source"), config.taxonomy)
+        pseudo_scenes = [_read_scene(path, config.taxonomy) for path in _pseudo_clouds(config)]
         samples_dir = config.out_dir / "mixed_samples"
         _make_dir(samples_dir)
 
@@ -426,7 +426,7 @@ def stage_evaluate(config: PipelineConfig, threads: int = 1) -> dict[str, float]
     no statistics file."""
     _check_threads(threads)
     with _stage("evaluate"):
-        tgt_manifest = _checked_manifest(config.target_manifest, "target", config.taxonomy)
+        tgt_manifest = _manifest(config, "target")
         models = {
             tag: load_checkpoint(config.out_dir / ckpt, config.taxonomy)
             for ckpt, tag in _EVAL_TAGS
@@ -435,12 +435,10 @@ def stage_evaluate(config: PipelineConfig, threads: int = 1) -> dict[str, float]
         if not models:
             return {}
 
-        pseudo_dir = config.out_dir / "pseudo"
-
         def confusions(entry):
             scene_id, path = entry
             scene = _read_scene(path, config.taxonomy)
-            stats = _read_stats(pseudo_dir / f"{scene_id}.stats", scene, config.features)
+            stats = _read_stats(_pseudo_file(config, scene_id, stats=True), scene, config.features)
             if stats is None:
                 stats = neighbour_stats(scene, config.features)
             features = _pair_features(scene, stats)
@@ -472,7 +470,7 @@ def stage_scan(config: PipelineConfig) -> Path:
     scanned and written in one step, so one source scene is in memory at
     a time."""
     with _stage("scan"):
-        src_manifest = _checked_manifest(config.source_manifest, "source", config.taxonomy)
+        src_manifest = _manifest(config, "source")
         out = config.out_dir / "scanned"
         _make_dir(out)
         rng = RandomStream(config.seed).child(_TAG_SCAN)
@@ -496,12 +494,11 @@ def stage_mix(config: PipelineConfig, count: int = 5) -> Path:
     if count < 0:
         raise ConfigError(f"count must be >= 0, got {count}")
     with _stage("mix"):
-        sources = _checked_manifest(config.source_manifest, "source", config.taxonomy).entries
-        if _exists(config.out_dir / "pseudo"):
-            targets = _pseudo_paths(config)
+        sources = _manifest(config, "source").entries
+        if _exists(_pseudo_file(config).parent):
+            targets = _pseudo_clouds(config)
         else:
-            tgt_manifest = _checked_manifest(config.target_manifest, "target", config.taxonomy)
-            targets = [path for _, path in tgt_manifest.entries]
+            targets = [path for _, path in _manifest(config, "target").entries]
         ratios = _ratio_of(
             (class_counts(_read_scene(path, config.taxonomy).labels, config.taxonomy) for path in targets),
             config.taxonomy,
@@ -555,11 +552,7 @@ def _write_report(
     ]
     if failed_stage is not None:
         lines.append(f"failed_stage={failed_stage}")
-    for _, tag in _EVAL_TAGS:
-        if tag in mious:
-            lines.append(f"miou_{tag}={mious[tag]!r}")
-        else:
-            lines.append(f"miou_{tag}=incomplete")
+    lines += (f"miou_{tag}={repr(mious[tag]) if tag in mious else 'incomplete'}" for _, tag in _EVAL_TAGS)
     _write_file(config.out_dir / "report.txt", "\n".join(lines) + "\n")
 
 
@@ -579,9 +572,7 @@ def run_pipeline(config: PipelineConfig, threads: int = 1) -> dict[str, float]:
     mious: dict[str, float] = {}
     try:
         with _stage("load"):
-            src_manifest = _checked_manifest(config.source_manifest, "source", config.taxonomy)
-            tgt_manifest = _checked_manifest(config.target_manifest, "target", config.taxonomy)
-        n_source, n_target = len(src_manifest), len(tgt_manifest)
+            n_source, n_target = len(_manifest(config, "source")), len(_manifest(config, "target"))
         _pretrain_both(config)
         stage_pseudo_label(config, threads)
         stage_selftrain(config)

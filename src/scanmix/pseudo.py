@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ClassTaxonomy
+from .core import ClassTaxonomy, _check_finite_floats
 
 MODES = ("global_threshold", "per_class_fraction")
 
@@ -23,6 +23,7 @@ class PseudoLabelConfig:
     fraction: float = 0.3
 
     def __post_init__(self):
+        _check_finite_floats(self)
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
         if not 0.0 <= self.threshold <= 1.0:

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.ndimage import maximum_filter
 from scipy.spatial import cKDTree
 
-from .core import LabeledPointCloud, RandomStream, StructuralClasses, aabb_of
+from .core import LabeledPointCloud, RandomStream, StructuralClasses, _check_finite_floats, aabb_of
 from .errors import (
     DegeneratePoseError,
     NoFreeSpaceError,
@@ -51,14 +51,15 @@ class FovConfig:
     d_ref: float = 2.0
 
     def __post_init__(self):
+        _check_finite_floats(self)
         if not 0.0 < self.alpha_h <= 360.0:
             raise ValueError("alpha_h must be in (0, 360]")
         if not 0.0 < self.alpha_v <= 180.0:
             raise ValueError("alpha_v must be in (0, 180]")
         if self.mode not in FOV_MODES:
             raise ValueError(f"mode must be one of {FOV_MODES}")
-        if not (np.isfinite(self.d_ref) and self.d_ref > 0.0):
-            raise ValueError("d_ref must be positive and finite")
+        if not self.d_ref > 0.0:
+            raise ValueError("d_ref must be positive")
 
 
 @dataclass(frozen=True)
@@ -74,10 +75,9 @@ class ScanSimConfig:
     delta_p: float = 0.01        # jitter half-range, meters
 
     def __post_init__(self):
+        _check_finite_floats(self)
         if self.n_v < 1:
             raise ValueError("n_v must be >= 1")
-        if not np.isfinite([self.bev_cell, self.clearance, self.theta_bin, self.eps_d, self.delta_p]).all():
-            raise ValueError("bev_cell, clearance, theta_bin, eps_d and delta_p must be finite")
         if not self.bev_cell > 0:
             raise ValueError("bev_cell must be positive")
         if not self.clearance >= 0:

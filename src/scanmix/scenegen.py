@@ -19,6 +19,7 @@ from .core import (
     LabeledPointCloud,
     RandomStream,
     StructuralClasses,
+    _check_finite_floats,
 )
 from .errors import OverlapError, ParseError
 from .io import _read_text, _write_file
@@ -80,8 +81,7 @@ class SceneSpec:
     density: float = 1250.0
 
     def __post_init__(self):
-        if not np.isfinite([self.width, self.depth, self.height, self.density]).all():
-            raise ValueError("room dimensions and density must be finite")
+        _check_finite_floats(self)
         if min(self.width, self.depth, self.height) <= 0:
             raise ValueError("room dimensions must be positive")
         if self.density <= 0:

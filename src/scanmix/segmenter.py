@@ -27,6 +27,7 @@ from .core import (
     LabeledPointCloud,
     RandomStream,
     StructuralClasses,
+    _check_finite_floats,
     _narrow_reduce,
     _standard_augment,
 )
@@ -63,9 +64,9 @@ class FeatureConfig:
     radius: float = 0.15       # neighborhood radius, meters
 
     def __post_init__(self):
-        if not (np.isfinite([self.voxel_size, self.radius]).all()
-                and self.voxel_size > 0 and self.radius > 0):
-            raise ValueError("voxel_size and radius must be positive and finite")
+        _check_finite_floats(self)
+        if not (self.voxel_size > 0 and self.radius > 0):
+            raise ValueError("voxel_size and radius must be positive")
 
 
 def extract_features(cloud: LabeledPointCloud, config: FeatureConfig) -> np.ndarray:
@@ -259,11 +260,7 @@ class TrainConfig:
     regen_every: int = 0         # self-training: refresh pseudo labels every N steps (0 = never)
 
     def __post_init__(self):
-        floats = [self.learning_rate, self.source_loss_weight, self.momentum, self.lr_decay_power]
-        if not np.isfinite(floats).all():
-            raise ValueError(
-                "learning_rate, source_loss_weight, momentum and lr_decay_power must be finite"
-            )
+        _check_finite_floats(self)
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
         if self.source_loss_weight < 0:

@@ -1,3 +1,5 @@
+import ast
+import dataclasses
 import hashlib
 import multiprocessing
 import os
@@ -22,6 +24,7 @@ from scanmix import (
     PseudoLabelConfig,
     RandomStream,
     ScanSimConfig,
+    SceneSpec,
     StructuralClasses,
     TOY_TAXONOMY,
     TrainConfig,
@@ -30,6 +33,7 @@ from scanmix import (
     generate_scene_set,
     load_config,
     load_manifest,
+    load_scenes,
     make_toy_benchmark,
     read_point_file,
     run_pipeline,
@@ -51,7 +55,7 @@ from scanmix.pipeline import (
     CONFIG_KEYS,
     DEFAULT_CONFIG_TEXT,
     PipelineConfig,
-    _load_domain,
+    _manifest,
     config_text,
     parse_config_text,
     save_config,
@@ -81,6 +85,20 @@ def rewrite_iterations(config_path, pretrain, selftrain):
         text, hits = re.subn(rf"^{re.escape(key)}=\d+$", f"{key}={n}", text, flags=re.M)
         assert hits == 1, key
     Path(config_path).write_text(text)
+
+
+# A valid value of each config and spec section whose float fields must be
+# finite.
+FINITE_SECTIONS = (
+    FeatureConfig(),
+    ScanSimConfig(),
+    FovConfig(),
+    AugmentConfig(),
+    TrainConfig(),
+    CuboidMixConfig(),
+    PseudoLabelConfig(),
+    SceneSpec(width=4.0, depth=3.0, height=2.5),
+)
 
 
 class TestConfig:
@@ -182,6 +200,36 @@ class TestConfig:
         # the sections are public and must not take them either
         with pytest.raises(ValueError, match="finite"):
             section(**values)
+
+    @pytest.mark.parametrize(
+        "section, name",
+        [
+            pytest.param(section, f.name, id=f"{type(section).__name__}.{f.name}")
+            for section in FINITE_SECTIONS
+            for f in dataclasses.fields(section)
+            if f.type in ("float", float)
+        ],
+    )
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, np.float32("nan")], ids=repr)
+    def test_every_float_field_must_be_finite(self, section, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            dataclasses.replace(section, **{name: value})
+
+    def test_every_section_field_reachable_through_one_key(self):
+        # the only knobs no key sets: each applies to one training stage alone
+        unset = {"pretrain.source_loss_weight", "pretrain.regen_every", "selftrain.batch_size"}
+
+        def leaves(section, prefix=""):
+            for f in dataclasses.fields(section):
+                value = getattr(section, f.name)
+                if dataclasses.is_dataclass(value):
+                    yield from leaves(value, f"{prefix}{f.name}.")
+                else:
+                    yield prefix + f.name
+
+        fields = set(leaves(PipelineConfig()))
+        assert unset <= fields
+        assert sorted(attr for attr, _ in CONFIG_KEYS.values()) == sorted(fields - unset)
 
     @pytest.mark.parametrize("name", ["my tax", "t\u00f6y"])
     def test_taxonomy_name_outside_the_header_alphabet(self, name):
@@ -456,7 +504,7 @@ class TestRunPipeline:
         config_path = make_toy_benchmark(tmp_path / "bench", seed=3)
         rewrite_iterations(config_path, 4, 20)
         config = load_config(config_path)
-        _, targets = _load_domain(config.target_manifest, "target", config.taxonomy)
+        targets = load_scenes(_manifest(config, "target"), config.taxonomy)
         extents = [np.ptp(t.positions[:, :2], axis=0).min() for t in targets]
         assert min(extents) < 2 * config.mix.delta_phi
         run_pipeline(config)
@@ -965,3 +1013,59 @@ class TestCli:
         )
         assert rc == 0
         assert (override_out / "checkpoint_scan_pretrain.bin").is_file()
+
+
+# Each run name the orchestration reads has one home: the manifest paths are
+# read only in _manifest, and the pseudo-label directory is named only in
+# _pseudo_file.
+MANIFEST_ATTRS = {"source_manifest", "target_manifest"}
+PSEUDO_DIR = "pseudo"
+
+
+def run_name_uses(source: str) -> list[tuple[int, str]]:
+    """(line, name) of each read of ``.source_manifest`` or
+    ``.target_manifest`` outside a function named ``_manifest``, and of
+    each string ``"pseudo"`` outside one named ``_pseudo_file``."""
+    tree = ast.parse(source)
+
+    def inside(helper):
+        return {
+            id(node)
+            for fn in ast.walk(tree)
+            if isinstance(fn, ast.FunctionDef) and fn.name == helper
+            for node in ast.walk(fn)
+        }
+
+    in_manifest, in_pseudo_file = inside("_manifest"), inside("_pseudo_file")
+    uses = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                and node.attr in MANIFEST_ATTRS and id(node) not in in_manifest):
+            uses.append((node.lineno, node.attr))
+        elif isinstance(node, ast.Constant) and node.value == PSEUDO_DIR and id(node) not in in_pseudo_file:
+            uses.append((node.lineno, node.value))
+    return sorted(uses)
+
+
+def test_manifest_paths_and_pseudo_dir_named_in_one_helper_each():
+    paths = sorted(Path(scanmix.pipeline.__file__).parent.glob("*.py"))
+    assert len(paths) > 5
+    found = {p.name: run_name_uses(p.read_text(encoding="utf-8")) for p in paths}
+    assert {name: uses for name, uses in found.items() if uses} == {}
+
+
+def test_run_name_guard_bites():
+    source = (
+        "def stage(config):\n"
+        "    return config.source_manifest, config.out_dir / 'pseudo'\n"
+        "paths = [c.target_manifest for c in configs]\n"
+        "KEYS = {'source_manifest': 'pseudo-label', 'pseudo.mode': 1}\n"
+        "def _manifest(config, role):\n"
+        "    return {'source': config.source_manifest, 'target': config.target_manifest}[role]\n"
+        "def _pseudo_file(config):\n"
+        "    return config.out_dir / 'pseudo'\n"
+        "def later(config):\n"
+        "    return config.target_manifest\n"
+    )
+    assert run_name_uses(source) == [(2, "pseudo"), (2, "source_manifest"), (3, "target_manifest"),
+                                     (10, "target_manifest")]

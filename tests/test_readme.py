@@ -28,7 +28,7 @@ def readme_subcommands():
 
 
 def test_subcommands_are_the_table_rows_and_readme_names_them():
-    assert parser_subcommands() == set(COMMANDS) | {"gen-scenes", "make-toy-benchmark"}
+    assert parser_subcommands() == set(COMMANDS)
     assert readme_subcommands() == parser_subcommands()
 
 
